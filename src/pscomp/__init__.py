@@ -3,13 +3,17 @@
 Building blocks:
 
 - :mod:`pscomp.coefficients` -- complex composition coefficients.
-- :mod:`pscomp.composition` -- schedules, conjugate-pair double jumps,
-  real-axis projection, and the recursive family construction.
+- :mod:`pscomp.flowmap` -- the ``(state, complex step) -> state`` flow map
+  and its declared-order metadata.
+- :mod:`pscomp.composition` -- schedules and the recursive family, whose
+  every level is a conjugate-pair double jump projected on the real axis.
 - :mod:`pscomp.problems` -- harmonic oscillator, Kepler, a semi-linear
   reaction-diffusion equation, and the complex Ginzburg-Landau equation
-  as exact or split flows, plus a fourth-order complex splitting.
-- :mod:`pscomp.spectral` -- periodic grid, DFT pair, diagonal propagators.
-- :mod:`pscomp.diagnostics` -- convergence, defect, and truncation fits.
+  as exact or split flow maps on plain arrays, plus a fourth-order
+  complex splitting.
+- :mod:`pscomp.spectral` -- periodic grid and field snapshots.
+- :mod:`pscomp.diagnostics` -- trajectories, successive errors, and
+  convergence, defect, and truncation fits.
 - :mod:`pscomp.bench` -- named experiment presets with CSV/JSON output.
 """
 
@@ -19,25 +23,23 @@ from .coefficients import (
 )
 from .composition import (
     CompositionSchedule, RecursiveFamily, coefficient_arguments,
-    compose_schedule, double_jump, real_projection, recursive_family,
+    compose_schedule, recursive_family,
 )
 from .complexlog import analytic_inv_r3, principal_log
 from .errors import DomainError, SingularityError, ValidationError
-from .flowmap import EXACT_META, INFINITE_ORDER, FlowMap, MethodMeta, identity_flow
-from .spectral import (
-    SpectralField, SpectralGrid, dft, diffusion_propagator, idft,
-    sup_norm_distance, write_snapshot,
+from .flowmap import (
+    EXACT_META, INFINITE_ORDER, STRANG_META, FlowMap, MethodMeta, identity_flow,
 )
+from .spectral import SpectralGrid, write_snapshot
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CompositionSchedule", "DomainError", "EXACT_META", "FlowMap",
-    "INFINITE_ORDER", "MethodMeta", "RecursiveFamily", "SingularityError",
-    "SpectralField", "SpectralGrid", "ValidationError",
+    "INFINITE_ORDER", "MethodMeta", "RecursiveFamily", "STRANG_META",
+    "SingularityError", "SpectralGrid", "ValidationError",
     "analytic_inv_r3", "coefficient_arguments", "compose_schedule",
-    "dft", "diffusion_propagator", "double_jump", "gamma_double_jump",
-    "gamma_smallest_phase", "gamma_triple_jump", "identity_flow", "idft",
-    "order_condition_residuals", "principal_log", "real_projection",
-    "recursive_family", "sup_norm_distance", "write_snapshot",
+    "gamma_double_jump", "gamma_smallest_phase", "gamma_triple_jump",
+    "identity_flow", "order_condition_residuals", "principal_log",
+    "recursive_family", "write_snapshot",
 ]

@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
     pscomp-bench list
-    pscomp-bench run <preset> [--config FILE] [--out DIR] [--precision f64]
+    pscomp-bench run <preset> [--config FILE] [--out DIR]
     pscomp-bench validate <config-file>
 
 Exit codes: 0 on success, 2 on validation errors, 3 when every computed
@@ -39,12 +39,15 @@ def _build_parser():
     run_parser.add_argument("preset", choices=available_presets())
     run_parser.add_argument("--config", help="JSON file with config overrides")
     run_parser.add_argument("--out", default=".", help="output directory")
-    run_parser.add_argument("--precision", choices=["f64", "extended"],
-                            default="f64")
 
     validate_parser = sub.add_parser("validate", help="validate a config file")
     validate_parser.add_argument("config", help="JSON config file (needs a 'preset' key)")
     return parser
+
+
+def _load_config(path, preset=None):
+    with open(path) as fh:
+        return parse_config(fh.read(), preset=preset)
 
 
 def main(argv=None):
@@ -55,38 +58,17 @@ def main(argv=None):
             print(f"{name:14s} {_DESCRIPTIONS[name]}")
         return 0
 
-    if args.command == "validate":
-        try:
-            with open(args.config) as fh:
-                config = parse_config(fh.read())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValidationError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
-        print(f"ok: {config.problem} / {config.base_method}, "
-              f"levels={config.levels}, {len(config.tau_list)} step sizes")
-        return 0
-
-    # run
-    if args.precision == "extended":
-        print("error: the extended-precision variant is not enabled in this "
-              "build; use --precision f64", file=sys.stderr)
-        return 2
-    config = None
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = parse_config(fh.read(), preset=args.preset)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValidationError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
     try:
+        if args.command == "validate":
+            config = _load_config(args.config)
+            print(f"ok: {config.problem} / {config.base_method}, "
+                  f"levels={config.levels}, {len(config.tau_list)} step sizes")
+            return 0
+        config = _load_config(args.config, args.preset) if args.config else None
         table, paths = run_preset(args.preset, out_dir=args.out, config=config)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValidationError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

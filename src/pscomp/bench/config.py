@@ -7,12 +7,26 @@ to start from).  Unknown keys are rejected by name.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import ValidationError
 
 PROBLEMS = ("harmonic", "kepler", "fisher", "cgl")
 BASE_METHODS = ("strang", "s4sim")
+
+#: The ``problem_params`` each problem reads, with their defaults.
+PROBLEM_PARAMS = {"harmonic": {"q0": 2.5, "p0": 0.0}, "kepler": {"e": 0.6},
+                  "fisher": {}, "cgl": {"c1": 1.0, "c3": -2.0, "eps": 1.0}}
+
+#: Presets that integrate in time: they need ``t_final > 0`` and at least
+#: one step size.
+STEPPING_PRESETS = ("ho-energy", "kepler-order", "kepler-energy",
+                    "fisher-order", "cgl-order")
+
+#: Presets that measure their own problem's energy or matrices, so they
+#: keep the ``problem`` of their defaults.
+SINGLE_PROBLEM_PRESETS = ("ho-table1", "ho-energy", "kepler-energy")
 
 
 @dataclass(frozen=True)
@@ -35,28 +49,72 @@ class ExperimentConfig:
             raise ValidationError(
                 f"base_method must be one of {BASE_METHODS}, got {self.base_method!r}"
             )
-        if not 1 <= self.levels <= 4:
-            raise ValidationError(f"levels must lie in 1..4, got {self.levels}")
-        taus = tuple(float(t) for t in self.tau_list)
+        if not _is_int(self.levels) or not 1 <= self.levels <= 4:
+            raise ValidationError(f"levels must be an integer in 1..4, got {self.levels!r}")
+        if not isinstance(self.tau_list, (list, tuple)):
+            raise ValidationError(f"tau_list must be a list of numbers, got {self.tau_list!r}")
+        taus = tuple(_finite("tau_list entry", t) for t in self.tau_list)
         if any(t <= 0 for t in taus):
             raise ValidationError("tau_list entries must be positive")
         if any(a <= b for a, b in zip(taus, taus[1:])):
             raise ValidationError("tau_list must be strictly decreasing")
+        if _finite("t_final", self.t_final) < 0:
+            raise ValidationError(f"t_final must not be negative, got {self.t_final!r}")
         if self.t_final > 0:
             for tau in taus:
                 steps = self.t_final / tau
-                if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+                n = round(steps) if math.isfinite(steps) else 0
+                if n < 1 or abs(steps - n) > 1e-9 * max(1.0, steps):
                     raise ValidationError(
-                        f"t_final={self.t_final} is not an integer multiple of tau={tau}"
+                        f"t_final={self.t_final} is not a positive integer multiple of tau={tau}"
                     )
         if self.grid_points is not None:
             n = self.grid_points
-            if n < 2 or (n & (n - 1)) != 0:
+            if not _is_int(n) or n < 2 or (n & (n - 1)) != 0:
                 raise ValidationError(
-                    f"grid_points must be a power of two >= 2, got {n}"
+                    f"grid_points must be a power of two >= 2, got {n!r}"
                 )
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValidationError(f"output_path must be a string, got {self.output_path!r}")
+        _check_problem_params(self.problem, self.problem_params)
         object.__setattr__(self, "tau_list", taus)
         object.__setattr__(self, "problem_params", dict(self.problem_params))
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(name, value):
+    """``value`` as a float; anything but a finite number names ``name``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_problem_params(problem, params):
+    if not isinstance(params, dict):
+        raise ValidationError(f"problem_params must be an object, got {params!r}")
+    defaults = PROBLEM_PARAMS[problem]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValidationError(
+            f"unknown problem_params keys for {problem}: {', '.join(unknown)} "
+            f"(allowed: {', '.join(defaults) or 'none'})"
+        )
+    for key, value in params.items():
+        _finite(f"problem_params.{key}", value)
+    merged = {**defaults, **params}
+    if problem == "harmonic" and merged["q0"] == merged["p0"] == 0:
+        raise ValidationError(
+            "problem_params.q0 and problem_params.p0 must not both be zero"
+        )
+    if problem == "kepler" and not 0.0 <= merged["e"] < 1.0:
+        raise ValidationError(f"problem_params.e must lie in [0, 1), got {merged['e']!r}")
 
 
 def _dyadic(tau0, count):
@@ -108,7 +166,7 @@ _CONFIG_KEYS = {
 
 
 def preset_config(name):
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ValidationError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
@@ -118,22 +176,20 @@ def preset_config(name):
 def apply_overrides(base, overrides):
     """Merge a partial config mapping over ``base`` and re-validate.
 
-    ``problem_params`` merges key by key; every other field replaces the
-    default wholesale.  Unknown keys are listed in the error.
+    ``problem_params`` merges key by key over the defaults of the same
+    problem (an override of ``problem`` drops them); every other field
+    replaces the default wholesale.  Unknown keys are listed in the error.
     """
     overrides = dict(overrides)
     unknown = sorted(set(overrides) - (_CONFIG_KEYS - {"preset"}))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    if "problem_params" in overrides:
-        params = overrides["problem_params"]
-        if not isinstance(params, dict):
-            raise ValidationError("problem_params must be an object")
-        merged = dict(base.problem_params)
-        merged.update(params)
-        overrides["problem_params"] = merged
-    if "tau_list" in overrides:
-        overrides["tau_list"] = tuple(overrides["tau_list"])
+    same_problem = overrides.get("problem", base.problem) == base.problem
+    params = overrides.get("problem_params", {})
+    if not isinstance(params, dict):
+        raise ValidationError("problem_params must be an object")
+    overrides["problem_params"] = {
+        **(base.problem_params if same_problem else {}), **params}
     try:
         return replace(base, **overrides)
     except TypeError as exc:
@@ -163,4 +219,22 @@ def parse_config(text, preset=None):
     preset = preset or doc_preset
     if preset is None:
         raise ValidationError("no preset named (pass one or add a 'preset' key)")
-    return apply_overrides(preset_config(preset), document)
+    config = apply_overrides(preset_config(preset), document)
+    check_runnable(preset, config)
+    return config
+
+
+def check_runnable(name, config):
+    """Reject a config that preset ``name`` could not run."""
+    problem = PRESETS[name].problem
+    if name in SINGLE_PROBLEM_PRESETS and config.problem != problem:
+        raise ValidationError(
+            f"problem must be {problem!r} for preset {name}, got {config.problem!r}"
+        )
+    if name in STEPPING_PRESETS:
+        if config.t_final <= 0:
+            raise ValidationError(
+                f"t_final must be positive for preset {name}, got {config.t_final!r}"
+            )
+        if not config.tau_list:
+            raise ValidationError(f"tau_list must not be empty for preset {name}")

@@ -21,7 +21,7 @@ from .. import __version__
 from ..composition import coefficient_arguments, recursive_family
 from ..diagnostics import (
     energy_error_series, envelope_growth, integrate, power_law_fit,
-    slope_with_floor, symmetry_defect, symplecticity_defect,
+    slope_with_floor, successive_error, symmetry_defect, symplecticity_defect,
     truncation_matrix_fit,
 )
 from ..errors import SingularityError
@@ -32,9 +32,8 @@ from ..problems import (
     kepler_drift_flow, kepler_energy, kepler_initial_conditions,
     kepler_kick_flow, kepler_strang_flow, pulse_pair_profile, s4sim,
 )
-from ..problems.kepler import KeplerState
-from ..spectral import SpectralField, SpectralGrid, write_snapshot
-from .config import apply_overrides, preset_config
+from ..spectral import SpectralGrid, write_snapshot
+from .config import PROBLEM_PARAMS, apply_overrides, check_runnable, preset_config
 from .emit import ResultTable, emit
 
 SCHEMA = [
@@ -50,14 +49,14 @@ ORDER_FIT_FLOORS = {"harmonic": 1e-13, "kepler": 1e-13, "fisher": 1e-13,
 
 def _problem_setup(config):
     """Base flow map, grid (PDE only), and initial state for a config."""
-    params = config.problem_params
+    params = {**PROBLEM_PARAMS[config.problem], **config.problem_params}
     if config.problem == "harmonic":
-        x0 = np.array([params.get("q0", 2.5), params.get("p0", 0.0)], dtype=complex)
+        x0 = np.array([params["q0"], params["p0"]], dtype=complex)
         if config.base_method == "strang":
             return ho_strang_flow(), None, x0
         return s4sim(ho_drift_flow(), ho_kick_flow()), None, x0
     if config.problem == "kepler":
-        x0 = kepler_initial_conditions(params.get("e", 0.6)).as_vector()
+        x0 = kepler_initial_conditions(params["e"]).as_vector()
         if config.base_method == "strang":
             return kepler_strang_flow(), None, x0
         return s4sim(kepler_drift_flow(), kepler_kick_flow()), None, x0
@@ -68,10 +67,7 @@ def _problem_setup(config):
             return fisher_strang_flow(grid), grid, x0
         return s4sim(fisher_diffusion_map(grid), fisher_reaction_map()), grid, x0
     # cgl
-    cgl_params = CGLParams(
-        c1=params.get("c1", 1.0), c3=params.get("c3", -2.0),
-        eps=params.get("eps", 1.0),
-    )
+    cgl_params = CGLParams(**params)
     grid = SpectralGrid(-100.0, 200.0, config.grid_points or 512)
     x0 = np.array([pulse_pair_profile(grid), np.zeros(grid.n_points)], dtype=complex)
     if config.base_method == "strang":
@@ -121,18 +117,6 @@ def _common(name, config, **extra):
     return cells
 
 
-def _final_states_pair(method, x0, tau, n_steps):
-    """Final states of the tau and tau/2 runs from the same data."""
-    coarse = np.asarray(x0, dtype=complex)
-    for _ in range(n_steps):
-        coarse = method(coarse, tau)
-    fine = np.asarray(x0, dtype=complex)
-    half = tau / 2.0
-    for _ in range(2 * n_steps):
-        fine = method(fine, half)
-    return coarse, fine
-
-
 def _run_order(name, config, out_base):
     base, grid, x0 = _problem_setup(config)
     table = _new_table(name, config)
@@ -142,23 +126,19 @@ def _run_order(name, config, out_base):
     snapshots = []
     last_field = None
     if is_kepler:
-        state0 = KeplerState.from_vector(x0)
-        h0 = kepler_energy(state0)
+        h0 = kepler_energy(x0)
     for method_name, level, method in _methods(config, base):
         errors = []
         for tau in config.tau_list:
-            n = round(config.t_final / tau)
             try:
                 if is_kepler:
                     final = np.asarray(x0, dtype=complex)
-                    for _ in range(n):
+                    for _ in range(round(config.t_final / tau)):
                         final = method(final, tau)
-                    h = kepler_energy(KeplerState.from_vector(final))
-                    value = abs(h - h0) / abs(h0)
+                    value = abs(kepler_energy(final) - h0) / abs(h0)
                 else:
-                    coarse, fine = _final_states_pair(method, x0, tau, n)
-                    value = float(np.max(np.abs(coarse - fine)))
-                    last_field = fine
+                    value, last_field = successive_error(
+                        method, x0, tau, config.t_final)
                 status = "ok"
             except SingularityError as exc:
                 value = math.nan
@@ -183,16 +163,14 @@ def _run_order(name, config, out_base):
         if grid is not None and last_field is not None:
             path = f"{out_base}_{method_name}_field.txt"
             if config.problem == "cgl":
-                field = SpectralField(grid, last_field[0] + 1j * last_field[1])
-            else:
-                field = SpectralField(grid, last_field)
-            write_snapshot(field, path)
+                last_field = last_field[0] + 1j * last_field[1]
+            write_snapshot(grid, last_field, path)
             snapshots.append(path)
             last_field = None
     return table, snapshots
 
 
-def _run_ho_table1(name, config):
+def _run_ho_table1(name, config, out_base):
     base, _, _ = _problem_setup(config)
     table = _new_table(name, config)
     taus = np.asarray(config.tau_list)
@@ -212,10 +190,9 @@ def _run_ho_table1(name, config):
                                   residual=fit.residual, status="ok", **cells)
         sym = symmetry_defect(method, None, taus, matrix_dim=2)
         det = symplecticity_defect(method, None, taus, matrix_dim=2)
-        for quantity, report, series, fit in (
-            ("symmetry_defect", sym, sym.symmetry_defect, sym.fits["symmetry"]),
-            ("determinant_defect", det, det.symplecticity_defect,
-             det.fits["symplecticity"]),
+        for quantity, series, fit in (
+            ("symmetry_defect", sym.symmetry_defect, sym.fits["symmetry"]),
+            ("determinant_defect", det.symplecticity_defect, det.fits["symplecticity"]),
         ):
             for tau, value in zip(taus, series):
                 table.add_row(**_common(name, config, method=method_name,
@@ -232,7 +209,7 @@ def _run_ho_table1(name, config):
     return table, []
 
 
-def _run_ho_energy(name, config):
+def _run_ho_energy(name, config, out_base):
     base, _, x0 = _problem_setup(config)
     table = _new_table(name, config)
     family = recursive_family(base, config.levels)
@@ -268,7 +245,7 @@ def _run_ho_energy(name, config):
     return table, []
 
 
-def _run_kepler_energy(name, config):
+def _run_kepler_energy(name, config, out_base):
     base, _, x0 = _problem_setup(config)
     table = _new_table(name, config)
     tau = config.tau_list[0]
@@ -277,10 +254,7 @@ def _run_kepler_energy(name, config):
     for method_name, level, method in _methods(config, base):
         try:
             trajectory = integrate(method, x0, tau, n)
-            series = energy_error_series(
-                trajectory,
-                lambda s: kepler_energy(KeplerState.from_vector(np.asarray(s, dtype=complex))),
-            )
+            series = energy_error_series(trajectory, kepler_energy)
             for idx in range(0, n + 1, stride):
                 table.add_row(**_common(name, config, method=method_name,
                                         level=level, quantity="energy_error",
@@ -297,7 +271,7 @@ def _run_kepler_energy(name, config):
     return table, []
 
 
-def _run_coeff_audit(name, config):
+def _run_coeff_audit(name, config, out_base):
     table = _new_table(name, config)
     bases = (
         ("strang", ho_strang_flow(), 3),
@@ -322,13 +296,10 @@ def _run_coeff_audit(name, config):
 
 
 _RUNNERS = {
-    "ho-table1": lambda name, config, out_base: _run_ho_table1(name, config),
-    "ho-energy": lambda name, config, out_base: _run_ho_energy(name, config),
-    "kepler-order": _run_order,
-    "kepler-energy": lambda name, config, out_base: _run_kepler_energy(name, config),
-    "fisher-order": _run_order,
-    "cgl-order": _run_order,
-    "coeff-audit": lambda name, config, out_base: _run_coeff_audit(name, config),
+    "ho-table1": _run_ho_table1, "ho-energy": _run_ho_energy,
+    "kepler-order": _run_order, "kepler-energy": _run_kepler_energy,
+    "fisher-order": _run_order, "cgl-order": _run_order,
+    "coeff-audit": _run_coeff_audit,
 }
 
 
@@ -343,6 +314,7 @@ def run_preset(name, overrides=None, out_dir=".", config=None):
         config = preset_config(name)
         if overrides:
             config = apply_overrides(config, overrides)
+    check_runnable(name, config)
     if config.output_path:
         out_base = config.output_path
     else:
@@ -361,5 +333,4 @@ def run_preset(name, overrides=None, out_dir=".", config=None):
 
 
 def available_presets():
-    return ["ho-table1", "ho-energy", "kepler-order", "kepler-energy",
-            "fisher-order", "cgl-order", "coeff-audit"]
+    return list(_RUNNERS)

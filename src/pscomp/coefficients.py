@@ -46,8 +46,6 @@ def gamma_smallest_phase(k):
     Equals ``1/2 + (i/2) tan(pi / (2(k+1)))``; its argument is
     ``pi / (2(k+1))``.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
     return gamma_double_jump(k, 0)
 
 

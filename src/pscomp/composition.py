@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import gamma_double_jump, gamma_smallest_phase
+from .coefficients import gamma_smallest_phase
 from .errors import DomainError, ValidationError
 from .flowmap import FlowMap, MethodMeta
 
@@ -67,50 +67,6 @@ def compose_schedule(base, coefficients, meta):
     return flow
 
 
-class _ConjugatePair:
-    """Evaluator for ``base_{g tau} o base_{conj(g) tau}``."""
-
-    __slots__ = ("base", "gamma")
-
-    def __init__(self, base, gamma):
-        self.base = base
-        self.gamma = gamma
-
-    def __call__(self, x, tau):
-        x = self.base(x, self.gamma.conjugate() * tau)
-        return self.base(x, self.gamma * tau)
-
-
-def _conjugate_pair(base, gamma, meta):
-    flow = FlowMap(_ConjugatePair(base, gamma), meta,
-                   name=f"pair({base.name})")
-    flow.gamma = gamma
-    # Marks the pair structure so real_projection can declare the sharper
-    # orders available for projected conjugate-pair compositions.
-    flow.pair_base_meta = base.meta
-    return flow
-
-
-def double_jump(base, ell=0):
-    """One-order gain: compose ``base`` at conjugate complex steps.
-
-    ``base`` must have even order 2n; the steps are scaled by the
-    double-jump coefficient of index ``ell`` (default: smallest phase).
-    The result has order 2n+1 and pseudo-symmetry order 2n+1.
-    """
-    order = base.meta.order
-    if order % 2 != 0:
-        raise DomainError(f"double_jump needs an even-order base, got order {order}")
-    gamma = gamma_double_jump(order, ell)
-    meta = MethodMeta(
-        order=order + 1,
-        pseudo_symmetry_order=order + 1,
-        pseudo_symplecticity_order=base.meta.pseudo_symplecticity_order,
-        max_coeff_arg=base.meta.max_coeff_arg + abs(cmath.phase(gamma)),
-    )
-    return _conjugate_pair(base, gamma, meta)
-
-
 class _RealProjection:
     """Average of a method with its coefficient-conjugated mirror.
 
@@ -140,42 +96,22 @@ class _RealProjection:
         return 0.5 * (y + mirror)
 
 
-def _projection_meta(method):
-    pair_meta = getattr(method, "pair_base_meta", None)
-    if pair_meta is None:
-        # Without the conjugate-pair structure nothing sharper than the
-        # input method's own declared orders can be claimed.
-        return method.meta
-    n2 = pair_meta.order  # even order 2n of the underlying base
-    q, r = pair_meta.pseudo_symmetry_order, pair_meta.pseudo_symplecticity_order
-    if q >= n2 + 2:
-        return MethodMeta(
-            order=n2 + 2,
-            pseudo_symmetry_order=min(q, 2 * n2 + 3),
-            pseudo_symplecticity_order=min(q, r, 2 * n2 + 3),
-            max_coeff_arg=method.meta.max_coeff_arg,
-        )
-    return MethodMeta(
-        order=n2 + 1,
-        pseudo_symmetry_order=n2 + 1,
-        pseudo_symplecticity_order=min(r, n2 + 1),
-        max_coeff_arg=method.meta.max_coeff_arg,
-    )
+def _level_meta(meta, gamma):
+    """Declared orders of the projected conjugate pair built on ``meta``.
 
-
-def real_projection(method):
-    """Project a complex-coefficient method for a real vector field.
-
-    The returned map propagates with complex arithmetic and returns the
-    real part of the output (exactly zero imaginary part) when evaluated at
-    a real step on a real state; a state with a relative imaginary part
-    above 1e-14 raises :class:`DomainError`.  At complex steps it averages
-    the two mirror branches, which is what deeper recursion levels require.
+    With k the order and q the pseudo-symmetry order of the previous
+    method, the pair gains one order and the projection one more, up to
+    q: the new order is min(k + 2, q) and the new pseudo-symmetry and
+    pseudo-symplecticity orders are capped at 2k + 3.  Once the order is
+    capped (odd, equal to q) further levels keep it.
     """
-    flow = FlowMap(_RealProjection(method), _projection_meta(method),
-                   name=f"Re({method.name})")
-    flow.projected_from = method
-    return flow
+    k, q = meta.order, meta.pseudo_symmetry_order
+    return MethodMeta(
+        order=int(min(k + 2, q)),
+        pseudo_symmetry_order=min(q, 2 * k + 3),
+        pseudo_symplecticity_order=min(q, meta.pseudo_symplecticity_order, 2 * k + 3),
+        max_coeff_arg=meta.max_coeff_arg + abs(cmath.phase(gamma)),
+    )
 
 
 @dataclass
@@ -190,7 +126,6 @@ class RecursiveFamily:
     """
 
     base: FlowMap
-    base_order: int
     levels: list
     coefficient_products: list
     capped: list
@@ -226,44 +161,19 @@ def recursive_family(base, levels):
     prev_products = [1.0 + 0.0j]
     for _ in range(levels):
         gamma = gamma_smallest_phase(prev.meta.order)
-        if prev.meta.order % 2 == 0:
-            pair_meta = MethodMeta(
-                order=prev.meta.order + 1,
-                pseudo_symmetry_order=prev.meta.order + 1,
-                pseudo_symplecticity_order=prev.meta.pseudo_symplecticity_order,
-                max_coeff_arg=prev.meta.max_coeff_arg + abs(cmath.phase(gamma)),
-            )
-            pair = _conjugate_pair(prev, gamma, pair_meta)
-            level = real_projection(pair)
-            capped = level.meta.order == prev.meta.order + 1
-        else:
-            # Order already capped at the pseudo-symmetry order; the extra
-            # level is still constructible and keeps the capped order.
-            pair_meta = MethodMeta(
-                order=prev.meta.order,
-                pseudo_symmetry_order=prev.meta.pseudo_symmetry_order,
-                pseudo_symplecticity_order=prev.meta.pseudo_symplecticity_order,
-                max_coeff_arg=prev.meta.max_coeff_arg + abs(cmath.phase(gamma)),
-            )
-            pair = _conjugate_pair(prev, gamma, pair_meta)
-            level = FlowMap(_RealProjection(pair), pair_meta,
-                            name=f"Re({pair.name})")
-            capped = True
+        meta = _level_meta(prev.meta, gamma)
+        pair = compose_schedule(prev, (gamma, gamma.conjugate()), meta)
+        level = FlowMap(_RealProjection(pair), meta, name=f"Re({pair.name})")
         prev_products = [gamma * p for p in prev_products] + [
             gamma.conjugate() * p for p in prev_products
         ]
         family_levels.append(level)
         products.append(list(prev_products))
-        capped_flags.append(capped)
+        capped_flags.append(meta.order < prev.meta.order + 2)
         prev = level
 
-    return RecursiveFamily(
-        base=base,
-        base_order=order,
-        levels=family_levels,
-        coefficient_products=products,
-        capped=capped_flags,
-    )
+    return RecursiveFamily(base=base, levels=family_levels,
+                           coefficient_products=products, capped=capped_flags)
 
 
 def coefficient_arguments(family):

@@ -111,6 +111,8 @@ def successive_error(method, x0, tau, t_final):
 
     The standard self-referencing convergence indicator: no exact solution
     is needed, and the distance scales like tau^p for an order-p method.
+    Returns ``(distance, fine)`` with ``fine`` the final state of the
+    tau/2 run.
     """
     steps = t_final / tau
     n = round(steps)
@@ -125,7 +127,7 @@ def successive_error(method, x0, tau, t_final):
     half = tau / 2.0
     for _ in range(2 * n):
         fine = method(fine, half)
-    return float(np.max(np.abs(coarse - fine)))
+    return float(np.max(np.abs(coarse - fine))), fine
 
 
 def _loglog_lsq(taus, errors):

@@ -64,6 +64,10 @@ class MethodMeta:
 EXACT_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
                         pseudo_symplecticity_order=INFINITE_ORDER)
 
+#: Meta of the symmetric, symplectic second-order (Strang) splittings.
+STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
+                         pseudo_symplecticity_order=INFINITE_ORDER)
+
 
 class FlowMap:
     """A one-step integrator ``(state, step) -> state``.

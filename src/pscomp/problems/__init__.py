@@ -3,32 +3,24 @@ from .harmonic import (
     ho_kick, ho_kick_flow, ho_strang, ho_strang_flow,
 )
 from .kepler import (
-    KeplerState, kepler_drift, kepler_drift_flow, kepler_energy,
-    kepler_initial_conditions, kepler_kick, kepler_kick_flow,
-    kepler_strang_flow,
+    KeplerState, kepler_drift_flow, kepler_energy, kepler_initial_conditions,
+    kepler_kick_flow, kepler_strang_flow,
 )
-from .fisher import (
-    fisher_diffusion_field, fisher_diffusion_map, fisher_reaction_flow,
-    fisher_reaction_map, fisher_strang_flow,
-)
+from .fisher import fisher_diffusion_map, fisher_reaction_map, fisher_strang_flow
 from .cgl import (
-    CGLParams, CGLState, cgl_linear_flow, cgl_linear_map,
-    cgl_nonlinear_flow, cgl_nonlinear_map, cgl_strang_flow,
+    CGLParams, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
     pulse_pair_profile,
 )
 from .splitting import S4SIM_A, S4SIM_B, S4SIM_MAX_ARG, s4sim
 
 __all__ = [
-    "CGLParams", "CGLState", "KeplerState",
+    "CGLParams", "KeplerState",
     "S4SIM_A", "S4SIM_B", "S4SIM_MAX_ARG",
-    "cgl_linear_flow", "cgl_linear_map", "cgl_nonlinear_flow",
-    "cgl_nonlinear_map", "cgl_strang_flow",
-    "fisher_diffusion_field", "fisher_diffusion_map", "fisher_reaction_flow",
-    "fisher_reaction_map", "fisher_strang_flow",
+    "cgl_linear_map", "cgl_nonlinear_map", "cgl_strang_flow",
+    "fisher_diffusion_map", "fisher_reaction_map", "fisher_strang_flow",
     "ho_drift", "ho_drift_flow", "ho_energy", "ho_exact", "ho_exact_flow",
     "ho_kick", "ho_kick_flow", "ho_strang", "ho_strang_flow",
-    "kepler_drift", "kepler_drift_flow", "kepler_energy",
-    "kepler_initial_conditions", "kepler_kick", "kepler_kick_flow",
-    "kepler_strang_flow",
+    "kepler_drift_flow", "kepler_energy", "kepler_initial_conditions",
+    "kepler_kick_flow", "kepler_strang_flow",
     "pulse_pair_profile", "s4sim",
 ]

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..complexlog import principal_log
-from ..errors import SingularityError, ValidationError
-from ..flowmap import EXACT_META, FlowMap, MethodMeta
-from ..spectral import SpectralField
+from ..errors import SingularityError
+from ..flowmap import EXACT_META, STRANG_META, FlowMap
 
 
 @dataclass(frozen=True)
@@ -46,38 +45,6 @@ class CGLParams:
     @property
     def beta(self):
         return complex(1.0, -self.c3)
-
-
-@dataclass(frozen=True)
-class CGLState:
-    """Real and imaginary parts of u as (complexified) spectral fields."""
-
-    v: SpectralField
-    w: SpectralField
-
-    def __post_init__(self):
-        if self.v.grid != self.w.grid:
-            raise ValidationError("v and w must share one grid")
-
-    @property
-    def grid(self):
-        return self.v.grid
-
-    def as_array(self):
-        return np.array([self.v.values, self.w.values])
-
-    @classmethod
-    def from_array(cls, values, grid):
-        return cls(SpectralField(grid, values[0]), SpectralField(grid, values[1]))
-
-    @classmethod
-    def from_complex_field(cls, u, grid):
-        u = np.asarray(u, dtype=complex)
-        return cls(SpectralField(grid, u.real), SpectralField(grid, u.imag))
-
-    def reconstruct(self):
-        """u = v + i w (meaningful when v, w carry real data)."""
-        return self.v.values + 1j * self.w.values
 
 
 def _to_diagonal(vw):
@@ -116,20 +83,6 @@ def _linear(vw, tau, alpha, eps, k2):
     return _from_diagonal(diag)
 
 
-def cgl_nonlinear_flow(state, params, tau):
-    """Closed-form flow of the cubic part over a (complex) step."""
-    out = _nonlinear(state.as_array(), complex(tau), params.beta)
-    return CGLState.from_array(out, state.grid)
-
-
-def cgl_linear_flow(state, params, tau, grid=None):
-    """Exact flow of the dispersive/gain part over a (complex) step."""
-    grid = grid if grid is not None else state.grid
-    k2 = grid.wavenumbers() ** 2
-    out = _linear(state.as_array(), complex(tau), params.alpha, params.eps, k2)
-    return CGLState.from_array(out, grid)
-
-
 def cgl_nonlinear_map(params):
     beta = params.beta
 
@@ -147,10 +100,6 @@ def cgl_linear_map(params, grid):
         return _linear(vw, tau, alpha, eps, k2)
 
     return FlowMap(apply, EXACT_META, name="cgl-linear")
-
-
-STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=np.inf,
-                         pseudo_symplecticity_order=np.inf)
 
 
 def cgl_strang_flow(params, grid):

@@ -13,8 +13,7 @@ that the denominator stays away from zero.
 import numpy as np
 
 from ..errors import SingularityError
-from ..flowmap import EXACT_META, FlowMap, MethodMeta
-from ..spectral import SpectralField, diffusion_propagator
+from ..flowmap import EXACT_META, STRANG_META, FlowMap
 
 REACTION_DENOMINATOR_FLOOR = 1e-12
 
@@ -32,11 +31,6 @@ def _reaction(values, tau):
     return values * growth / denom
 
 
-def fisher_reaction_flow(field, tau):
-    """Pointwise logistic flow of u' = u(1 - u) over a (complex) step."""
-    return SpectralField(field.grid, _reaction(field.values, complex(tau)))
-
-
 def fisher_reaction_map():
     return FlowMap(_reaction, EXACT_META, name="fisher-reaction")
 
@@ -50,10 +44,6 @@ def fisher_diffusion_map(grid):
     return FlowMap(apply, EXACT_META, name="fisher-diffusion")
 
 
-STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=np.inf,
-                         pseudo_symplecticity_order=np.inf)
-
-
 def fisher_strang_flow(grid):
     """Splitting diffusion(tau/2), reaction(tau), diffusion(tau/2)."""
     k2 = grid.wavenumbers() ** 2
@@ -65,8 +55,3 @@ def fisher_strang_flow(grid):
         return np.fft.ifft(half * np.fft.fft(y))
 
     return FlowMap(apply, STRANG_META, name="fisher-strang")
-
-
-def fisher_diffusion_field(field, tau):
-    """Field-level wrapper around the pure-Laplacian propagator."""
-    return diffusion_propagator(field, alpha=1.0, eps=0.0, tau=tau)

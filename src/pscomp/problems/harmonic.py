@@ -8,7 +8,7 @@ functions accept complex steps (cos/sin extend analytically).
 
 import numpy as np
 
-from ..flowmap import EXACT_META, MethodMeta, matrix_flow
+from ..flowmap import EXACT_META, STRANG_META, matrix_flow
 
 
 def ho_exact(tau):
@@ -30,10 +30,6 @@ def ho_kick(tau):
 def ho_strang(tau):
     """Second-order splitting matrix: drift(tau/2) kick(tau) drift(tau/2)."""
     return ho_drift(tau / 2) @ ho_kick(tau) @ ho_drift(tau / 2)
-
-
-STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=np.inf,
-                         pseudo_symplecticity_order=np.inf)
 
 
 def ho_exact_flow():

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..complexlog import analytic_inv_r3
 from ..errors import DomainError, SingularityError
-from ..flowmap import EXACT_META, FlowMap, MethodMeta
+from ..flowmap import EXACT_META, STRANG_META, FlowMap
 
 
 @dataclass
@@ -37,10 +37,6 @@ class KeplerState:
     def as_vector(self):
         return np.concatenate([self.q, self.p])
 
-    @classmethod
-    def from_vector(cls, x, mu=1.0):
-        return cls(q=x[:2], p=x[2:], mu=mu)
-
 
 def kepler_initial_conditions(e):
     """Perihelion start of an orbit with eccentricity ``e`` and mu = 1.
@@ -57,13 +53,14 @@ def kepler_initial_conditions(e):
     )
 
 
-def kepler_energy(state):
-    """Hamiltonian value of a real state; r = 0 raises."""
-    q, p = state.q.real, state.p.real
+def kepler_energy(x, mu=1.0):
+    """Hamiltonian value of the real part of a state vector; r = 0 raises."""
+    x = np.asarray(x).real
+    q, p = x[:2], x[2:]
     r = float(np.hypot(q[0], q[1]))
     if r == 0.0:
         raise SingularityError("collision: r = 0", value=0.0)
-    return float(0.5 * (p @ p) - state.mu / r)
+    return float(0.5 * (p @ p) - mu / r)
 
 
 def _drift(x, tau):
@@ -80,18 +77,6 @@ def _kick(x, tau, mu):
     return out
 
 
-def kepler_drift(state, tau):
-    """Exact flow of the kinetic part: q += tau p."""
-    return KeplerState.from_vector(_drift(state.as_vector(), complex(tau)), mu=state.mu)
-
-
-def kepler_kick(state, tau):
-    """Exact flow of the potential part: p -= tau mu q / r^3 (analytic)."""
-    return KeplerState.from_vector(
-        _kick(state.as_vector(), complex(tau), state.mu), mu=state.mu
-    )
-
-
 def kepler_drift_flow(mu=1.0):
     return FlowMap(_drift, EXACT_META, name="kepler-drift")
 
@@ -101,10 +86,6 @@ def kepler_kick_flow(mu=1.0):
         return _kick(x, tau, mu)
 
     return FlowMap(apply, EXACT_META, name="kepler-kick")
-
-
-STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=np.inf,
-                         pseudo_symplecticity_order=np.inf)
 
 
 def kepler_strang_flow(mu=1.0):

@@ -1,12 +1,12 @@
-"""Uniform periodic 1D grid, DFT pair, and diagonal Fourier propagators.
+"""Uniform periodic 1D grid and field snapshots.
 
-Conventions: the forward transform is unnormalized, the inverse carries
-the 1/N factor (numpy's default), and grid sizes are powers of two.  The
-Nyquist mode is kept with wavenumber ``-pi N / L``; all operators applied
-here are diagonal in mode space, so no symmetrization is needed.
+The PDE problems transform with numpy's DFT pair (forward unnormalized,
+inverse scaled by 1/N) on power-of-two grids.  The Nyquist mode is kept
+with wavenumber ``-pi N / L``; every operator applied in mode space is
+diagonal, so no symmetrization is needed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,62 +50,13 @@ class SpectralGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Physical-space samples of a complex function on a spectral grid."""
-
-    grid: SpectralGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid.n_points,):
-            raise ValidationError(
-                f"field length {values.shape} does not match grid size "
-                f"({self.grid.n_points},)"
-            )
-        object.__setattr__(self, "values", values)
-
-
-def dft(field):
-    """Forward DFT coefficients of a field (unnormalized)."""
-    return np.fft.fft(field.values)
-
-
-def idft(coeffs, grid):
-    """Inverse DFT (scaled by 1/N) back to a field on ``grid``."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (grid.n_points,):
+def write_snapshot(grid, values, path):
+    """Write samples on ``grid`` as plain-text rows ``x value_re value_im``."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (grid.n_points,):
         raise ValidationError(
-            f"coefficient length {coeffs.shape} does not match grid size "
-            f"({grid.n_points},)"
+            f"field length {values.shape} does not match grid size ({grid.n_points},)"
         )
-    return SpectralField(grid, np.fft.ifft(coeffs))
-
-
-def diffusion_propagator(field, alpha, eps, tau):
-    """Exact flow of ``u_t = alpha * u_xx + eps * u`` over a (complex) step.
-
-    Mode m is multiplied by ``exp(eps tau) exp(-tau alpha k_m^2)``.  Steps
-    with ``Re(tau * alpha) >= 0`` keep every mode bounded; nothing is
-    enforced since complex-coefficient compositions guarantee it by
-    construction.
-    """
-    k = field.grid.wavenumbers()
-    multiplier = np.exp(eps * tau) * np.exp(-tau * alpha * k**2)
-    return idft(multiplier * dft(field), field.grid)
-
-
-def sup_norm_distance(a, b):
-    """Max over grid points of |a_j - b_j|; grids must be identical."""
-    if a.grid != b.grid:
-        raise ValidationError("fields live on different grids")
-    return float(np.max(np.abs(a.values - b.values)))
-
-
-def write_snapshot(field, path):
-    """Write a field as plain-text rows ``x value_re value_im``."""
-    nodes = field.grid.nodes
     with open(path, "w", newline="\n") as fh:
-        for x, v in zip(nodes, field.values):
+        for x, v in zip(grid.nodes, values):
             fh.write(f"{x:.16e} {v.real:.16e} {v.imag:.16e}\n")

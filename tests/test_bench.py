@@ -4,12 +4,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pscomp.bench import (
-    ExperimentConfig, ResultTable, apply_overrides, emit, parse_config,
-    preset_config, run_preset,
+    PRESETS, ExperimentConfig, ResultTable, apply_overrides, emit,
+    parse_config, preset_config, run_preset,
 )
 from pscomp.bench.cli import main
+from pscomp.bench.config import BASE_METHODS, PROBLEMS
 from pscomp.errors import ValidationError
 
 
@@ -180,13 +183,6 @@ def test_cli_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", str(missing)]) == 2
 
 
-def test_cli_rejects_extended_precision(tmp_path, capsys):
-    code = main(["run", "coeff-audit", "--out", str(tmp_path),
-                 "--precision", "extended"])
-    assert code == 2
-    assert "extended" in capsys.readouterr().err
-
-
 def test_cli_run_invalid_config_file(tmp_path, capsys):
     config_path = tmp_path / "broken.json"
     config_path.write_text('{"tau_list": [0.1, 0.2]}')
@@ -215,3 +211,83 @@ def test_order_preset_rows_and_slope(tmp_path):
     fit_rows = [r for r in table.rows if r[idx["quantity"]] == "order_fit"]
     strang_slope = next(r[idx["slope"]] for r in fit_rows if r[idx["method"]] == "strang")
     assert strang_slope == pytest.approx(2.0, abs=0.4)
+
+
+#: (preset, config document, text the error must name).
+BAD_CONFIGS = [
+    ("kepler-order", {"tau_list": ["a"]}, "tau_list"),
+    ("kepler-order", {"tau_list": 0.1}, "tau_list"),
+    ("kepler-order", {"levels": "2"}, "levels"),
+    ("kepler-order", {"levels": 2.0}, "levels"),
+    ("kepler-order", {"t_final": "x"}, "t_final"),
+    ("kepler-order", {"t_final": -1}, "t_final"),
+    ("kepler-order", {"t_final": 0}, "t_final"),
+    ("ho-energy", {"t_final": 0}, "t_final"),
+    ("kepler-order", {"tau_list": []}, "tau_list"),
+    ("kepler-energy", {"tau_list": []}, "tau_list"),
+    ("fisher-order", {"tau_list": []}, "tau_list"),
+    ("kepler-order", {"problem_params": {"ecc": 0.1}}, "ecc"),
+    ("kepler-order", {"problem_params": {"e": 1.5}}, "problem_params.e"),
+    ("ho-energy", {"problem_params": {"omega": 2.0}}, "omega"),
+    ("ho-energy", {"problem_params": {"q0": 0.0}}, "q0"),
+    ("fisher-order", {"problem_params": {"c1": 1.0}}, "c1"),
+    ("cgl-order", {"problem_params": {"alpha": 1.0}}, "alpha"),
+    ("cgl-order", {"problem_params": {"c3": "x"}}, "problem_params.c3"),
+    ("coeff-audit", {"output_path": 5}, "output_path"),
+    ("ho-table1", {"problem": "kepler"}, "problem"),
+    ("ho-energy", {"problem": "kepler"}, "problem"),
+    ("kepler-energy", {"problem": "harmonic"}, "problem"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("preset, document, field", BAD_CONFIGS)
+def test_cli_rejects_bad_config_values(tmp_path, capsys, command, preset,
+                                       document, field):
+    config_path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    if command == "run":
+        config_path.write_text(json.dumps(document))
+        argv = ["run", preset, "--config", str(config_path), "--out", str(out)]
+    else:
+        config_path.write_text(json.dumps({"preset": preset, **document}))
+        argv = ["validate", str(config_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_NUMBER = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400)])
+_FIELDS = {
+    "preset": st.sampled_from(sorted(PRESETS)),
+    "problem": st.sampled_from(PROBLEMS),
+    "base_method": st.sampled_from(BASE_METHODS),
+    "levels": st.integers(-1, 6),
+    "tau_list": st.lists(_NUMBER | st.sampled_from([0.1, 0.05, 0.025]), max_size=4),
+    "t_final": _NUMBER | st.sampled_from([0.0, 0.1, 1.0]),
+    "grid_points": st.integers(-4, 2048),
+    "problem_params": st.dictionaries(
+        st.sampled_from(["q0", "p0", "e", "c1", "c3", "eps", "k"]), _NUMBER | _JSON,
+        max_size=3),
+    "output_path": st.text(max_size=4),
+}
+_DOCUMENTS = st.fixed_dictionaries(
+    {}, optional={key: values | _JSON for key, values in _FIELDS.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_DOCUMENTS, preset=st.sampled_from([None, *sorted(PRESETS)]))
+def test_parse_config_raises_only_validation_errors(document, preset):
+    try:
+        config = parse_config(json.dumps(document), preset=preset)
+    except ValidationError:
+        return
+    assert isinstance(config, ExperimentConfig)

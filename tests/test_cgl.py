@@ -5,11 +5,11 @@ import pytest
 
 from pscomp.errors import SingularityError
 from pscomp.problems import (
-    CGLParams, CGLState, cgl_linear_flow, cgl_nonlinear_flow, cgl_strang_flow,
+    CGLParams, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
     pulse_pair_profile,
 )
 from pscomp.complexlog import principal_log
-from pscomp.spectral import SpectralField, SpectralGrid
+from pscomp.spectral import SpectralGrid
 
 
 @pytest.fixture
@@ -22,8 +22,8 @@ def grid():
     return SpectralGrid(-100.0, 200.0, 64)
 
 
-def _state(grid, v, w):
-    return CGLState(SpectralField(grid, v), SpectralField(grid, w))
+def _state(v, w):
+    return np.array([v, w], dtype=complex)
 
 
 def test_derived_coefficients(params):
@@ -31,37 +31,35 @@ def test_derived_coefficients(params):
     assert params.beta == 1.0 + 2.0j  # c3 = -2
 
 
-def test_nonlinear_zero_field_is_identity(params, grid):
-    state = _state(grid, np.zeros(64), np.zeros(64))
-    out = cgl_nonlinear_flow(state, params, 0.3)
-    assert np.max(np.abs(out.v.values)) == 0.0
-    assert np.max(np.abs(out.w.values)) == 0.0
+def test_nonlinear_zero_field_is_identity(params):
+    out = cgl_nonlinear_map(params)(_state(np.zeros(64), np.zeros(64)), 0.3)
+    assert np.max(np.abs(out[0])) == 0.0
+    assert np.max(np.abs(out[1])) == 0.0
 
 
-def test_nonlinear_modulus_law_unit_field(params, grid):
-    state = _state(grid, np.ones(64), np.zeros(64))
-    out = cgl_nonlinear_flow(state, params, 0.1)
-    modulus = (out.v.values**2 + out.w.values**2).real
+def test_nonlinear_modulus_law_unit_field(params):
+    out = cgl_nonlinear_map(params)(_state(np.ones(64), np.zeros(64)), 0.1)
+    modulus = (out[0]**2 + out[1]**2).real
     assert np.max(np.abs(modulus - 1.0 / 1.2)) < 1e-14
 
 
-def test_nonlinear_modulus_law_random_field(params, grid):
+def test_nonlinear_modulus_law_random_field(params):
     rng = np.random.default_rng(41)
     v0 = rng.uniform(-0.9, 0.9, size=64)
     w0 = rng.uniform(-0.9, 0.9, size=64)
     tau = 0.17
-    out = cgl_nonlinear_flow(_state(grid, v0, w0), params, tau)
+    out = cgl_nonlinear_map(params)(_state(v0, w0), tau)
     m0 = v0**2 + w0**2
-    modulus = (out.v.values**2 + out.w.values**2).real
+    modulus = (out[0]**2 + out[1]**2).real
     assert np.max(np.abs(modulus - m0 / (1.0 + 2.0 * m0 * tau))) < 1e-12
 
 
-def test_nonlinear_matches_fine_reference(params, grid):
+def test_nonlinear_matches_fine_reference(params):
     rng = np.random.default_rng(42)
     v0 = rng.uniform(-0.8, 0.8, size=64)
     w0 = rng.uniform(-0.8, 0.8, size=64)
     tau = 0.1
-    out = cgl_nonlinear_flow(_state(grid, v0, w0), params, tau)
+    out = cgl_nonlinear_map(params)(_state(v0, w0), tau)
 
     def rhs(state):
         v, w = state
@@ -76,11 +74,11 @@ def test_nonlinear_matches_fine_reference(params, grid):
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert np.max(np.abs(out.v.values - y[0])) < 1e-9
-    assert np.max(np.abs(out.w.values - y[1])) < 1e-9
+    assert np.max(np.abs(out[0] - y[0])) < 1e-9
+    assert np.max(np.abs(out[1] - y[1])) < 1e-9
 
 
-def test_nonlinear_matches_direct_closed_form(params, grid):
+def test_nonlinear_matches_direct_closed_form(params):
     # Cross-check of the diagonal-variable implementation against the
     # direct (v, w) formulas built on log(1 + 2 tau (v0^2 + w0^2)).  The
     # exponents carry beta/2: that normalization is the one consistent
@@ -89,7 +87,7 @@ def test_nonlinear_matches_direct_closed_form(params, grid):
     v0 = rng.normal(size=64) * 0.4
     w0 = rng.normal(size=64) * 0.4
     for tau in (0.2, 0.1 + 0.05j):
-        out = cgl_nonlinear_flow(_state(grid, v0, w0), params, tau)
+        out = cgl_nonlinear_map(params)(_state(v0, w0), tau)
         m0 = v0.astype(complex) ** 2 + w0.astype(complex) ** 2
         log_term = principal_log(1.0 + 2.0 * tau * m0)
         decay = np.exp(-0.5 * params.beta * log_term)
@@ -98,23 +96,21 @@ def test_nonlinear_matches_direct_closed_form(params, grid):
         minus = (decay - decay_c) / 2j
         v_direct = v0 * plus - w0 * minus
         w_direct = v0 * minus + w0 * plus
-        assert np.max(np.abs(out.v.values - v_direct)) < 1e-13
-        assert np.max(np.abs(out.w.values - w_direct)) < 1e-13
+        assert np.max(np.abs(out[0] - v_direct)) < 1e-13
+        assert np.max(np.abs(out[1] - w_direct)) < 1e-13
 
 
-def test_nonlinear_branch_cut_raises(params, grid):
-    state = _state(grid, np.ones(64), np.zeros(64))
+def test_nonlinear_branch_cut_raises(params):
     with pytest.raises(SingularityError) as excinfo:
-        cgl_nonlinear_flow(state, params, -0.5)
+        cgl_nonlinear_map(params)(_state(np.ones(64), np.zeros(64)), -0.5)
     assert excinfo.value.index == 0
 
 
 def test_linear_zero_step_identity(params, grid):
     rng = np.random.default_rng(44)
-    state = _state(grid, rng.normal(size=64), rng.normal(size=64))
-    out = cgl_linear_flow(state, params, 0.0)
-    assert np.max(np.abs(out.v.values - state.v.values)) < 1e-14
-    assert np.max(np.abs(out.w.values - state.w.values)) < 1e-14
+    state = _state(rng.normal(size=64), rng.normal(size=64))
+    out = cgl_linear_map(params, grid)(state, 0.0)
+    assert np.max(np.abs(out - state)) < 1e-14
 
 
 def test_linear_single_eigenmode():
@@ -123,27 +119,26 @@ def test_linear_single_eigenmode():
     grid = SpectralGrid(-100.0, 200.0, 64)
     k1 = 2.0 * np.pi / 200.0
     u0 = np.exp(1j * k1 * grid.nodes)
-    state = CGLState.from_complex_field(u0, grid)
     tau = 0.25
-    out = cgl_linear_flow(state, params, tau)
+    out = cgl_linear_map(params, grid)(_state(u0.real, u0.imag), tau)
     expected = np.exp(-tau * k1**2) * u0
-    assert np.max(np.abs(out.reconstruct() - expected)) < 1e-13
+    assert np.max(np.abs(out[0] + 1j * out[1] - expected)) < 1e-13
 
 
 def test_linear_constant_gain(params, grid):
-    state = _state(grid, np.full(64, 0.7), np.zeros(64))
-    out = cgl_linear_flow(state, params, 0.1)
-    assert np.max(np.abs(out.v.values - 0.7 * np.exp(0.1))) < 1e-13
-    assert np.max(np.abs(out.w.values)) < 1e-13
+    out = cgl_linear_map(params, grid)(_state(np.full(64, 0.7), np.zeros(64)), 0.1)
+    assert np.max(np.abs(out[0] - 0.7 * np.exp(0.1))) < 1e-13
+    assert np.max(np.abs(out[1])) < 1e-13
 
 
 def test_linear_semigroup(params, grid):
     rng = np.random.default_rng(45)
-    state = _state(grid, rng.normal(size=64), rng.normal(size=64))
-    one = cgl_linear_flow(cgl_linear_flow(state, params, 0.07), params, 0.05)
-    direct = cgl_linear_flow(state, params, 0.12)
-    assert np.max(np.abs(one.v.values - direct.v.values)) < 1e-12
-    assert np.max(np.abs(one.w.values - direct.w.values)) < 1e-12
+    state = _state(rng.normal(size=64), rng.normal(size=64))
+    linear = cgl_linear_map(params, grid)
+    one = linear(linear(state, 0.07), 0.05)
+    direct = linear(state, 0.12)
+    assert np.max(np.abs(one[0] - direct[0])) < 1e-12
+    assert np.max(np.abs(one[1] - direct[1])) < 1e-12
 
 
 def test_strang_real_data_stays_numerically_real(params, grid):
@@ -160,11 +155,3 @@ def test_pulse_pair_profile(grid):
     assert profile.max() <= 1.7
     assert profile.min() >= 0.0
 
-
-def test_state_rejects_mismatched_grids(grid):
-    from pscomp.errors import ValidationError
-
-    other = SpectralGrid(0.0, 1.0, 64)
-    with pytest.raises(ValidationError, match="share one grid"):
-        CGLState(SpectralField(grid, np.zeros(64)),
-                 SpectralField(other, np.zeros(64)))

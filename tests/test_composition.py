@@ -7,8 +7,7 @@ import pytest
 
 from pscomp.coefficients import gamma_smallest_phase
 from pscomp.composition import (
-    coefficient_arguments, compose_schedule, double_jump, real_projection,
-    recursive_family,
+    _RealProjection, coefficient_arguments, compose_schedule, recursive_family,
 )
 from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
@@ -61,24 +60,8 @@ def test_conjugate_pair_schedule_is_third_order():
     assert abs(fit.exponent - 3.0) < 0.1
 
 
-def test_double_jump_uses_smallest_phase_coefficient():
-    jumped = double_jump(ho_strang_flow())
-    assert jumped.gamma == pytest.approx(complex(0.5, math.sqrt(3.0) / 6.0))
-    assert jumped.meta.order == 3
-
-    order4 = real_projection(jumped)
-    jumped4 = double_jump(order4)
-    assert jumped4.gamma == gamma_smallest_phase(4)
-
-
-def test_double_jump_rejects_odd_order():
-    odd = FlowMap(lambda x, tau: x, MethodMeta(order=3), name="odd")
-    with pytest.raises(DomainError):
-        double_jump(odd)
-
-
 def test_real_projection_identity_is_exact():
-    projected = real_projection(identity_flow())
+    projected = recursive_family(identity_flow(), 1).levels[0]
     x = np.array([1.25, -0.5])
     out = projected(x, 0.3)
     np.testing.assert_array_equal(out.real, x)
@@ -86,9 +69,8 @@ def test_real_projection_identity_is_exact():
 
 
 def test_real_projection_idempotent_on_real_states():
-    method = double_jump(ho_strang_flow())
-    once = real_projection(method)
-    twice = real_projection(once)
+    once = recursive_family(ho_strang_flow(), 1).levels[0]
+    twice = FlowMap(_RealProjection(once), once.meta)
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.normal(size=2)
@@ -97,13 +79,13 @@ def test_real_projection_idempotent_on_real_states():
 
 
 def test_real_projection_rejects_complex_state_at_real_step():
-    projected = real_projection(double_jump(ho_strang_flow()))
+    projected = recursive_family(ho_strang_flow(), 1).levels[0]
     with pytest.raises(DomainError, match="real state"):
         projected(np.array([1.0 + 1e-6j, 0.0]), 0.1)
 
 
 def test_real_projection_output_has_zero_imaginary_part():
-    projected = real_projection(double_jump(ho_strang_flow()))
+    projected = recursive_family(ho_strang_flow(), 1).levels[0]
     rng = np.random.default_rng(11)
     for _ in range(25):
         out = projected(rng.normal(size=2), rng.uniform(0.01, 0.8))
@@ -121,6 +103,38 @@ def test_recursive_family_s4sim_orders():
     family = recursive_family(base, 4)
     assert family.declared_orders() == [6, 8, 10, 11]
     assert family.capped == [False, False, False, True]
+
+
+@pytest.mark.parametrize("q, orders, capped", [
+    (4, [4, 4, 4], [False, True, True]),
+    (5, [4, 5, 5], [False, True, True]),
+    (6, [4, 6, 6], [False, False, True]),
+])
+def test_recursive_family_pseudo_symmetric_base_caps_at_q(q, orders, capped):
+    # A base pseudo-symmetric of finite order q caps every level at q.
+    meta = MethodMeta(order=2, pseudo_symmetry_order=q,
+                      pseudo_symplecticity_order=math.inf)
+    family = recursive_family(FlowMap(lambda x, tau: x, meta), 3)
+    assert family.declared_orders() == orders
+    assert family.capped == capped
+
+
+def test_double_jump_uses_smallest_phase_coefficient():
+    # Each level is the real part of a conjugate-pair double jump whose
+    # coefficient is the smallest-phase gamma for the running order.
+    base = ho_strang_flow()
+    family = recursive_family(base, 2)
+    g = gamma_smallest_phase(2)
+    assert g == pytest.approx(complex(0.5, math.sqrt(3.0) / 6.0))
+    pair = compose_schedule(base, [g, g.conjugate()], MethodMeta(order=3))
+    x = np.array([0.3, -0.7], dtype=complex)
+    np.testing.assert_allclose(family.levels[0](x, 0.1), pair(x, 0.1).real,
+                               rtol=0.0, atol=1e-15)
+    assert family.levels[0].meta.order == 4
+    # Level 2 composes level 1 (order 4) with the order-4 coefficient.
+    g4 = gamma_smallest_phase(4)
+    assert family.coefficient_products[1] == [
+        g4 * g, g4 * g.conjugate(), g4.conjugate() * g, g4.conjugate() * g.conjugate()]
 
 
 def test_recursive_family_level1_products():

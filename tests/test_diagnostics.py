@@ -133,15 +133,16 @@ def test_integrate_rejects_zero_steps():
 
 
 def test_successive_error_exact_flow_vanishes():
-    value = successive_error(ho_exact_flow(), np.array([1.0, 0.5]), 0.1, 1.0)
+    value, fine = successive_error(ho_exact_flow(), np.array([1.0, 0.5]), 0.1, 1.0)
     assert value < 1e-13
+    np.testing.assert_allclose(fine, ho_exact(1.0) @ [1.0, 0.5], atol=1e-13)
 
 
 def test_successive_error_order_two_halving():
     method = ho_strang_flow()
     x0 = np.array([1.0, 0.3])
-    e1 = successive_error(method, x0, 0.05, 1.0)
-    e2 = successive_error(method, x0, 0.025, 1.0)
+    e1, _ = successive_error(method, x0, 0.05, 1.0)
+    e2, _ = successive_error(method, x0, 0.025, 1.0)
     assert e1 / e2 == pytest.approx(4.0, rel=0.15)
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pscomp.errors import SingularityError
-from pscomp.problems import fisher_reaction_flow, fisher_strang_flow
+from pscomp.problems import fisher_reaction_map, fisher_strang_flow
 from pscomp.problems.fisher import _reaction
-from pscomp.spectral import SpectralField, SpectralGrid
+from pscomp.spectral import SpectralGrid
 
 
 @pytest.fixture
@@ -32,25 +32,25 @@ def _rk4_logistic(u0, tau, n_sub):
 
 @pytest.mark.parametrize("value", [0.0, 1.0])
 def test_fixed_points(grid, value):
-    field = SpectralField(grid, np.full(32, value, dtype=complex))
-    out = fisher_reaction_flow(field, 0.37)
-    assert np.max(np.abs(out.values - value)) < 1e-14
+    out = fisher_reaction_map()(np.full(32, value, dtype=complex), 0.37)
+    assert np.max(np.abs(out - value)) < 1e-14
 
 
 def test_matches_fine_reference(grid):
-    field = SpectralField(grid, np.full(32, 0.5, dtype=complex))
-    out = fisher_reaction_flow(field, 0.2)
-    reference = _rk4_logistic(field.values, 0.2, 10_000)
-    assert np.max(np.abs(out.values - reference)) < 1e-10
+    u0 = np.full(32, 0.5, dtype=complex)
+    out = fisher_reaction_map()(u0, 0.2)
+    reference = _rk4_logistic(u0, 0.2, 10_000)
+    assert np.max(np.abs(out - reference)) < 1e-10
 
 
 def test_semigroup_property(grid):
     rng = np.random.default_rng(31)
-    field = SpectralField(grid, rng.uniform(0.05, 0.95, size=32))
+    u0 = rng.uniform(0.05, 0.95, size=32)
+    reaction = fisher_reaction_map()
     t1, t2 = 0.23, 0.41
-    chained = fisher_reaction_flow(fisher_reaction_flow(field, t1), t2)
-    direct = fisher_reaction_flow(field, t1 + t2)
-    assert np.max(np.abs(chained.values - direct.values)) < 1e-12
+    chained = reaction(reaction(u0, t1), t2)
+    direct = reaction(u0, t1 + t2)
+    assert np.max(np.abs(chained - direct)) < 1e-12
 
 
 def test_matches_incremental_form(grid):
@@ -67,9 +67,8 @@ def test_vanishing_denominator_raises(grid):
     tau = 0.3
     values = np.full(32, 0.5, dtype=complex)
     values[7] = -1.0 / (np.exp(tau) - 1.0)
-    field = SpectralField(grid, values)
     with pytest.raises(SingularityError) as excinfo:
-        fisher_reaction_flow(field, tau)
+        fisher_reaction_map()(values, tau)
     assert excinfo.value.index == 7
 
 

@@ -1,13 +1,11 @@
-"""Grid, transform pair, and diagonal propagators."""
+"""Grid, snapshots, and the diagonal propagators of the PDE problems."""
 
 import numpy as np
 import pytest
 
 from pscomp.errors import ValidationError
-from pscomp.spectral import (
-    SpectralField, SpectralGrid, dft, diffusion_propagator, idft,
-    sup_norm_distance, write_snapshot,
-)
+from pscomp.problems import CGLParams, cgl_linear_map, fisher_diffusion_map
+from pscomp.spectral import SpectralGrid, write_snapshot
 
 
 @pytest.fixture
@@ -28,9 +26,9 @@ def test_grid_nodes_uniform(unit_grid):
     assert np.allclose(np.diff(nodes), 1.0 / 64)
 
 
-def test_field_length_mismatch(unit_grid):
+def test_field_length_mismatch(unit_grid, tmp_path):
     with pytest.raises(ValidationError, match="does not match"):
-        SpectralField(unit_grid, np.zeros(32))
+        write_snapshot(unit_grid, np.zeros(32), tmp_path / "field.txt")
 
 
 def test_wavenumbers_laplacian_symbol(unit_grid):
@@ -42,100 +40,88 @@ def test_wavenumbers_laplacian_symbol(unit_grid):
 
 
 def test_roundtrip_random_field():
+    # A unitary (imaginary) diffusion step and its inverse undo each other,
+    # so the DFT pair inside the propagator is a round trip.
     grid = SpectralGrid(0.0, 1.0, 512)
     rng = np.random.default_rng(21)
     values = rng.normal(size=512) + 1j * rng.normal(size=512)
-    field = SpectralField(grid, values)
-    back = idft(dft(field), grid)
-    assert np.max(np.abs(back.values - values)) / np.max(np.abs(values)) < 1e-13
+    diffusion = fisher_diffusion_map(grid)
+    back = diffusion(diffusion(values, 1e-3j), -1e-3j)
+    assert np.max(np.abs(back - values)) / np.max(np.abs(values)) < 1e-13
 
 
 def test_constant_field_single_mode(unit_grid):
-    field = SpectralField(unit_grid, np.full(64, 3.0 + 0.0j))
-    coeffs = dft(field)
-    assert coeffs[0] == pytest.approx(3.0 * 64)
-    assert np.max(np.abs(coeffs[1:])) < 1e-12
+    # A constant lives in the zero mode only, which diffusion leaves alone.
+    out = fisher_diffusion_map(unit_grid)(np.full(64, 3.0 + 0.0j), 0.3 + 0.1j)
+    assert np.max(np.abs(out - 3.0)) < 1e-12
 
 
 def test_sine_has_two_modes(unit_grid):
-    field = SpectralField(unit_grid, np.sin(2 * np.pi * unit_grid.nodes))
-    coeffs = dft(field)
-    large = np.abs(coeffs) > 1e-9 * np.max(np.abs(coeffs))
-    assert set(np.nonzero(large)[0]) == {1, 63}
-
-
-def test_idft_length_mismatch(unit_grid):
-    with pytest.raises(ValidationError):
-        idft(np.zeros(32, dtype=complex), unit_grid)
+    # sin(2 pi x) sits in modes 1 and 63, both at |k| = 2 pi, so a complex
+    # step scales it by exp(-4 pi^2 tau).
+    k = unit_grid.wavenumbers()
+    assert (k[1], k[63]) == pytest.approx((2.0 * np.pi, -2.0 * np.pi))
+    values = np.sin(2 * np.pi * unit_grid.nodes)
+    tau = 0.01 + 0.02j
+    out = fisher_diffusion_map(unit_grid)(values, tau)
+    assert np.max(np.abs(out - np.exp(-4.0 * np.pi**2 * tau) * values)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_parseval(n):
+    # An imaginary diffusion step is a unitary modal multiplier; it keeps
+    # the physical two-norm exactly when the DFT pair satisfies Parseval.
     grid = SpectralGrid(0.0, 1.0, n)
     rng = np.random.default_rng(n)
     values = rng.normal(size=n) + 1j * rng.normal(size=n)
-    field = SpectralField(grid, values)
+    out = fisher_diffusion_map(grid)(values, 0.37j)
     physical = np.sum(np.abs(values) ** 2)
-    modal = np.sum(np.abs(dft(field)) ** 2) / n
-    assert abs(physical - modal) / physical < 1e-12
+    assert abs(np.sum(np.abs(out) ** 2) - physical) / physical < 1e-12
 
 
 def test_propagator_zero_step_is_identity(unit_grid):
     rng = np.random.default_rng(2)
-    field = SpectralField(unit_grid, rng.normal(size=64))
-    out = diffusion_propagator(field, alpha=1.0, eps=0.0, tau=0.0)
-    assert np.max(np.abs(out.values - field.values)) < 1e-15
+    values = rng.normal(size=64)
+    out = fisher_diffusion_map(unit_grid)(values, 0.0)
+    assert np.max(np.abs(out - values)) < 1e-15
 
 
 def test_propagator_eigenmode_decay(unit_grid):
-    field = SpectralField(unit_grid, np.sin(2 * np.pi * unit_grid.nodes))
+    values = np.sin(2 * np.pi * unit_grid.nodes)
     tau = 0.01
-    out = diffusion_propagator(field, alpha=1.0, eps=0.0, tau=tau)
-    expected = np.exp(-4.0 * np.pi**2 * tau) * field.values
-    assert np.max(np.abs(out.values - expected)) < 1e-12
+    out = fisher_diffusion_map(unit_grid)(values, tau)
+    expected = np.exp(-4.0 * np.pi**2 * tau) * values
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_propagator_zero_mode_gain(unit_grid):
-    field = SpectralField(unit_grid, np.full(64, 1.0 + 0.0j))
-    out = diffusion_propagator(field, alpha=1.0, eps=1.0, tau=0.1)
-    assert np.allclose(out.values, np.exp(0.1), atol=1e-13)
+    # The Ginzburg-Landau linear part with eps = 1: u = 1 grows like e^t.
+    linear = cgl_linear_map(CGLParams(c1=0.0, c3=0.0, eps=1.0), unit_grid)
+    out = linear(np.array([np.ones(64), np.zeros(64)], dtype=complex), 0.1)
+    assert np.allclose(out[0], np.exp(0.1), atol=1e-13)
+    assert np.allclose(out[1], 0.0, atol=1e-13)
 
 
 def test_propagator_semigroup(unit_grid):
     rng = np.random.default_rng(3)
-    field = SpectralField(unit_grid, rng.normal(size=64) + 1j * rng.normal(size=64))
-    alpha = complex(1.0, 0.7)
-    one = diffusion_propagator(field, alpha, 0.5, 0.05 + 0.02j)
-    one = diffusion_propagator(one, alpha, 0.5, 0.03 - 0.01j)
-    both = diffusion_propagator(field, alpha, 0.5, 0.08 + 0.01j)
-    assert np.max(np.abs(one.values - both.values)) < 1e-12
+    state = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+    linear = cgl_linear_map(CGLParams(c1=0.7, c3=0.0, eps=0.5), unit_grid)
+    one = linear(linear(state, 0.05 + 0.02j), 0.03 - 0.01j)
+    both = linear(state, 0.08 + 0.01j)
+    assert np.max(np.abs(one - both)) < 1e-12
 
 
 def test_propagator_contraction_in_two_norm(unit_grid):
     rng = np.random.default_rng(4)
-    field = SpectralField(unit_grid, rng.normal(size=64))
-    out = diffusion_propagator(field, alpha=complex(1.0, 1.0), eps=0.0, tau=0.2)
-    assert np.linalg.norm(out.values) <= np.linalg.norm(field.values)
-
-
-def test_sup_norm_distance(unit_grid):
-    rng = np.random.default_rng(6)
-    a = SpectralField(unit_grid, rng.normal(size=64))
-    assert sup_norm_distance(a, a) == 0.0
-    bumped = a.values.copy()
-    bumped[10] += 1e-3
-    b = SpectralField(unit_grid, bumped)
-    assert sup_norm_distance(a, b) == pytest.approx(1e-3)
-    assert sup_norm_distance(a, b) == sup_norm_distance(b, a)
-    other = SpectralGrid(0.0, 2.0, 64)
-    with pytest.raises(ValidationError):
-        sup_norm_distance(a, SpectralField(other, np.zeros(64)))
+    state = np.array([rng.normal(size=64), np.zeros(64)], dtype=complex)
+    linear = cgl_linear_map(CGLParams(c1=1.0, c3=0.0, eps=0.0), unit_grid)
+    out = linear(state, 0.2)
+    assert np.linalg.norm(out) <= np.linalg.norm(state)
 
 
 def test_write_snapshot_format(unit_grid, tmp_path):
-    field = SpectralField(unit_grid, np.arange(64) * (1.0 + 2.0j))
     path = tmp_path / "field.txt"
-    write_snapshot(field, path)
+    write_snapshot(unit_grid, np.arange(64) * (1.0 + 2.0j), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 64
     x, re, im = (float(tok) for tok in lines[5].split())
