@@ -9,8 +9,8 @@ Building blocks:
   every level is a conjugate-pair double jump projected on the real axis.
 - :mod:`pscomp.problems` -- harmonic oscillator, Kepler, a semi-linear
   reaction-diffusion equation, and the complex Ginzburg-Landau equation
-  as exact or split flow maps on plain arrays, plus a fourth-order
-  complex splitting.
+  as exact or split flow maps on plain arrays, plus the Strang and the
+  fourth-order complex splitting builders.
 - :mod:`pscomp.spectral` -- periodic grid and field snapshots.
 - :mod:`pscomp.diagnostics` -- trajectories, successive errors, and
   convergence, defect, and truncation fits.
@@ -22,8 +22,7 @@ from .coefficients import (
     order_condition_residuals,
 )
 from .composition import (
-    CompositionSchedule, RecursiveFamily, coefficient_arguments,
-    compose_schedule, recursive_family,
+    RecursiveFamily, coefficient_arguments, compose_schedule, recursive_family,
 )
 from .complexlog import analytic_inv_r3, principal_log
 from .errors import DomainError, SingularityError, ValidationError
@@ -35,7 +34,7 @@ from .spectral import SpectralGrid, write_snapshot
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositionSchedule", "DomainError", "EXACT_META", "FlowMap",
+    "DomainError", "EXACT_META", "FlowMap",
     "INFINITE_ORDER", "MethodMeta", "RecursiveFamily", "STRANG_META",
     "SingularityError", "SpectralGrid", "ValidationError",
     "analytic_inv_r3", "coefficient_arguments", "compose_schedule",

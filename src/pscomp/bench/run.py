@@ -21,8 +21,8 @@ from .. import __version__
 from ..composition import coefficient_arguments, recursive_family
 from ..diagnostics import (
     energy_error_series, envelope_growth, integrate, power_law_fit,
-    slope_with_floor, successive_error, symmetry_defect, symplecticity_defect,
-    truncation_matrix_fit,
+    propagate, slope_with_floor, successive_error, symmetry_defect,
+    symplecticity_defect, truncation_matrix_fit,
 )
 from ..errors import SingularityError
 from ..problems import (
@@ -132,9 +132,7 @@ def _run_order(name, config, out_base):
         for tau in config.tau_list:
             try:
                 if is_kepler:
-                    final = np.asarray(x0, dtype=complex)
-                    for _ in range(round(config.t_final / tau)):
-                        final = method(final, tau)
+                    final = propagate(method, x0, tau, round(config.t_final / tau))
                     value = abs(kepler_energy(final) - h0) / abs(h0)
                 else:
                     value, last_field = successive_error(

@@ -1,13 +1,13 @@
 """Principal complex logarithm and the analytic continuation of r^{-3}.
 
-The branch used everywhere in this package is the principal one, written
-in the half-angle form
+The branch used everywhere in this package is the principal one,
 
-    log(x + iy) = log|x + iy| + 2i arctan(y / (x + |x + iy|)),
+    log(x + iy) = log|x + iy| + i atan2(y, x),
 
-which is quadrant-correct and stable near the positive real axis.  It is
-undefined on the closed negative real axis; callers hitting the cut get a
-:class:`SingularityError` rather than a silently wrong branch.
+with imaginary part in (-pi, pi).  It is undefined on the closed negative
+real axis; callers hitting the cut get a :class:`SingularityError` rather
+than a silently wrong branch.  Callers rely on this one check and do not
+repeat it.
 """
 
 import numpy as np
@@ -20,11 +20,6 @@ def principal_log(z):
 
     Raises :class:`SingularityError` on the closed negative real axis
     (including 0); for arrays the first offending flat index is reported.
-
-    In the left half-plane the half-angle expression is evaluated through
-    the reflected identity ``sign(y) (pi - 2 arctan(|y| / (|z| - x)))``:
-    the sum ``x + |z|`` cancels catastrophically near the cut, while
-    ``|z| - x`` does not.
     """
     arr = np.asarray(z, dtype=complex)
     on_cut = (arr.imag == 0.0) & (arr.real <= 0.0)
@@ -35,14 +30,7 @@ def principal_log(z):
             f"principal logarithm undefined on the negative real axis: z={value}",
             index=idx, value=value,
         )
-    x, y = arr.real, arr.imag
-    modulus = np.abs(arr)
-    in_right = x >= 0.0
-    right = 2.0 * np.arctan(y / np.where(in_right, x + modulus, 1.0))
-    left = np.sign(y) * (
-        np.pi - 2.0 * np.arctan(np.abs(y) / np.where(in_right, 1.0, modulus - x))
-    )
-    result = np.log(modulus) + 1j * np.where(in_right, right, left)
+    result = np.log(np.abs(arr)) + 1j * np.arctan2(arr.imag, arr.real)
     if np.isscalar(z) or np.ndim(z) == 0:
         return complex(result)
     return result

@@ -24,47 +24,29 @@ from .flowmap import FlowMap, MethodMeta
 COEFF_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CompositionSchedule:
-    """Ordered complex step coefficients applied to a base flow map.
-
-    The composed method applies ``base`` at steps ``c[-1]*tau, ..., c[0]*tau``
-    (the last coefficient acts first).  Coefficients must be finite and sum
-    to 1 (consistency).
-    """
-
-    coefficients: tuple
-    base: FlowMap
-    meta: MethodMeta
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValidationError("schedule needs at least one coefficient")
-        if any(not (math.isfinite(c.real) and math.isfinite(c.imag)) for c in coeffs):
-            raise ValidationError("coefficients must be finite")
-        residual = abs(sum(coeffs) - 1.0)
-        if residual > COEFF_SUM_TOL:
-            raise ValidationError(
-                f"coefficients must sum to 1, residual {residual:.3e}"
-            )
-        object.__setattr__(self, "coefficients", coeffs)
-
-
 def compose_schedule(base, coefficients, meta):
-    """Flow map applying ``base`` at the scheduled fractions of the step."""
-    schedule = CompositionSchedule(tuple(coefficients), base, meta)
-    reversed_coeffs = schedule.coefficients[::-1]
+    """Flow map applying ``base`` at the scheduled fractions of the step.
+
+    The composed method applies ``base`` at steps ``c[-1]*tau, ...,
+    c[0]*tau`` (the last coefficient acts first).  Coefficients must be
+    finite and sum to 1 (consistency).
+    """
+    coeffs = tuple(complex(c) for c in coefficients)
+    if not coeffs:
+        raise ValidationError("schedule needs at least one coefficient")
+    if any(not (math.isfinite(c.real) and math.isfinite(c.imag)) for c in coeffs):
+        raise ValidationError("coefficients must be finite")
+    residual = abs(sum(coeffs) - 1.0)
+    if residual > COEFF_SUM_TOL:
+        raise ValidationError(f"coefficients must sum to 1, residual {residual:.3e}")
+    reversed_coeffs = coeffs[::-1]
 
     def apply(x, tau):
         for c in reversed_coeffs:
             x = base(x, c * tau)
         return x
 
-    name = f"schedule[{len(reversed_coeffs)}]({base.name})"
-    flow = FlowMap(apply, meta, name=name)
-    flow.schedule = schedule
-    return flow
+    return FlowMap(apply, meta, name=f"schedule[{len(coeffs)}]({base.name})")
 
 
 class _RealProjection:

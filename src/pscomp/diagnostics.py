@@ -30,11 +30,10 @@ MAX_LOG_RESIDUAL = 0.02
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step integration record: times, real states, named series."""
+    """Fixed-step integration record: times and real states."""
 
     times: np.ndarray
     states: np.ndarray
-    observables: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -77,14 +76,12 @@ class DefectReport:
     fits: dict = field(default_factory=dict)
 
 
-def integrate(method, x0, tau, n_steps, observable=None):
+def integrate(method, x0, tau, n_steps):
     """Apply ``method`` ``n_steps`` times at fixed real step ``tau``.
 
     Records the real part of every state (methods fed to this routine are
-    expected to project to real states).  ``observable``, if given, is a
-    callable evaluated on each recorded state and stored under its name.
-    A singularity raised by any stage is re-raised with the step index
-    attached.
+    expected to project to real states).  A singularity raised by any
+    stage is re-raised with the step index attached.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
@@ -98,12 +95,15 @@ def integrate(method, x0, tau, n_steps, observable=None):
             exc.step = i
             raise
         states[i + 1] = np.asarray(x).real
-    times = tau * np.arange(n_steps + 1)
-    observables = {}
-    if observable is not None:
-        name = getattr(observable, "__name__", "observable")
-        observables[name] = np.array([observable(s) for s in states])
-    return Trajectory(times=times, states=states, observables=observables)
+    return Trajectory(times=tau * np.arange(n_steps + 1), states=states)
+
+
+def propagate(method, x0, tau, n_steps):
+    """Final state after ``n_steps`` applications of ``method`` at step ``tau``."""
+    x = np.asarray(x0, dtype=complex)
+    for _ in range(n_steps):
+        x = method(x, tau)
+    return x
 
 
 def successive_error(method, x0, tau, t_final):
@@ -120,13 +120,8 @@ def successive_error(method, x0, tau, t_final):
         raise ValidationError(
             f"t_final={t_final} is not an integer multiple of tau={tau}"
         )
-    coarse = np.asarray(x0, dtype=complex)
-    fine = coarse.copy()
-    for _ in range(n):
-        coarse = method(coarse, tau)
-    half = tau / 2.0
-    for _ in range(2 * n):
-        fine = method(fine, half)
+    coarse = propagate(method, x0, tau, n)
+    fine = propagate(method, x0, tau / 2.0, 2 * n)
     return float(np.max(np.abs(coarse - fine))), fine
 
 

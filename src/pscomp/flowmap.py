@@ -75,8 +75,8 @@ class FlowMap:
     ``evaluator`` takes a complex ndarray state and a complex step and
     returns a new state of the same shape.  Evaluators must not mutate
     their input or any shared interior state, so a single FlowMap can be
-    applied concurrently from several threads.  Combinators may attach
-    structural attributes (e.g. the schedule a composition was built from).
+    applied concurrently from several threads.  A flow map carries its
+    evaluator, ``meta`` and ``name``, nothing else.
     """
 
     def __init__(self, evaluator, meta, name=""):

@@ -11,7 +11,7 @@ from .cgl import (
     CGLParams, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
     pulse_pair_profile,
 )
-from .splitting import S4SIM_A, S4SIM_B, S4SIM_MAX_ARG, s4sim
+from .splitting import S4SIM_A, S4SIM_B, S4SIM_MAX_ARG, s4sim, strang
 
 __all__ = [
     "CGLParams", "KeplerState",
@@ -22,5 +22,5 @@ __all__ = [
     "ho_kick", "ho_kick_flow", "ho_strang", "ho_strang_flow",
     "kepler_drift_flow", "kepler_energy", "kepler_initial_conditions",
     "kepler_kick_flow", "kepler_strang_flow",
-    "pulse_pair_profile", "s4sim",
+    "pulse_pair_profile", "s4sim", "strang",
 ]

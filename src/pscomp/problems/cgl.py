@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..complexlog import principal_log
-from ..errors import SingularityError
-from ..flowmap import EXACT_META, STRANG_META, FlowMap
+from ..flowmap import EXACT_META, FlowMap
+from .splitting import strang
 
 
 @dataclass(frozen=True)
@@ -57,37 +57,16 @@ def _from_diagonal(diag):
     return np.array([1j * dv + dw, dv + 1j * dw])
 
 
-def _nonlinear(vw, tau, beta):
-    diag = _to_diagonal(vw)
-    m0 = 4j * diag[0] * diag[1]
-    argument = 1.0 + 2.0 * tau * m0
-    on_cut = (argument.imag == 0.0) & (argument.real <= 0.0)
-    if np.any(on_cut):
-        idx = int(np.argmax(on_cut))
-        raise SingularityError(
-            "cubic flow hit the logarithm branch cut at grid index "
-            f"{idx}: 1 + 2 tau m0 = {complex(argument[idx])}",
-            index=idx, value=complex(argument[idx]),
-        )
-    log_term = principal_log(argument)
-    diag[0] = diag[0] * np.exp(-0.5 * beta * log_term)
-    diag[1] = diag[1] * np.exp(-0.5 * np.conj(beta) * log_term)
-    return _from_diagonal(diag)
-
-
-def _linear(vw, tau, alpha, eps, k2):
-    diag = _to_diagonal(vw)
-    gain = np.exp(eps * tau)
-    diag[0] = np.fft.ifft(gain * np.exp(-tau * alpha * k2) * np.fft.fft(diag[0]))
-    diag[1] = np.fft.ifft(gain * np.exp(-tau * np.conj(alpha) * k2) * np.fft.fft(diag[1]))
-    return _from_diagonal(diag)
-
-
 def cgl_nonlinear_map(params):
     beta = params.beta
 
     def apply(vw, tau):
-        return _nonlinear(vw, tau, beta)
+        diag = _to_diagonal(vw)
+        m0 = 4j * diag[0] * diag[1]
+        log_term = principal_log(1.0 + 2.0 * tau * m0)
+        diag[0] = diag[0] * np.exp(-0.5 * beta * log_term)
+        diag[1] = diag[1] * np.exp(-0.5 * np.conj(beta) * log_term)
+        return _from_diagonal(diag)
 
     return FlowMap(apply, EXACT_META, name="cgl-nonlinear")
 
@@ -97,23 +76,19 @@ def cgl_linear_map(params, grid):
     k2 = grid.wavenumbers() ** 2
 
     def apply(vw, tau):
-        return _linear(vw, tau, alpha, eps, k2)
+        diag = _to_diagonal(vw)
+        gain = np.exp(eps * tau)
+        diag[0] = np.fft.ifft(gain * np.exp(-tau * alpha * k2) * np.fft.fft(diag[0]))
+        diag[1] = np.fft.ifft(gain * np.exp(-tau * np.conj(alpha) * k2) * np.fft.fft(diag[1]))
+        return _from_diagonal(diag)
 
     return FlowMap(apply, EXACT_META, name="cgl-linear")
 
 
 def cgl_strang_flow(params, grid):
     """Splitting linear(tau/2), cubic(tau), linear(tau/2) on (v, w) arrays."""
-    alpha, beta, eps = params.alpha, params.beta, params.eps
-    k2 = grid.wavenumbers() ** 2
-
-    def apply(vw, tau):
-        half = tau / 2.0
-        y = _linear(vw, half, alpha, eps, k2)
-        y = _nonlinear(y, tau, beta)
-        return _linear(y, half, alpha, eps, k2)
-
-    return FlowMap(apply, STRANG_META, name="cgl-strang")
+    return strang(cgl_linear_map(params, grid), cgl_nonlinear_map(params),
+                  name="cgl-strang")
 
 
 def pulse_pair_profile(grid):

@@ -13,7 +13,8 @@ that the denominator stays away from zero.
 import numpy as np
 
 from ..errors import SingularityError
-from ..flowmap import EXACT_META, STRANG_META, FlowMap
+from ..flowmap import EXACT_META, FlowMap
+from .splitting import strang
 
 REACTION_DENOMINATOR_FLOOR = 1e-12
 
@@ -46,12 +47,5 @@ def fisher_diffusion_map(grid):
 
 def fisher_strang_flow(grid):
     """Splitting diffusion(tau/2), reaction(tau), diffusion(tau/2)."""
-    k2 = grid.wavenumbers() ** 2
-
-    def apply(values, tau):
-        half = np.exp(-(tau / 2.0) * k2)
-        y = np.fft.ifft(half * np.fft.fft(values))
-        y = _reaction(y, tau)
-        return np.fft.ifft(half * np.fft.fft(y))
-
-    return FlowMap(apply, STRANG_META, name="fisher-strang")
+    return strang(fisher_diffusion_map(grid), fisher_reaction_map(),
+                  name="fisher-strang")

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..complexlog import analytic_inv_r3
 from ..errors import DomainError, SingularityError
-from ..flowmap import EXACT_META, STRANG_META, FlowMap
+from ..flowmap import EXACT_META, FlowMap
+from .splitting import strang
 
 
 @dataclass
@@ -69,32 +70,21 @@ def _drift(x, tau):
     return out
 
 
-def _kick(x, tau, mu):
-    z = x[0] * x[0] + x[1] * x[1]
-    factor = tau * mu * analytic_inv_r3(z)
-    out = x.copy()
-    out[2:] -= factor * x[:2]
-    return out
-
-
 def kepler_drift_flow(mu=1.0):
     return FlowMap(_drift, EXACT_META, name="kepler-drift")
 
 
 def kepler_kick_flow(mu=1.0):
     def apply(x, tau):
-        return _kick(x, tau, mu)
+        z = x[0] * x[0] + x[1] * x[1]
+        factor = tau * mu * analytic_inv_r3(z)
+        out = x.copy()
+        out[2:] -= factor * x[:2]
+        return out
 
     return FlowMap(apply, EXACT_META, name="kepler-kick")
 
 
 def kepler_strang_flow(mu=1.0):
     """Second-order splitting: drift(tau/2), kick(tau), drift(tau/2)."""
-
-    def apply(x, tau):
-        half = tau / 2.0
-        y = _drift(x, half)
-        y = _kick(y, tau, mu)
-        return _drift(y, half)
-
-    return FlowMap(apply, STRANG_META, name="kepler-strang")
+    return strang(kepler_drift_flow(mu), kepler_kick_flow(mu), name="kepler-strang")

@@ -1,7 +1,9 @@
-"""Fourth-order symmetric splitting with complex coefficients.
+"""Symmetric splittings built from the exact flows of f = f_a + f_b.
 
-Nine-stage palindromic composition of the two exact flows of a splitting
-f = f_a + f_b:
+``strang`` is the second-order palindrome a(tau/2) b(tau) a(tau/2), the
+base method of the Kepler, reaction-diffusion and Ginzburg-Landau
+problems.  ``s4sim`` is the fourth-order one with complex coefficients,
+the nine-stage palindrome
 
     b(b1) a(1/4) b(b2) a(1/4) b(b3) a(1/4) b(b2) a(1/4) b(b1)
 
@@ -13,7 +15,7 @@ b3 = 4/15 - i/5.  All coefficients have positive real part; the largest
 import math
 from fractions import Fraction
 
-from ..flowmap import INFINITE_ORDER, FlowMap, MethodMeta
+from ..flowmap import INFINITE_ORDER, STRANG_META, FlowMap, MethodMeta
 
 #: Exact rational coefficient data; the complex values below derive from it.
 S4SIM_A_FRACTIONS = (Fraction(1, 4),) * 4
@@ -37,6 +39,16 @@ _STAGES = (
     ("b", S4SIM_B[1]), ("a", S4SIM_A[3]),
     ("b", S4SIM_B[0]),
 )
+
+
+def strang(flow_a, flow_b, name):
+    """Second-order symmetric splitting a(tau/2), b(tau), a(tau/2)."""
+
+    def apply(x, tau):
+        half = tau / 2.0
+        return flow_a(flow_b(flow_a(x, half), tau), half)
+
+    return FlowMap(apply, STRANG_META, name=name)
 
 
 def s4sim(flow_a, flow_b):

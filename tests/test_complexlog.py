@@ -32,6 +32,16 @@ def test_log_array_reports_offending_index():
     assert excinfo.value.value == -1.0
 
 
+@pytest.mark.parametrize("z", [
+    complex(-1.0, 1e-300), complex(-1.0, -1e-300),
+    complex(-3.0, 1e-300), complex(-3.0, -1e-300),
+    complex(-2.5, 5e-324), complex(-2.5, -5e-324),
+    complex(1.0 + 1e-12, 1e-9),
+])
+def test_log_matches_cmath_near_cut_and_unit_circle(z):
+    assert principal_log(z) == pytest.approx(cmath.log(z), abs=1e-15)
+
+
 def test_log_exp_roundtrip_off_cut():
     rng = np.random.default_rng(123)
     z = rng.normal(size=1000) + 1j * rng.normal(size=1000)

@@ -8,7 +8,7 @@ import pytest
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
     PowerLawFit, Trajectory, energy_error_series, envelope_growth,
-    fit_leading_term, integrate, power_law_fit, slope_with_floor,
+    fit_leading_term, integrate, power_law_fit, propagate, slope_with_floor,
     successive_error, symmetry_defect, symplecticity_defect,
     truncation_matrix_fit,
 )
@@ -104,12 +104,11 @@ def test_integrate_periodicity_of_exact_flow():
     assert np.max(np.abs(trajectory.states[-1] - trajectory.states[0])) < 1e-12
 
 
-def test_integrate_records_observable():
-    trajectory = integrate(ho_exact_flow(), np.array([2.5, 0.0]), 0.1, 10,
-                           observable=ho_energy)
-    series = trajectory.observables["ho_energy"]
-    assert len(series) == 11
-    assert np.max(np.abs(series - series[0])) < 1e-13
+def test_propagate_matches_integrate_final_state():
+    method = recursive_family(ho_strang_flow(), 2).levels[-1]
+    x0 = np.array([2.5, 0.0])
+    final = propagate(method, x0, 0.1, 10)
+    assert np.array_equal(final.real, integrate(method, x0, 0.1, 10).states[-1])
 
 
 def test_integrate_attaches_step_to_singularity():

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from pscomp.diagnostics import power_law_fit
-from pscomp.flowmap import INFINITE_ORDER
-from pscomp.problems import S4SIM_A, S4SIM_B, ho_drift_flow, ho_exact, ho_kick_flow, s4sim
+from pscomp.flowmap import INFINITE_ORDER, STRANG_META
+from pscomp.problems import (
+    S4SIM_A, S4SIM_B, ho_drift_flow, ho_exact, ho_kick_flow, ho_strang, s4sim,
+    strang,
+)
 from pscomp.problems.splitting import S4SIM_A_FRACTIONS, S4SIM_B_FRACTIONS
 
 
@@ -29,6 +32,14 @@ def test_max_argument_is_arccos_four_fifths():
 def test_b_coefficients_have_positive_real_parts():
     assert all(b.real > 0 for b in S4SIM_B)
     assert all(a > 0 for a in S4SIM_A)
+
+
+def test_strang_builder_matches_oscillator_matrix():
+    method = strang(ho_drift_flow(), ho_kick_flow(), name="ho-strang-built")
+    tau = 0.3 + 0.2j
+    x = np.array([0.7, -1.1], dtype=complex)
+    assert np.max(np.abs(method(x, tau) - ho_strang(tau) @ x)) < 1e-15
+    assert method.meta is STRANG_META
 
 
 def test_palindromic_symmetry_on_oscillator():
