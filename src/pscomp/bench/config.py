@@ -2,8 +2,9 @@
 key-value parser with validation.
 
 A config document is a JSON object whose keys are the fields of
-:class:`ExperimentConfig` (plus an optional ``preset`` naming the defaults
-to start from).  Unknown keys are rejected by name.
+:class:`ExperimentConfig` other than ``problem``, which every preset fixes
+(plus an optional ``preset`` naming the defaults to start from).  Unknown
+keys are rejected by name.
 """
 
 import json
@@ -19,15 +20,6 @@ BASE_METHODS = ("strang", "s4sim")
 PROBLEM_PARAMS = {"harmonic": {"q0": 2.5, "p0": 0.0}, "kepler": {"e": 0.6},
                   "fisher": {}, "cgl": {"c1": 1.0, "c3": -2.0, "eps": 1.0}}
 
-#: Presets that integrate in time: they need ``t_final > 0`` and at least
-#: one step size.
-STEPPING_PRESETS = ("ho-energy", "kepler-order", "kepler-energy",
-                    "fisher-order", "cgl-order")
-
-#: Presets that measure their own problem's energy or matrices, so they
-#: keep the ``problem`` of their defaults.
-SINGLE_PROBLEM_PRESETS = ("ho-table1", "ho-energy", "kepler-energy")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -38,7 +30,6 @@ class ExperimentConfig:
     t_final: float = 0.0
     grid_points: int = None
     problem_params: dict = field(default_factory=dict)
-    output_path: str = None
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -70,12 +61,10 @@ class ExperimentConfig:
                     )
         if self.grid_points is not None:
             n = self.grid_points
-            if not _is_int(n) or n < 2 or (n & (n - 1)) != 0:
+            if not _is_int(n) or not 2 <= n <= 65536 or (n & (n - 1)) != 0:
                 raise ValidationError(
-                    f"grid_points must be a power of two >= 2, got {n!r}"
+                    f"grid_points must be a power of two in 2..65536, got {n!r}"
                 )
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ValidationError(f"output_path must be a string, got {self.output_path!r}")
         _check_problem_params(self.problem, self.problem_params)
         object.__setattr__(self, "tau_list", taus)
         object.__setattr__(self, "problem_params", dict(self.problem_params))
@@ -109,10 +98,11 @@ def _check_problem_params(problem, params):
     for key, value in params.items():
         _finite(f"problem_params.{key}", value)
     merged = {**defaults, **params}
-    if problem == "harmonic" and merged["q0"] == merged["p0"] == 0:
-        raise ValidationError(
-            "problem_params.q0 and problem_params.p0 must not both be zero"
-        )
+    if problem == "harmonic":
+        q0, p0 = float(merged["q0"]), float(merged["p0"])
+        if not 0.0 < 0.5 * (q0 * q0 + p0 * p0) < math.inf:
+            raise ValidationError(f"problem_params q0={q0!r}, p0={p0!r}: the energy "
+                                  "0.5*(q0^2 + p0^2) must be positive and finite")
     if problem == "kepler" and not 0.0 <= merged["e"] < 1.0:
         raise ValidationError(f"problem_params.e must lie in [0, 1), got {merged['e']!r}")
 
@@ -160,8 +150,8 @@ PRESETS = {
 }
 
 _CONFIG_KEYS = {
-    "preset", "problem", "base_method", "levels", "tau_list", "t_final",
-    "grid_points", "problem_params", "output_path",
+    "preset", "base_method", "levels", "tau_list", "t_final", "grid_points",
+    "problem_params",
 }
 
 
@@ -176,20 +166,18 @@ def preset_config(name):
 def apply_overrides(base, overrides):
     """Merge a partial config mapping over ``base`` and re-validate.
 
-    ``problem_params`` merges key by key over the defaults of the same
-    problem (an override of ``problem`` drops them); every other field
-    replaces the default wholesale.  Unknown keys are listed in the error.
+    ``problem_params`` merges key by key over the defaults; every other
+    field replaces the default wholesale.  Unknown keys are listed in the
+    error.
     """
     overrides = dict(overrides)
     unknown = sorted(set(overrides) - (_CONFIG_KEYS - {"preset"}))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    same_problem = overrides.get("problem", base.problem) == base.problem
     params = overrides.get("problem_params", {})
     if not isinstance(params, dict):
         raise ValidationError("problem_params must be an object")
-    overrides["problem_params"] = {
-        **(base.problem_params if same_problem else {}), **params}
+    overrides["problem_params"] = {**base.problem_params, **params}
     try:
         return replace(base, **overrides)
     except TypeError as exc:
@@ -225,13 +213,15 @@ def parse_config(text, preset=None):
 
 
 def check_runnable(name, config):
-    """Reject a config that preset ``name`` could not run."""
-    problem = PRESETS[name].problem
-    if name in SINGLE_PROBLEM_PRESETS and config.problem != problem:
+    """Reject a config that preset ``name`` could not run: it must keep
+    the preset's problem, and a preset that steps in time needs
+    ``t_final > 0`` and at least one step size."""
+    preset = PRESETS[name]
+    if config.problem != preset.problem:
         raise ValidationError(
-            f"problem must be {problem!r} for preset {name}, got {config.problem!r}"
+            f"problem must be {preset.problem!r} for preset {name}, got {config.problem!r}"
         )
-    if name in STEPPING_PRESETS:
+    if preset.t_final > 0:
         if config.t_final <= 0:
             raise ValidationError(
                 f"t_final must be positive for preset {name}, got {config.t_final!r}"

@@ -28,7 +28,7 @@ from ..errors import SingularityError
 from ..problems import (
     CGLParams, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
     fisher_diffusion_map, fisher_reaction_map, fisher_strang_flow,
-    ho_drift_flow, ho_energy, ho_exact, ho_kick_flow, ho_strang_flow,
+    ho_drift_flow, ho_energy, ho_kick_flow, ho_strang_flow,
     kepler_drift_flow, kepler_energy, kepler_initial_conditions,
     kepler_kick_flow, kepler_strang_flow, pulse_pair_profile, s4sim,
 )
@@ -43,8 +43,7 @@ SCHEMA = [
 
 #: Error floors below which order-fit samples count as roundoff; the CGL
 #: runs accumulate more FFT roundoff per step than the others.
-ORDER_FIT_FLOORS = {"harmonic": 1e-13, "kepler": 1e-13, "fisher": 1e-13,
-                    "cgl": 5e-13}
+ORDER_FIT_FLOORS = {"kepler": 1e-13, "fisher": 1e-13, "cgl": 5e-13}
 
 
 def _problem_setup(config):
@@ -117,6 +116,14 @@ def _common(name, config, **extra):
     return cells
 
 
+def _fit_cells(fit, missing):
+    """Cells of a fit row: the fit's numbers, or status ``missing`` without one."""
+    if fit is None:
+        return {"status": missing}
+    return {"slope": fit.exponent, "coefficient": fit.coefficient,
+            "residual": fit.residual, "status": "ok"}
+
+
 def _run_order(name, config, out_base):
     base, grid, x0 = _problem_setup(config)
     table = _new_table(name, config)
@@ -175,17 +182,12 @@ def _run_ho_table1(name, config, out_base):
     family = recursive_family(base, config.levels)
     for level, method in enumerate(family.levels, start=1):
         method_name = f"level{level}"
-        fits = truncation_matrix_fit(method, taus, reference=ho_exact)
+        fits = truncation_matrix_fit(method, taus)
         for i in range(2):
             for j in range(2):
-                fit = fits[i][j]
-                cells = _common(name, config, method=method_name, level=level,
-                                quantity="truncation", entry=f"{i}{j}")
-                if fit is None:
-                    table.add_row(status="below_floor", **cells)
-                else:
-                    table.add_row(slope=fit.exponent, coefficient=fit.coefficient,
-                                  residual=fit.residual, status="ok", **cells)
+                table.add_row(**_common(name, config, method=method_name, level=level,
+                                        quantity="truncation", entry=f"{i}{j}"),
+                              **_fit_cells(fits[i][j], "below_floor"))
         sym = symmetry_defect(method, None, taus, matrix_dim=2)
         det = symplecticity_defect(method, None, taus, matrix_dim=2)
         for quantity, series, fit in (
@@ -197,13 +199,9 @@ def _run_ho_table1(name, config, out_base):
                                         level=level, quantity=quantity,
                                         tau=float(tau), value=float(value),
                                         status="ok"))
-            cells = _common(name, config, method=method_name, level=level,
-                            quantity=f"{quantity}_fit")
-            if fit is None:
-                table.add_row(status="below_floor", **cells)
-            else:
-                table.add_row(slope=fit.exponent, coefficient=fit.coefficient,
-                              residual=fit.residual, status="ok", **cells)
+            table.add_row(**_common(name, config, method=method_name, level=level,
+                                    quantity=f"{quantity}_fit"),
+                          **_fit_cells(fit, "below_floor"))
     return table, []
 
 
@@ -230,16 +228,10 @@ def _run_ho_energy(name, config, out_base):
                                     level=config.levels, quantity=quantity,
                                     tau=tau, value=value, status="ok"))
     positive = [(t, g) for t, g in zip(config.tau_list, growths) if g > 0]
-    if len(positive) >= 3:
-        fit = power_law_fit([t for t, _ in positive], [g for _, g in positive])
-        table.add_row(**_common(name, config, method=method_name,
-                                level=config.levels, quantity="secular_order",
-                                slope=fit.exponent, coefficient=fit.coefficient,
-                                residual=fit.residual, status="ok"))
-    else:
-        table.add_row(**_common(name, config, method=method_name,
-                                level=config.levels, quantity="secular_order",
-                                status="insufficient_samples"))
+    fit = power_law_fit(*zip(*positive)) if len(positive) >= 3 else None
+    table.add_row(**_common(name, config, method=method_name,
+                            level=config.levels, quantity="secular_order"),
+                  **_fit_cells(fit, "insufficient_samples"))
     return table, []
 
 
@@ -313,11 +305,8 @@ def run_preset(name, overrides=None, out_dir=".", config=None):
         if overrides:
             config = apply_overrides(config, overrides)
     check_runnable(name, config)
-    if config.output_path:
-        out_base = config.output_path
-    else:
-        os.makedirs(out_dir, exist_ok=True)
-        out_base = os.path.join(out_dir, name)
+    os.makedirs(out_dir, exist_ok=True)
+    out_base = os.path.join(out_dir, name)
     table, extra_paths = _RUNNERS[name](name, config, out_base)
     table.metadata["all_rows_failed"] = (
         len(table.metadata["failures"]) > 0

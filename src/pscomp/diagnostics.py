@@ -161,8 +161,7 @@ def power_law_fit(taus, errors):
                        residual=residual, n_samples=len(taus))
 
 
-def fit_leading_term(taus, errors, floor=ROUNDOFF_FLOOR,
-                     max_log_residual=MAX_LOG_RESIDUAL):
+def fit_leading_term(taus, errors):
     """Power-law fit with floor filtering and large-step narrowing.
 
     Returns None when fewer than three samples survive the floor (the
@@ -170,14 +169,14 @@ def fit_leading_term(taus, errors, floor=ROUNDOFF_FLOOR,
     """
     taus = np.asarray(taus, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    keep = np.isfinite(errors) & (errors > floor)
+    keep = np.isfinite(errors) & (errors > ROUNDOFF_FLOOR)
     if keep.sum() < 3:
         return None
     order = np.argsort(taus[keep])[::-1]
     ts, es = taus[keep][order], errors[keep][order]
     while len(ts) > 3:
         _, _, residual = _loglog_lsq(ts, es)
-        if residual <= max_log_residual:
+        if residual <= MAX_LOG_RESIDUAL:
             break
         ts, es = ts[1:], es[1:]
     return power_law_fit(ts, es)
@@ -202,7 +201,7 @@ def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
     return None
 
 
-def symmetry_defect(method, x0, taus, matrix_dim=None, floor=ROUNDOFF_FLOOR):
+def symmetry_defect(method, x0, taus, matrix_dim=None):
     """Size of ``psi_tau o psi_{-tau} - id`` per step size, with fit.
 
     With ``matrix_dim`` set the defect is the max-abs entry of
@@ -220,7 +219,7 @@ def symmetry_defect(method, x0, taus, matrix_dim=None, floor=ROUNDOFF_FLOOR):
             x = np.asarray(x0, dtype=complex)
             y = method(method(x, -tau), tau)
             defects[i] = float(np.max(np.abs(y - x)))
-    fit = fit_leading_term(taus, defects, floor=floor)
+    fit = fit_leading_term(taus, defects)
     return DefectReport(step_sizes=taus, symmetry_defect=defects,
                         fits={"symmetry": fit})
 
@@ -233,11 +232,11 @@ def _canonical_form(dim):
     return form
 
 
-def _fd_jacobian(method, x, tau, rel_step=1e-5):
+def _fd_jacobian(method, x, tau):
     dim = len(x)
     jac = np.empty((dim, dim))
     for j in range(dim):
-        h = rel_step * max(1.0, abs(x[j]))
+        h = 1e-5 * max(1.0, abs(x[j]))
         xp = x.astype(complex).copy()
         xm = xp.copy()
         xp[j] += h
@@ -246,7 +245,7 @@ def _fd_jacobian(method, x, tau, rel_step=1e-5):
     return jac
 
 
-def symplecticity_defect(method, x0, taus, matrix_dim=None, floor=ROUNDOFF_FLOOR):
+def symplecticity_defect(method, x0, taus, matrix_dim=None):
     """Deviation of the method's Jacobian from the symplectic identity.
 
     For 2x2 matrix methods this is ``|det M(tau) - 1|``; in general the
@@ -266,13 +265,13 @@ def symplecticity_defect(method, x0, taus, matrix_dim=None, floor=ROUNDOFF_FLOOR
             form = _canonical_form(len(x))
             jac = _fd_jacobian(method, x, tau)
             defects[i] = float(np.max(np.abs(jac.T @ form @ jac - form)))
-    fit = fit_leading_term(taus, defects, floor=floor)
+    fit = fit_leading_term(taus, defects)
     return DefectReport(step_sizes=taus, symplecticity_defect=defects,
                         fits={"symplecticity": fit})
 
 
-def truncation_matrix_fit(method, taus, reference=ho_exact, floor=ROUNDOFF_FLOOR):
-    """Entrywise leading term of ``reference(tau) - method(tau)``.
+def truncation_matrix_fit(method, taus):
+    """Entrywise leading term of ``ho_exact(tau) - method(tau)``.
 
     ``method`` may be a flow map (its 2x2 matrix representation is used)
     or a callable returning matrices.  Returns a nested 2x2 list of
@@ -281,15 +280,15 @@ def truncation_matrix_fit(method, taus, reference=ho_exact, floor=ROUNDOFF_FLOOR
     """
     taus = np.asarray(taus, dtype=float)
     mat_of = method.matrix if hasattr(method, "matrix") else method
-    diffs = np.array([reference(tau) - mat_of(tau) for tau in taus])
+    diffs = np.array([ho_exact(tau) - mat_of(tau) for tau in taus])
     fits = [[None, None], [None, None]]
     for i in range(2):
         for j in range(2):
             series = np.abs(diffs[:, i, j])
-            fit = fit_leading_term(taus, series, floor=floor)
+            fit = fit_leading_term(taus, series)
             if fit is None:
                 continue
-            above = series > floor
+            above = series > ROUNDOFF_FLOOR
             sign = float(np.sign(diffs[above][0, i, j].real))
             fits[i][j] = PowerLawFit(
                 exponent=fit.exponent,
@@ -309,14 +308,14 @@ def energy_error_series(trajectory, energy):
     return np.abs(values - reference) / abs(reference)
 
 
-def envelope_growth(series, fraction=0.05):
+def envelope_growth(series):
     """Secular growth of an error series: trailing-window max minus
-    leading-window max.
+    leading-window max, each window 5% of the series.
 
     Isolates drift from the bounded oscillatory component, which otherwise
     dominates the raw envelope at moderate times.
     """
     series = np.asarray(series, dtype=float)
     n = len(series)
-    window = max(1, int(fraction * n))
+    window = max(1, int(0.05 * n))
     return float(series[-window:].max() - series[:window].max())

@@ -1,4 +1,4 @@
-"""Planar two-body (Kepler) problem: H = p.p/2 - mu/r.
+"""Planar two-body (Kepler) problem: H = p.p/2 - 1/r.
 
 The kick stage needs 1/r^3 for complex stage positions, evaluated through
 the principal logarithm so every stage map stays holomorphic off the
@@ -21,7 +21,7 @@ from .splitting import strang
 
 @dataclass
 class KeplerState:
-    """Positions, momenta and gravitational parameter.
+    """Positions and momenta.
 
     Physical states are real; intermediate stage states of complex-step
     compositions may hold complex entries.
@@ -29,7 +29,6 @@ class KeplerState:
 
     q: np.ndarray
     p: np.ndarray
-    mu: float = 1.0
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=complex).reshape(2)
@@ -40,7 +39,7 @@ class KeplerState:
 
 
 def kepler_initial_conditions(e):
-    """Perihelion start of an orbit with eccentricity ``e`` and mu = 1.
+    """Perihelion start of an orbit with eccentricity ``e``.
 
     q = (1-e, 0), p = (0, sqrt((1+e)/(1-e))); the resulting trajectory has
     period 2*pi for every 0 <= e < 1.
@@ -50,18 +49,17 @@ def kepler_initial_conditions(e):
     return KeplerState(
         q=np.array([1.0 - e, 0.0]),
         p=np.array([0.0, math.sqrt((1.0 + e) / (1.0 - e))]),
-        mu=1.0,
     )
 
 
-def kepler_energy(x, mu=1.0):
+def kepler_energy(x):
     """Hamiltonian value of the real part of a state vector; r = 0 raises."""
     x = np.asarray(x).real
     q, p = x[:2], x[2:]
     r = float(np.hypot(q[0], q[1]))
     if r == 0.0:
         raise SingularityError("collision: r = 0", value=0.0)
-    return float(0.5 * (p @ p) - mu / r)
+    return float(0.5 * (p @ p) - 1.0 / r)
 
 
 def _drift(x, tau):
@@ -70,14 +68,14 @@ def _drift(x, tau):
     return out
 
 
-def kepler_drift_flow(mu=1.0):
+def kepler_drift_flow():
     return FlowMap(_drift, EXACT_META, name="kepler-drift")
 
 
-def kepler_kick_flow(mu=1.0):
+def kepler_kick_flow():
     def apply(x, tau):
         z = x[0] * x[0] + x[1] * x[1]
-        factor = tau * mu * analytic_inv_r3(z)
+        factor = tau * analytic_inv_r3(z)
         out = x.copy()
         out[2:] -= factor * x[:2]
         return out
@@ -85,6 +83,6 @@ def kepler_kick_flow(mu=1.0):
     return FlowMap(apply, EXACT_META, name="kepler-kick")
 
 
-def kepler_strang_flow(mu=1.0):
+def kepler_strang_flow():
     """Second-order splitting: drift(tau/2), kick(tau), drift(tau/2)."""
-    return strang(kepler_drift_flow(mu), kepler_kick_flow(mu), name="kepler-strang")
+    return strang(kepler_drift_flow(), kepler_kick_flow(), name="kepler-strang")

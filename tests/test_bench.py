@@ -2,6 +2,8 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,9 @@ BAD_CONFIGS = [
     ("ho-table1", {"problem": "kepler"}, "problem"),
     ("ho-energy", {"problem": "kepler"}, "problem"),
     ("kepler-energy", {"problem": "harmonic"}, "problem"),
+    ("fisher-order", {"grid_points": 2**70}, "grid_points"),
+    ("ho-energy", {"problem_params": {"q0": 1e-200}}, "q0"),
+    ("ho-energy", {"problem_params": {"p0": 1e200}}, "p0"),
 ]
 
 
@@ -291,3 +296,24 @@ def test_parse_config_raises_only_validation_errors(document, preset):
     except ValidationError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+#: Documents for ``run``: the fixed tau_list and t_final keep every run to a
+#: few steps; every other field may be invalid.
+_RUN_DOCUMENTS = st.fixed_dictionaries(
+    {"tau_list": st.just([0.1, 0.05]), "t_final": st.just(0.1)},
+    optional={"grid_points": st.sampled_from([None, 3, 16, 32, 2**70]),
+              **{key: _FIELDS[key]
+                 for key in ("base_method", "levels", "problem_params")}},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=_RUN_DOCUMENTS, preset=st.sampled_from(sorted(PRESETS)))
+def test_cli_run_exits_cleanly(document, preset):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "cfg.json"
+        config_path.write_text(json.dumps(document))
+        code = main(["run", preset, "--config", str(config_path),
+                     "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
