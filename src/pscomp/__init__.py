@@ -12,7 +12,7 @@ Building blocks:
   as exact or split flow maps on plain arrays, plus the Strang and the
   fourth-order complex splitting builders.
 - :mod:`pscomp.spectral` -- periodic grid and field snapshots.
-- :mod:`pscomp.diagnostics` -- trajectories, successive errors, and
+- :mod:`pscomp.diagnostics` -- state series, successive errors, and
   convergence, defect, and truncation fits.
 - :mod:`pscomp.bench` -- named experiment presets with CSV/JSON output.
 """
@@ -26,9 +26,7 @@ from .composition import (
 )
 from .complexlog import analytic_inv_r3, principal_log
 from .errors import DomainError, SingularityError, ValidationError
-from .flowmap import (
-    EXACT_META, INFINITE_ORDER, STRANG_META, FlowMap, MethodMeta, identity_flow,
-)
+from .flowmap import EXACT_META, INFINITE_ORDER, STRANG_META, FlowMap, MethodMeta
 from .spectral import SpectralGrid, write_snapshot
 
 __version__ = "0.1.0"
@@ -39,6 +37,6 @@ __all__ = [
     "SingularityError", "SpectralGrid", "ValidationError",
     "analytic_inv_r3", "coefficient_arguments", "compose_schedule",
     "gamma_double_jump", "gamma_smallest_phase", "gamma_triple_jump",
-    "identity_flow", "order_condition_residuals", "principal_log",
-    "recursive_family", "write_snapshot",
+    "order_condition_residuals", "principal_log", "recursive_family",
+    "write_snapshot",
 ]

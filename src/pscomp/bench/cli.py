@@ -4,8 +4,8 @@
     pscomp-bench run <preset> [--config FILE] [--out DIR]
     pscomp-bench validate <config-file>
 
-Exit codes: 0 on success, 2 on validation errors, 3 when every computed
-row of a run failed with a singularity.
+Exit codes: 0 on success, 2 on validation errors, 3 when every measured
+cell of a run failed (``singular: ...`` or ``non_finite: ...``).
 """
 
 import argparse
@@ -74,10 +74,9 @@ def main(argv=None):
         return 2
     for path in paths:
         print(f"wrote {path}")
-    failures = table.metadata.get("failures", [])
+    failures = table.metadata["failures"]
     if failures:
-        print(f"{len(failures)} cell(s) failed with singularities",
-              file=sys.stderr)
+        print(f"{len(failures)} cell(s) failed", file=sys.stderr)
     if table.metadata.get("all_rows_failed"):
         return 3
     return 0

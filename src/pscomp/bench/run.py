@@ -6,9 +6,9 @@ Every preset produces one :class:`ResultTable` with the shared schema
     value, slope, coefficient, residual, status
 
 and writes ``<name>.csv`` plus a JSON metadata sidecar (and, for the PDE
-problems, a final-field snapshot per the deepest method).  Singularities
-in a single (method, tau) cell mark that row as failed instead of aborting
-the preset.
+problems, a final-field snapshot per the deepest method).  A
+(method, tau) cell that hits a singularity or yields a non-finite value
+is marked failed (see :func:`_measure`) instead of aborting the preset.
 """
 
 import math
@@ -44,6 +44,9 @@ SCHEMA = [
 #: Error floors below which order-fit samples count as roundoff; the CGL
 #: runs accumulate more FFT roundoff per step than the others.
 ORDER_FIT_FLOORS = {"kepler": 1e-13, "fisher": 1e-13, "cgl": 5e-13}
+
+#: Quantities of the rows that record a measured (method, tau) cell.
+CELL_QUANTITIES = ("successive_error", "energy_error", "energy_plateau")
 
 
 def _problem_setup(config):
@@ -124,41 +127,56 @@ def _fit_cells(fit, missing):
             "residual": fit.residual, "status": "ok"}
 
 
+def _measure(table, method_name, tau, compute):
+    """Run one measured (method, tau) cell; returns ``(values, status)``.
+
+    ``compute()`` returns a tuple of numbers and arrays.  A
+    ``SingularityError`` makes the cell ``singular: <message>`` and a nan
+    or inf anywhere in the tuple makes it ``non_finite: ...``; either way
+    ``values`` is None and the cell gets one ``failures`` entry, with the
+    step index of the singularity (None for a non-finite value).
+    """
+    try:
+        values = compute()
+    except SingularityError as exc:
+        kind, error, step = "singular", str(exc), exc.step
+    else:
+        if all(np.isfinite(v).all() for v in values):
+            return values, "ok"
+        kind, error, step = "non_finite", "result has nan or inf", None
+    table.metadata["failures"].append(
+        {"method": method_name, "tau": tau, "error": error, "step": step})
+    return None, f"{kind}: {error}"
+
+
 def _run_order(name, config, out_base):
     base, grid, x0 = _problem_setup(config)
     table = _new_table(name, config)
-    floor = ORDER_FIT_FLOORS[config.problem]
-    is_kepler = config.problem == "kepler"
-    quantity = "energy_error" if is_kepler else "successive_error"
+    quantity = "successive_error"
+    if config.problem == "kepler":
+        quantity, h0 = "energy_error", kepler_energy(x0)
+
+    def measure(method, tau):
+        if quantity == "successive_error":
+            return successive_error(method, x0, tau, config.t_final)
+        final = propagate(method, x0, tau, round(config.t_final / tau))
+        return abs(kepler_energy(final) - h0) / abs(h0), final
+
     snapshots = []
-    last_field = None
-    if is_kepler:
-        h0 = kepler_energy(x0)
     for method_name, level, method in _methods(config, base):
-        errors = []
+        taus, errors, last_field = [], [], None
         for tau in config.tau_list:
-            try:
-                if is_kepler:
-                    final = propagate(method, x0, tau, round(config.t_final / tau))
-                    value = abs(kepler_energy(final) - h0) / abs(h0)
-                else:
-                    value, last_field = successive_error(
-                        method, x0, tau, config.t_final)
-                status = "ok"
-            except SingularityError as exc:
-                value = math.nan
-                status = f"singular: {exc}"
-                table.metadata["failures"].append(
-                    {"method": method_name, "tau": tau, "error": str(exc)}
-                )
-            errors.append(value)
+            result, status = _measure(table, method_name, tau,
+                                      lambda: measure(method, tau))
+            value = math.nan
+            if result is not None:
+                value, last_field = result
+                taus.append(tau)
+                errors.append(value)
             table.add_row(**_common(name, config, method=method_name,
                                     level=level, quantity=quantity, tau=tau,
                                     value=value, status=status))
-        valid = np.array([e for e in errors if not math.isnan(e)])
-        valid_taus = np.array([t for t, e in zip(config.tau_list, errors)
-                               if not math.isnan(e)])
-        slope = slope_with_floor(valid_taus, valid, floor=floor) if len(valid) else None
+        slope = slope_with_floor(taus, errors, floor=ORDER_FIT_FLOORS[config.problem])
         table.add_row(**_common(
             name, config, method=method_name, level=level,
             quantity="order_fit",
@@ -171,7 +189,6 @@ def _run_order(name, config, out_base):
                 last_field = last_field[0] + 1j * last_field[1]
             write_snapshot(grid, last_field, path)
             snapshots.append(path)
-            last_field = None
     return table, snapshots
 
 
@@ -188,11 +205,10 @@ def _run_ho_table1(name, config, out_base):
                 table.add_row(**_common(name, config, method=method_name, level=level,
                                         quantity="truncation", entry=f"{i}{j}"),
                               **_fit_cells(fits[i][j], "below_floor"))
-        sym = symmetry_defect(method, None, taus, matrix_dim=2)
-        det = symplecticity_defect(method, None, taus, matrix_dim=2)
-        for quantity, series, fit in (
-            ("symmetry_defect", sym.symmetry_defect, sym.fits["symmetry"]),
-            ("determinant_defect", det.symplecticity_defect, det.fits["symplecticity"]),
+        for quantity, (series, fit) in (
+            ("symmetry_defect", symmetry_defect(method, None, taus, matrix_dim=2)),
+            ("determinant_defect",
+             symplecticity_defect(method, None, taus, matrix_dim=2)),
         ):
             for tau, value in zip(taus, series):
                 table.add_row(**_common(name, config, method=method_name,
@@ -211,23 +227,18 @@ def _run_ho_energy(name, config, out_base):
     family = recursive_family(base, config.levels)
     method = family.levels[-1]
     method_name = f"level{config.levels}"
-    growths = []
+    positive = []
     for tau in config.tau_list:
         n = round(config.t_final / tau)
-        trajectory = integrate(method, x0, tau, n)
-        series = energy_error_series(trajectory, ho_energy)
-        window = max(1, int(0.05 * len(series)))
-        plateau = float(series[:window].max())
-        envelope = float(series[-window:].max())
-        growth = envelope_growth(series)
-        growths.append(growth)
-        for quantity, value in (("energy_plateau", plateau),
-                                ("energy_envelope", envelope),
-                                ("secular_growth", growth)):
+        values, status = _measure(table, method_name, tau, lambda: envelope_growth(
+            energy_error_series(integrate(method, x0, tau, n), ho_energy)))
+        if values is not None and values[2] > 0:
+            positive.append((tau, values[2]))
+        for quantity, value in zip(("energy_plateau", "energy_envelope",
+                                    "secular_growth"), values or (math.nan,) * 3):
             table.add_row(**_common(name, config, method=method_name,
                                     level=config.levels, quantity=quantity,
-                                    tau=tau, value=value, status="ok"))
-    positive = [(t, g) for t, g in zip(config.tau_list, growths) if g > 0]
+                                    tau=tau, value=value, status=status))
     fit = power_law_fit(*zip(*positive)) if len(positive) >= 3 else None
     table.add_row(**_common(name, config, method=method_name,
                             level=config.levels, quantity="secular_order"),
@@ -242,22 +253,14 @@ def _run_kepler_energy(name, config, out_base):
     n = round(config.t_final / tau)
     stride = max(1, n // 500)
     for method_name, level, method in _methods(config, base):
-        try:
-            trajectory = integrate(method, x0, tau, n)
-            series = energy_error_series(trajectory, kepler_energy)
-            for idx in range(0, n + 1, stride):
-                table.add_row(**_common(name, config, method=method_name,
-                                        level=level, quantity="energy_error",
-                                        tau=tau, time=float(trajectory.times[idx]),
-                                        value=float(series[idx]), status="ok"))
-        except SingularityError as exc:
-            table.metadata["failures"].append(
-                {"method": method_name, "tau": tau, "error": str(exc)}
-            )
+        values, status = _measure(table, method_name, tau, lambda: (
+            energy_error_series(integrate(method, x0, tau, n), kepler_energy),))
+        points = [(None, math.nan)] if values is None else [
+            (tau * idx, float(values[0][idx])) for idx in range(0, n + 1, stride)]
+        for time, value in points:
             table.add_row(**_common(name, config, method=method_name,
-                                    level=level, quantity="energy_error",
-                                    tau=tau, value=math.nan,
-                                    status=f"singular: {exc}"))
+                                    level=level, quantity="energy_error", tau=tau,
+                                    time=time, value=value, status=status))
     return table, []
 
 
@@ -308,13 +311,9 @@ def run_preset(name, overrides=None, out_dir=".", config=None):
     os.makedirs(out_dir, exist_ok=True)
     out_base = os.path.join(out_dir, name)
     table, extra_paths = _RUNNERS[name](name, config, out_base)
-    table.metadata["all_rows_failed"] = (
-        len(table.metadata["failures"]) > 0
-        and all(row[table.schema.index("status")].startswith("singular")
-                for row in table.rows
-                if row[table.schema.index("quantity")] in
-                ("successive_error", "energy_error"))
-    )
+    quantity, status = table.schema.index("quantity"), table.schema.index("status")
+    statuses = [row[status] for row in table.rows if row[quantity] in CELL_QUANTITIES]
+    table.metadata["all_rows_failed"] = bool(statuses) and "ok" not in statuses
     csv_path, json_path = emit(table, out_base)
     return table, [csv_path, json_path, *extra_paths]
 

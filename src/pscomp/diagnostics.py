@@ -11,7 +11,7 @@ off at the smallest surviving step, where contamination is weakest.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +26,6 @@ ROUNDOFF_FLOOR = 1e-14
 #: Largest acceptable max log deviation of a power-law fit before the
 #: window is narrowed from the large-step end.
 MAX_LOG_RESIDUAL = 0.02
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Fixed-step integration record: times and real states."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValidationError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValidationError("times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -62,26 +48,11 @@ class PowerLawFit:
             raise ValidationError("residual must be non-negative")
 
 
-@dataclass(frozen=True)
-class DefectReport:
-    """Defect magnitudes per step size with their power-law fits.
-
-    A side not measured is None; a fit is None when every sample sat below
-    the roundoff floor (defect at roundoff level, fit skipped).
-    """
-
-    step_sizes: np.ndarray
-    symmetry_defect: np.ndarray = None
-    symplecticity_defect: np.ndarray = None
-    fits: dict = field(default_factory=dict)
-
-
 def integrate(method, x0, tau, n_steps):
-    """Apply ``method`` ``n_steps`` times at fixed real step ``tau``.
-
-    Records the real part of every state (methods fed to this routine are
-    expected to project to real states).  A singularity raised by any
-    stage is re-raised with the step index attached.
+    """Real parts of the ``n_steps + 1`` states of ``method`` at fixed real
+    step ``tau``, the start included, as one array (state k sits at time
+    ``tau * k``; methods fed here are expected to project to real states).
+    A singularity raised by any stage is re-raised with the step index.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
@@ -95,14 +66,22 @@ def integrate(method, x0, tau, n_steps):
             exc.step = i
             raise
         states[i + 1] = np.asarray(x).real
-    return Trajectory(times=tau * np.arange(n_steps + 1), states=states)
+    return states
 
 
 def propagate(method, x0, tau, n_steps):
-    """Final state after ``n_steps`` applications of ``method`` at step ``tau``."""
+    """Final state after ``n_steps`` applications of ``method`` at step ``tau``.
+
+    A singularity is re-raised with the step index attached, as in
+    :func:`integrate`.
+    """
     x = np.asarray(x0, dtype=complex)
-    for _ in range(n_steps):
-        x = method(x, tau)
+    for i in range(n_steps):
+        try:
+            x = method(x, tau)
+        except SingularityError as exc:
+            exc.step = i
+            raise
     return x
 
 
@@ -204,7 +183,9 @@ def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
 def symmetry_defect(method, x0, taus, matrix_dim=None):
     """Size of ``psi_tau o psi_{-tau} - id`` per step size, with fit.
 
-    With ``matrix_dim`` set the defect is the max-abs entry of
+    Returns ``(defects, fit)``: the defect per entry of ``taus`` and its
+    :func:`fit_leading_term` fit (None at roundoff level).  With
+    ``matrix_dim`` set the defect is the max-abs entry of
     ``M(tau) M(-tau) - I`` (for linear methods); otherwise it is the
     sup-norm displacement of the round trip started at ``x0``.  A method
     of pseudo-symmetry order q shows exponent >= q + 1.
@@ -219,9 +200,7 @@ def symmetry_defect(method, x0, taus, matrix_dim=None):
             x = np.asarray(x0, dtype=complex)
             y = method(method(x, -tau), tau)
             defects[i] = float(np.max(np.abs(y - x)))
-    fit = fit_leading_term(taus, defects)
-    return DefectReport(step_sizes=taus, symmetry_defect=defects,
-                        fits={"symmetry": fit})
+    return defects, fit_leading_term(taus, defects)
 
 
 def _canonical_form(dim):
@@ -248,7 +227,8 @@ def _fd_jacobian(method, x, tau):
 def symplecticity_defect(method, x0, taus, matrix_dim=None):
     """Deviation of the method's Jacobian from the symplectic identity.
 
-    For 2x2 matrix methods this is ``|det M(tau) - 1|``; in general the
+    Returns ``(defects, fit)`` as :func:`symmetry_defect` does.  For 2x2
+    matrix methods the defect is ``|det M(tau) - 1|``; in general the
     Jacobian is approximated by central finite differences (relative step
     1e-5 per component) and the defect is the max-abs entry of
     ``J^T S J - S`` with S the canonical form.
@@ -265,22 +245,19 @@ def symplecticity_defect(method, x0, taus, matrix_dim=None):
             form = _canonical_form(len(x))
             jac = _fd_jacobian(method, x, tau)
             defects[i] = float(np.max(np.abs(jac.T @ form @ jac - form)))
-    fit = fit_leading_term(taus, defects)
-    return DefectReport(step_sizes=taus, symplecticity_defect=defects,
-                        fits={"symplecticity": fit})
+    return defects, fit_leading_term(taus, defects)
 
 
 def truncation_matrix_fit(method, taus):
-    """Entrywise leading term of ``ho_exact(tau) - method(tau)``.
+    """Entrywise leading term of ``ho_exact(tau) - method.matrix(tau)``.
 
-    ``method`` may be a flow map (its 2x2 matrix representation is used)
-    or a callable returning matrices.  Returns a nested 2x2 list of
-    :class:`PowerLawFit` with sign-carrying coefficients; entries that
-    never rise above the roundoff floor are None (zero at this order).
+    ``method`` is a flow map on the oscillator's ``[q, p]``.  Returns a
+    nested 2x2 list of :class:`PowerLawFit` with sign-carrying
+    coefficients; entries that never rise above the roundoff floor are
+    None (zero at this order).
     """
     taus = np.asarray(taus, dtype=float)
-    mat_of = method.matrix if hasattr(method, "matrix") else method
-    diffs = np.array([ho_exact(tau) - mat_of(tau) for tau in taus])
+    diffs = np.array([ho_exact(tau) - method.matrix(tau) for tau in taus])
     fits = [[None, None], [None, None]]
     for i in range(2):
         for j in range(2):
@@ -299,23 +276,24 @@ def truncation_matrix_fit(method, taus):
     return fits
 
 
-def energy_error_series(trajectory, energy):
+def energy_error_series(states, energy):
     """Relative energy error per recorded state, |H(x_k) - H(x_0)| / |H(x_0)|."""
-    reference = energy(trajectory.states[0])
+    reference = energy(states[0])
     if reference == 0.0:
         raise DomainError("reference energy is zero; use an absolute error")
-    values = np.array([energy(s) for s in trajectory.states])
+    values = np.array([energy(s) for s in states])
     return np.abs(values - reference) / abs(reference)
 
 
 def envelope_growth(series):
-    """Secular growth of an error series: trailing-window max minus
-    leading-window max, each window 5% of the series.
+    """``(plateau, envelope, growth)`` of an error series: the max over the
+    leading and over the trailing 5% of the series, and their difference.
 
-    Isolates drift from the bounded oscillatory component, which otherwise
-    dominates the raw envelope at moderate times.
+    The growth isolates secular drift from the bounded oscillatory
+    component, which otherwise dominates the raw envelope at moderate times.
     """
     series = np.asarray(series, dtype=float)
-    n = len(series)
-    window = max(1, int(0.05 * n))
-    return float(series[-window:].max() - series[:window].max())
+    window = max(1, int(0.05 * len(series)))
+    plateau = float(series[:window].max())
+    envelope = float(series[-window:].max())
+    return plateau, envelope, envelope - plateau

@@ -102,10 +102,6 @@ class FlowMap:
         return np.column_stack([self(eye[:, j], tau) for j in range(dim)])
 
 
-def identity_flow():
-    return FlowMap(lambda x, tau: x.copy(), EXACT_META, name="identity")
-
-
 def matrix_flow(mat_fn, meta, name=""):
     """Flow map acting by a step-dependent matrix, ``x -> M(tau) x``."""
 

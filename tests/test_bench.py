@@ -1,5 +1,6 @@
 """Config parsing, emission determinism, presets, and the CLI."""
 
+import csv
 import json
 import math
 import tempfile
@@ -9,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pscomp.bench.run as bench_run
 from pscomp.bench import (
     PRESETS, ExperimentConfig, ResultTable, apply_overrides, emit,
     parse_config, preset_config, run_preset,
 )
 from pscomp.bench.cli import main
 from pscomp.bench.config import BASE_METHODS, PROBLEMS
-from pscomp.errors import ValidationError
+from pscomp.bench.run import CELL_QUANTITIES
+from pscomp.errors import SingularityError, ValidationError
+from pscomp.flowmap import STRANG_META, FlowMap
 
 
 def test_parse_empty_document_uses_preset_defaults():
@@ -262,6 +266,53 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, command, preset,
     assert field in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+#: (preset, config document) whose every measured cell overflows.
+NON_FINITE_CONFIGS = [
+    ("cgl-order", {"problem_params": {"eps": 1e300}, "tau_list": [0.1, 0.05],
+                   "t_final": 0.1, "grid_points": 16, "levels": 1}),
+    ("ho-energy", {"tau_list": [1e200], "t_final": 1e200}),
+]
+
+
+@pytest.mark.parametrize("preset, document", NON_FINITE_CONFIGS)
+def test_cli_run_marks_non_finite_cells_failed(tmp_path, capsys, preset, document):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert main(["run", preset, "--config", str(config_path), "--out", str(out)]) == 3
+    with open(out / f"{preset}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert not [r for r in rows if r["status"] == "ok" and "nan" in r.values()]
+    cells = [r for r in rows if r["quantity"] in CELL_QUANTITIES]
+    assert cells and all(r["status"].startswith("non_finite: ") for r in cells)
+    failures = json.loads((out / f"{preset}.json").read_text())["failures"]
+    failed = {(r["method"], float(r["tau"])) for r in cells}
+    assert sorted((f["method"], f["tau"]) for f in failures) == sorted(failed)
+    assert f"{len(failed)} cell(s) failed" in capsys.readouterr().err
+
+
+def test_singular_cell_records_its_step(tmp_path, monkeypatch):
+    def drift(x, tau):
+        y = x + tau
+        if y[1].real > 0.22:
+            raise SingularityError("past the cut")
+        return y
+
+    monkeypatch.setattr(bench_run, "kepler_strang_flow",
+                        lambda: FlowMap(drift, STRANG_META))
+    table, _ = run_preset("kepler-order", out_dir=str(tmp_path), overrides={
+        "tau_list": [0.1, 0.05], "t_final": 0.5, "levels": 1})
+    # q2 starts at 0 and grows by tau per step (by gamma*tau within a
+    # level-1 step), so it passes 0.22 in step 2 at tau 0.1 and 4 at 0.05.
+    steps = [(f["method"], f["tau"], f["step"]) for f in table.metadata["failures"]]
+    assert steps == [("strang", 0.1, 2), ("strang", 0.05, 4),
+                     ("level1", 0.1, 2), ("level1", 0.05, 4)]
+    idx = {c: i for i, c in enumerate(table.schema)}
+    statuses = {r[idx["status"]] for r in table.rows if r[idx["quantity"]] == "energy_error"}
+    assert statuses == {"singular: past the cut"}
+    assert table.metadata["all_rows_failed"]
 
 
 _JSON = st.recursive(

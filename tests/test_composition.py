@@ -11,7 +11,7 @@ from pscomp.composition import (
 )
 from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
-from pscomp.flowmap import FlowMap, MethodMeta, identity_flow
+from pscomp.flowmap import EXACT_META, FlowMap, MethodMeta
 from pscomp.problems import (
     ho_drift_flow, ho_exact, ho_kick_flow, ho_strang_flow, s4sim,
 )
@@ -61,7 +61,8 @@ def test_conjugate_pair_schedule_is_third_order():
 
 
 def test_real_projection_identity_is_exact():
-    projected = recursive_family(identity_flow(), 1).levels[0]
+    identity = FlowMap(lambda x, tau: x.copy(), EXACT_META)
+    projected = recursive_family(identity, 1).levels[0]
     x = np.array([1.25, -0.5])
     out = projected(x, 0.3)
     np.testing.assert_array_equal(out.real, x)

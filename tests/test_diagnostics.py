@@ -7,13 +7,13 @@ import pytest
 
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
-    PowerLawFit, Trajectory, energy_error_series, envelope_growth,
+    PowerLawFit, energy_error_series, envelope_growth,
     fit_leading_term, integrate, power_law_fit, propagate, slope_with_floor,
     successive_error, symmetry_defect, symplecticity_defect,
     truncation_matrix_fit,
 )
 from pscomp.errors import DomainError, SingularityError, ValidationError
-from pscomp.flowmap import EXACT_META, FlowMap, identity_flow
+from pscomp.flowmap import EXACT_META, FlowMap, matrix_flow
 from pscomp.problems import (
     ho_energy, ho_exact, ho_exact_flow, ho_strang_flow,
     kepler_initial_conditions, kepler_strang_flow,
@@ -93,25 +93,26 @@ def test_slope_with_floor_two_point_fallback():
 
 
 def test_integrate_identity_constant_trajectory():
-    trajectory = integrate(identity_flow(), np.array([1.0, 2.0]), 0.1, 5)
-    assert np.all(trajectory.states == np.array([1.0, 2.0]))
-    assert np.all(np.diff(trajectory.times) > 0)
+    identity = FlowMap(lambda x, tau: x.copy(), EXACT_META)
+    states = integrate(identity, np.array([1.0, 2.0]), 0.1, 5)
+    assert states.shape == (6, 2)
+    assert np.all(states == np.array([1.0, 2.0]))
 
 
 def test_integrate_periodicity_of_exact_flow():
-    trajectory = integrate(ho_exact_flow(), np.array([2.5, 0.0]),
-                           2 * np.pi / 100, 100)
-    assert np.max(np.abs(trajectory.states[-1] - trajectory.states[0])) < 1e-12
+    states = integrate(ho_exact_flow(), np.array([2.5, 0.0]), 2 * np.pi / 100, 100)
+    assert np.max(np.abs(states[-1] - states[0])) < 1e-12
 
 
 def test_propagate_matches_integrate_final_state():
     method = recursive_family(ho_strang_flow(), 2).levels[-1]
     x0 = np.array([2.5, 0.0])
     final = propagate(method, x0, 0.1, 10)
-    assert np.array_equal(final.real, integrate(method, x0, 0.1, 10).states[-1])
+    assert np.array_equal(final.real, integrate(method, x0, 0.1, 10)[-1])
 
 
-def test_integrate_attaches_step_to_singularity():
+@pytest.mark.parametrize("run", [integrate, propagate])
+def test_integrate_attaches_step_to_singularity(run):
     calls = []
 
     def bomb(x, tau):
@@ -122,13 +123,13 @@ def test_integrate_attaches_step_to_singularity():
 
     flow = FlowMap(bomb, EXACT_META)
     with pytest.raises(SingularityError) as excinfo:
-        integrate(flow, np.array([1.0]), 0.1, 10)
+        run(flow, np.array([1.0]), 0.1, 10)
     assert excinfo.value.step == 2
 
 
 def test_integrate_rejects_zero_steps():
     with pytest.raises(ValidationError):
-        integrate(identity_flow(), np.array([1.0]), 0.1, 0)
+        integrate(FlowMap(lambda x, tau: x.copy(), EXACT_META), np.array([1.0]), 0.1, 0)
 
 
 def test_successive_error_exact_flow_vanishes():
@@ -152,17 +153,17 @@ def test_successive_error_rejects_non_multiple():
 
 def test_symmetry_defect_symmetric_method_below_floor():
     taus = np.array([0.4, 0.2, 0.1])
-    report = symmetry_defect(ho_strang_flow(), None, taus, matrix_dim=2)
-    assert np.max(report.symmetry_defect) < 1e-14
-    assert report.fits["symmetry"] is None
+    defects, fit = symmetry_defect(ho_strang_flow(), None, taus, matrix_dim=2)
+    assert np.max(defects) < 1e-14
+    assert fit is None
 
 
 def test_symmetry_defect_point_mode_matches_matrix_mode():
     method = recursive_family(ho_strang_flow(), 1).levels[0]
     taus = np.array([0.8, 0.4, 0.2])
-    matrix_mode = symmetry_defect(method, None, taus, matrix_dim=2)
+    matrix_mode, _ = symmetry_defect(method, None, taus, matrix_dim=2)
     # The point-mode defect on basis vectors is bounded by the matrix norm.
-    for tau, expected in zip(taus, matrix_mode.symmetry_defect):
+    for tau, expected in zip(taus, matrix_mode):
         x = np.array([1.0, 0.0])
         y = method(method(x, -tau), tau)
         assert np.max(np.abs(y - x)) <= 2.0 * expected + 1e-15
@@ -170,18 +171,18 @@ def test_symmetry_defect_point_mode_matches_matrix_mode():
 
 def test_symplecticity_defect_exact_rotation():
     taus = np.array([0.4, 0.2, 0.1])
-    report = symplecticity_defect(ho_exact_flow(), None, taus, matrix_dim=2)
-    assert np.max(report.symplecticity_defect) < 1e-14
-    assert report.fits["symplecticity"] is None
+    defects, fit = symplecticity_defect(ho_exact_flow(), None, taus, matrix_dim=2)
+    assert np.max(defects) < 1e-14
+    assert fit is None
 
 
 def test_symplecticity_defect_point_mode_strang():
     x0 = kepler_initial_conditions(0.6).as_vector()
     taus = np.array([0.2, 0.1, 0.05])
-    report = symplecticity_defect(kepler_strang_flow(), x0, taus)
+    defects, _ = symplecticity_defect(kepler_strang_flow(), x0, taus)
     # exactly symplectic map; what remains is finite-difference truncation,
     # amplified by the 1/r^3 curvature near perihelion
-    assert np.max(report.symplecticity_defect) < 1e-7
+    assert np.max(defects) < 1e-7
 
 
 def test_symplecticity_defect_rejects_odd_dimension():
@@ -191,13 +192,13 @@ def test_symplecticity_defect_rejects_odd_dimension():
 
 
 def test_truncation_matrix_fit_synthetic():
-    def method(tau):
+    def matrix(tau):
         defect = np.zeros((2, 2), dtype=complex)
         defect[0, 0] = 2e-3 * tau**5
         return ho_exact(tau) - defect
 
     taus = 0.8 * 0.5 ** np.arange(6)
-    fits = truncation_matrix_fit(method, taus)
+    fits = truncation_matrix_fit(matrix_flow(matrix, EXACT_META), taus)
     assert abs(fits[0][0].exponent - 5.0) < 1e-5
     # the difference of O(1) matrix entries leaves cancellation noise
     assert fits[0][0].coefficient == pytest.approx(2e-3, rel=1e-6)
@@ -207,33 +208,31 @@ def test_truncation_matrix_fit_synthetic():
 
 
 def test_truncation_matrix_fit_sign():
-    def method(tau):
+    def matrix(tau):
         defect = np.zeros((2, 2), dtype=complex)
         defect[1, 0] = -4e-3 * tau**3
         return ho_exact(tau) - defect
 
     taus = 0.4 * 0.5 ** np.arange(5)
-    fits = truncation_matrix_fit(method, taus)
+    fits = truncation_matrix_fit(matrix_flow(matrix, EXACT_META), taus)
     assert fits[1][0].coefficient == pytest.approx(-4e-3, rel=1e-6)
 
 
 def test_energy_error_series_exact_flow():
-    trajectory = integrate(ho_exact_flow(), np.array([2.5, 0.0]), 0.1, 50)
-    series = energy_error_series(trajectory, ho_energy)
+    states = integrate(ho_exact_flow(), np.array([2.5, 0.0]), 0.1, 50)
+    series = energy_error_series(states, ho_energy)
     assert series[0] == 0.0
     assert np.max(series) < 1e-13
 
 
 def test_energy_error_series_zero_reference():
-    trajectory = Trajectory(times=np.array([0.0, 0.1]),
-                            states=np.zeros((2, 2)))
     with pytest.raises(DomainError):
-        energy_error_series(trajectory, ho_energy)
+        energy_error_series(np.zeros((2, 2)), ho_energy)
 
 
 def test_envelope_growth():
     series = np.concatenate([np.full(50, 1.0), np.full(50, 3.0)])
-    assert envelope_growth(series) == pytest.approx(2.0)
+    assert envelope_growth(series) == pytest.approx((1.0, 3.0, 2.0))
 
 
 def test_power_law_fit_requires_three_samples_dataclass():
