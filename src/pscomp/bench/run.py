@@ -130,14 +130,15 @@ def _fit_cells(fit, missing):
 def _measure(table, method_name, tau, compute):
     """Run one measured (method, tau) cell; returns ``(values, status)``.
 
-    ``compute()`` returns a tuple of numbers and arrays.  A
-    ``SingularityError`` makes the cell ``singular: <message>`` and a nan
-    or inf anywhere in the tuple makes it ``non_finite: ...``; either way
-    ``values`` is None and the cell gets one ``failures`` entry, with the
-    step index of the singularity (None for a non-finite value).
+    ``compute()`` runs with numpy's floating-point warnings off and returns
+    a tuple of numbers and arrays.  A ``SingularityError`` makes the cell
+    ``singular: <message>``, a nan or inf in the tuple ``non_finite: ...``;
+    either way ``values`` is None and the cell gets one ``failures`` entry,
+    with the singularity's step index (None for a non-finite value).
     """
     try:
-        values = compute()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = compute()
     except SingularityError as exc:
         kind, error, step = "singular", str(exc), exc.step
     else:
@@ -156,21 +157,24 @@ def _run_order(name, config, out_base):
     if config.problem == "kepler":
         quantity, h0 = "energy_error", kepler_energy(x0)
 
-    def measure(method, tau):
+    def measure(method, tau, coarse):
         if quantity == "successive_error":
-            return successive_error(method, x0, tau, config.t_final)
+            return successive_error(method, x0, tau, config.t_final, coarse)
         final = propagate(method, x0, tau, round(config.t_final / tau))
         return abs(kepler_energy(final) - h0) / abs(h0), final
 
     snapshots = []
     for method_name, level, method in _methods(config, base):
-        taus, errors, last_field = [], [], None
+        taus, errors, last_field, fine_tau = [], [], None, None
+        # An ok cell's tau/2 run is the tau run of a next cell at exactly tau/2.
         for tau in config.tau_list:
+            coarse = last_field if tau == fine_tau else None
             result, status = _measure(table, method_name, tau,
-                                      lambda: measure(method, tau))
-            value = math.nan
+                                      lambda: measure(method, tau, coarse))
+            value, fine_tau = math.nan, None
             if result is not None:
                 value, last_field = result
+                fine_tau = tau / 2.0
                 taus.append(tau)
                 errors.append(value)
             table.add_row(**_common(name, config, method=method_name,

@@ -85,21 +85,21 @@ def propagate(method, x0, tau, n_steps):
     return x
 
 
-def successive_error(method, x0, tau, t_final):
+def successive_error(method, x0, tau, t_final, coarse=None):
     """Sup-norm distance at ``t_final`` between the tau and tau/2 runs.
 
     The standard self-referencing convergence indicator: no exact solution
     is needed, and the distance scales like tau^p for an order-p method.
     Returns ``(distance, fine)`` with ``fine`` the final state of the
-    tau/2 run.
-    """
+    tau/2 run; a caller that has the tau run's final state passes it as
+    ``coarse`` (on a halving step list, the previous ``fine``)."""
     steps = t_final / tau
     n = round(steps)
     if n < 1 or abs(steps - n) > 1e-9 * max(1.0, abs(steps)):
         raise ValidationError(
             f"t_final={t_final} is not an integer multiple of tau={tau}"
         )
-    coarse = propagate(method, x0, tau, n)
+    coarse = propagate(method, x0, tau, n) if coarse is None else coarse
     fine = propagate(method, x0, tau / 2.0, 2 * n)
     return float(np.max(np.abs(coarse - fine))), fine
 

@@ -73,10 +73,10 @@ class FlowMap:
     """A one-step integrator ``(state, step) -> state``.
 
     ``evaluator`` takes a complex ndarray state and a complex step and
-    returns a new state of the same shape.  Evaluators must not mutate
-    their input or any shared interior state, so a single FlowMap can be
-    applied concurrently from several threads.  A flow map carries its
-    evaluator, ``meta`` and ``name``, nothing else.
+    returns a new state of the same shape.  It may keep a bounded cache of
+    read-only step constants and shares nothing else, and must not mutate
+    its input, so one FlowMap can be applied from several threads at once.
+    A flow map carries its evaluator, ``meta`` and ``name``, nothing else.
     """
 
     def __init__(self, evaluator, meta, name=""):

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..complexlog import principal_log
 from ..flowmap import EXACT_META, FlowMap
+from ..spectral import step_cache
 from .splitting import strang
 
 
@@ -75,11 +76,15 @@ def cgl_linear_map(params, grid):
     alpha, eps = params.alpha, params.eps
     k2 = grid.wavenumbers() ** 2
 
+    @step_cache
+    def multipliers(tau):
+        gain = np.exp(eps * tau)
+        return gain * np.exp(-tau * alpha * k2), gain * np.exp(-tau * np.conj(alpha) * k2)
+
     def apply(vw, tau):
         diag = _to_diagonal(vw)
-        gain = np.exp(eps * tau)
-        diag[0] = np.fft.ifft(gain * np.exp(-tau * alpha * k2) * np.fft.fft(diag[0]))
-        diag[1] = np.fft.ifft(gain * np.exp(-tau * np.conj(alpha) * k2) * np.fft.fft(diag[1]))
+        for row, multiplier in enumerate(multipliers(tau)):
+            diag[row] = np.fft.ifft(multiplier * np.fft.fft(diag[row]))
         return _from_diagonal(diag)
 
     return FlowMap(apply, EXACT_META, name="cgl-linear")

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import SingularityError
 from ..flowmap import EXACT_META, FlowMap
+from ..spectral import step_cache
 from .splitting import strang
 
 REACTION_DENOMINATOR_FLOOR = 1e-12
@@ -39,8 +40,10 @@ def fisher_reaction_map():
 def fisher_diffusion_map(grid):
     k2 = grid.wavenumbers() ** 2
 
+    multipliers = step_cache(lambda tau: (np.exp(-tau * k2),))
+
     def apply(values, tau):
-        return np.fft.ifft(np.exp(-tau * k2) * np.fft.fft(values))
+        return np.fft.ifft(multipliers(tau)[0] * np.fft.fft(values))
 
     return FlowMap(apply, EXACT_META, name="fisher-diffusion")
 

@@ -6,6 +6,7 @@ with wavenumber ``-pi N / L``; every operator applied in mode space is
 diagonal, so no symmetrization is needed.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,18 @@ class SpectralGrid:
         The Nyquist mode is kept negative (``-pi N / L``).
         """
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
+
+
+def step_cache(multipliers):
+    """Memoise ``multipliers(tau) -> tuple of arrays`` for the last 16 steps
+    (family level L uses 2^L); calls share the arrays, so they are read-only."""
+    @functools.lru_cache(maxsize=16)
+    def cached(tau):
+        arrays = multipliers(tau)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+    return cached
 
 
 def write_snapshot(grid, values, path):

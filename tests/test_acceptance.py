@@ -174,10 +174,15 @@ def test_criterion_05_coefficient_argument_audit():
 
 
 def _successive_error_slopes(base, x0, taus, t_final, floor):
+    # The taus halve exactly, so each tau/2 run is the next cell's tau run.
+    assert np.all(taus[1:] == taus[:-1] / 2.0)
     family = recursive_family(base, 2)
     slopes = []
     for method in (base, *family.levels):
-        errors = [successive_error(method, x0, tau, t_final)[0] for tau in taus]
+        errors, fine = [], None
+        for tau in taus:
+            error, fine = successive_error(method, x0, tau, t_final, coarse=fine)
+            errors.append(error)
         slopes.append(slope_with_floor(taus, np.asarray(errors), floor=floor))
     return slopes
 

@@ -4,8 +4,10 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,12 @@ from pscomp.bench import (
 from pscomp.bench.cli import main
 from pscomp.bench.config import BASE_METHODS, PROBLEMS
 from pscomp.bench.run import CELL_QUANTITIES
+from pscomp.composition import recursive_family
+from pscomp.diagnostics import successive_error
 from pscomp.errors import SingularityError, ValidationError
 from pscomp.flowmap import STRANG_META, FlowMap
+from pscomp.problems import fisher_strang_flow
+from pscomp.spectral import SpectralGrid
 
 
 def test_parse_empty_document_uses_preset_defaults():
@@ -281,7 +287,11 @@ def test_cli_run_marks_non_finite_cells_failed(tmp_path, capsys, preset, documen
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(document))
     out = tmp_path / "out"
-    assert main(["run", preset, "--config", str(config_path), "--out", str(out)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", preset, "--config", str(config_path), "--out", str(out)]) == 3
+    # The cell status records the overflow; numpy must not warn about it too.
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     with open(out / f"{preset}.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert not [r for r in rows if r["status"] == "ok" and "nan" in r.values()]
@@ -313,6 +323,46 @@ def test_singular_cell_records_its_step(tmp_path, monkeypatch):
     statuses = {r[idx["status"]] for r in table.rows if r[idx["quantity"]] == "energy_error"}
     assert statuses == {"singular: past the cut"}
     assert table.metadata["all_rows_failed"]
+
+
+def _successive_errors(table):
+    idx = {c: i for i, c in enumerate(table.schema)}
+    return {(r[idx["method"]], r[idx["tau"]]): r[idx["value"]] for r in table.rows
+            if r[idx["quantity"]] == "successive_error"}
+
+
+def test_order_run_reuses_each_tau_half_run(tmp_path, monkeypatch):
+    calls = []
+    strang = fisher_strang_flow(SpectralGrid(0.0, 1.0, 16))
+
+    def counted(x, tau):
+        calls.append(tau)
+        return strang(x, tau)
+
+    monkeypatch.setattr(bench_run, "fisher_strang_flow",
+                        lambda grid: FlowMap(counted, STRANG_META))
+    run_preset("fisher-order", out_dir=str(tmp_path), overrides={
+        "tau_list": [0.1, 0.05, 0.025], "t_final": 0.2, "grid_points": 16,
+        "levels": 1})
+    # n = 2, 4, 8 steps: each tau/2 run is the next cell's tau run, so a
+    # method takes n0 + 2 * sum(n) = 30 steps, not 3 * sum(n) = 42.  A
+    # Strang step is one base evaluation and a level-1 step two.
+    assert len(calls) == (1 + 2) * 30
+
+
+def test_order_run_off_a_halving_list_matches_independent_cells(tmp_path):
+    # 0.06 is not 0.1 / 2, so that cell computes its own tau run; 0.03 is
+    # 0.06 / 2 and reuses one.  Both must equal a fresh computation.
+    taus, t_final = [0.1, 0.06, 0.03], 0.3
+    table, _ = run_preset("fisher-order", out_dir=str(tmp_path), overrides={
+        "tau_list": taus, "t_final": t_final, "grid_points": 16, "levels": 1})
+    grid = SpectralGrid(0.0, 1.0, 16)
+    x0 = np.asarray(np.sin(2.0 * np.pi * grid.nodes), dtype=complex)
+    base = fisher_strang_flow(grid)
+    methods = {"strang": base, "level1": recursive_family(base, 1).levels[0]}
+    expected = {(name, tau): successive_error(method, x0, tau, t_final)[0]
+                for name, method in methods.items() for tau in taus}
+    assert _successive_errors(table) == expected
 
 
 _JSON = st.recursive(

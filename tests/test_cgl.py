@@ -141,6 +141,32 @@ def test_linear_semigroup(params, grid):
     assert np.max(np.abs(one[1] - direct[1])) < 1e-12
 
 
+def test_linear_step_repeats_bit_identically_from_read_only_multipliers(params, grid):
+    linear = cgl_linear_map(params, grid)
+    rng = np.random.default_rng(41)
+    state = _state(rng.normal(size=64), rng.normal(size=64))
+    tau = complex(0.03, 0.01)
+    first = linear(state, tau)
+    expected = first.copy()
+    first[:] = 0.0  # a caller owns its output; the cache must not alias it
+    np.testing.assert_array_equal(linear(state, tau), expected)
+    # The uncached formula, evaluated left to right as before the cache.
+    diag = np.array([0.5 * (-1j * state[0] + state[1]), 0.5 * (state[0] - 1j * state[1])])
+    k2 = grid.wavenumbers() ** 2
+    gain = np.exp(params.eps * tau)
+    dv = np.fft.ifft(gain * np.exp(-tau * params.alpha * k2) * np.fft.fft(diag[0]))
+    dw = np.fft.ifft(gain * np.exp(-tau * np.conj(params.alpha) * k2) * np.fft.fft(diag[1]))
+    np.testing.assert_array_equal(expected, np.array([1j * dv + dw, dv + 1j * dw]))
+    closure = dict(zip(linear._evaluator.__code__.co_freevars,
+                       (cell.cell_contents for cell in linear._evaluator.__closure__)))
+    multipliers = closure["multipliers"]
+    assert multipliers.cache_info().hits >= 1
+    for multiplier in multipliers(tau):
+        assert not multiplier.flags.writeable
+        with pytest.raises(ValueError):
+            multiplier[0] = 0.0
+
+
 def test_strang_real_data_stays_numerically_real(params, grid):
     flow = cgl_strang_flow(params, grid)
     state = np.array([pulse_pair_profile(grid), np.zeros(64)], dtype=complex)

@@ -1,6 +1,7 @@
 """Composition combinators: schedules, projection, recursive family."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
 from pscomp.flowmap import EXACT_META, FlowMap, MethodMeta
 from pscomp.problems import (
-    ho_drift_flow, ho_exact, ho_kick_flow, ho_strang_flow, s4sim,
+    CGLParams, cgl_strang_flow, ho_drift_flow, ho_exact, ho_kick_flow,
+    ho_strang_flow, s4sim,
 )
+from pscomp.spectral import SpectralGrid
 
 
 def test_schedule_singleton_equals_base():
@@ -222,6 +225,16 @@ def test_method_meta_rejects_orders_below_classical():
         MethodMeta(order=0)
 
 
+def _cgl_level2_inputs(rng):
+    # Six steps of a level-2 method need more multiplier pairs than the
+    # linear flow caches, so the threads hit, fill and evict one cache.
+    grid = SpectralGrid(-100.0, 200.0, 64)
+    base = cgl_strang_flow(CGLParams(c1=1.0, c3=-2.0, eps=1.0), grid)
+    taus = 0.01 * np.arange(1, 7)
+    return recursive_family(base, 2).levels[1], [
+        (0.5 * rng.normal(size=(2, 64)), rng.choice(taus)) for _ in range(64)]
+
+
 def test_flow_maps_are_thread_safe():
     # One shared method evaluated concurrently must agree with serial runs.
     from concurrent.futures import ThreadPoolExecutor
@@ -229,8 +242,15 @@ def test_flow_maps_are_thread_safe():
     method = recursive_family(ho_strang_flow(), 2).levels[1]
     rng = np.random.default_rng(29)
     inputs = [(rng.normal(size=2), rng.uniform(0.01, 0.5)) for _ in range(64)]
-    serial = [method(x, tau) for x, tau in inputs]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda args: method(*args), inputs))
-    for a, b in zip(serial, parallel):
-        np.testing.assert_array_equal(a, b)
+    for method, inputs in ((method, inputs), _cgl_level2_inputs(rng)):
+        serial = [method(x, tau) for x, tau in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = list(pool.map(lambda args: method(*args), inputs,
+                                         timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, parallel):
+            np.testing.assert_array_equal(a, b)
