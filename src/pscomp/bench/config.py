@@ -1,15 +1,15 @@
 """Experiment configuration: presets for the standard runs and a JSON
 key-value parser with validation.
 
-A config document is a JSON object whose keys are the fields of
-:class:`ExperimentConfig` other than ``problem``, which every preset fixes
-(plus an optional ``preset`` naming the defaults to start from).  Unknown
-keys are rejected by name.
+A config document is a JSON object whose keys are fields of
+:class:`ExperimentConfig` (plus an optional ``preset`` naming the defaults
+to start from).  Unknown keys are rejected by name, and so is a field that
+the preset does not read set to other than the preset's own value.
 """
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from ..errors import ValidationError
 
@@ -149,10 +149,18 @@ PRESETS = {
     ),
 }
 
-_CONFIG_KEYS = {
-    "preset", "base_method", "levels", "tau_list", "t_final", "grid_points",
-    "problem_params",
+#: The config fields each preset's runner reads.
+PRESET_READS = {
+    "ho-table1": {"base_method", "levels", "tau_list"},
+    "ho-energy": {"base_method", "levels", "tau_list", "t_final", "problem_params"},
+    "kepler-order": {"base_method", "levels", "tau_list", "t_final", "problem_params"},
+    "kepler-energy": {"base_method", "levels", "tau_list", "t_final", "problem_params"},
+    "fisher-order": {"base_method", "levels", "tau_list", "t_final", "grid_points"},
+    "cgl-order": {"base_method", "levels", "tau_list", "t_final", "grid_points", "problem_params"},
+    "coeff-audit": set(),
 }
+
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def preset_config(name):
@@ -166,18 +174,20 @@ def preset_config(name):
 def apply_overrides(base, overrides):
     """Merge a partial config mapping over ``base`` and re-validate.
 
-    ``problem_params`` merges key by key over the defaults; every other
-    field replaces the default wholesale.  Unknown keys are listed in the
-    error.
+    ``problem_params`` merges key by key over the defaults of the same
+    problem; every other field replaces the default wholesale.  Unknown
+    keys are listed in the error.
     """
     overrides = dict(overrides)
-    unknown = sorted(set(overrides) - (_CONFIG_KEYS - {"preset"}))
+    unknown = sorted(set(overrides) - set(_CONFIG_KEYS))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     params = overrides.get("problem_params", {})
     if not isinstance(params, dict):
         raise ValidationError("problem_params must be an object")
-    overrides["problem_params"] = {**base.problem_params, **params}
+    if overrides.get("problem", base.problem) == base.problem:
+        params = {**base.problem_params, **params}
+    overrides["problem_params"] = params
     try:
         return replace(base, **overrides)
     except TypeError as exc:
@@ -196,9 +206,6 @@ def parse_config(text, preset=None):
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = sorted(set(document) - _CONFIG_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     doc_preset = document.pop("preset", None)
     if doc_preset is not None and preset is not None and doc_preset != preset:
         raise ValidationError(
@@ -213,18 +220,20 @@ def parse_config(text, preset=None):
 
 
 def check_runnable(name, config):
-    """Reject a config that preset ``name`` could not run: it must keep
-    the preset's problem, and a preset that steps in time needs
-    ``t_final > 0`` and at least one step size."""
-    preset = PRESETS[name]
-    if config.problem != preset.problem:
-        raise ValidationError(
-            f"problem must be {preset.problem!r} for preset {name}, got {config.problem!r}"
-        )
-    if preset.t_final > 0:
-        if config.t_final <= 0:
-            raise ValidationError(
-                f"t_final must be positive for preset {name}, got {config.t_final!r}"
-            )
-        if not config.tau_list:
-            raise ValidationError(f"tau_list must not be empty for preset {name}")
+    """Reject a config that preset ``name`` would not run as given: each
+    field in ``PRESET_READS[name]`` must be set (``t_final > 0``, a non-empty
+    ``tau_list``, a ``grid_points``), and every other field, ``problem``
+    included, must keep the preset's own value, as the runner ignores it."""
+    preset, reads = preset_config(name), PRESET_READS[name]
+    for key in _CONFIG_KEYS:
+        value, own = getattr(config, key), getattr(preset, key)
+        if key not in reads and value != own:
+            raise ValidationError(f"preset {name} does not read {key}: it must be "
+                                  f"{own!r}, got {value!r}")
+    if "t_final" in reads and config.t_final <= 0:
+        raise ValidationError(f"t_final must be positive for preset {name}, "
+                              f"got {config.t_final!r}")
+    if "tau_list" in reads and not config.tau_list:
+        raise ValidationError(f"tau_list must not be empty for preset {name}")
+    if "grid_points" in reads and config.grid_points is None:
+        raise ValidationError(f"grid_points must be set for preset {name}")

@@ -63,14 +63,14 @@ def _problem_setup(config):
             return kepler_strang_flow(), None, x0
         return s4sim(kepler_drift_flow(), kepler_kick_flow()), None, x0
     if config.problem == "fisher":
-        grid = SpectralGrid(0.0, 1.0, config.grid_points or 128)
+        grid = SpectralGrid(0.0, 1.0, config.grid_points)
         x0 = np.asarray(np.sin(2.0 * np.pi * grid.nodes), dtype=complex)
         if config.base_method == "strang":
             return fisher_strang_flow(grid), grid, x0
         return s4sim(fisher_diffusion_map(grid), fisher_reaction_map()), grid, x0
     # cgl
     cgl_params = CGLParams(**params)
-    grid = SpectralGrid(-100.0, 200.0, config.grid_points or 512)
+    grid = SpectralGrid(-100.0, 200.0, config.grid_points)
     x0 = np.array([pulse_pair_profile(grid), np.zeros(grid.n_points)], dtype=complex)
     if config.base_method == "strang":
         return cgl_strang_flow(cgl_params, grid), grid, x0
@@ -251,20 +251,21 @@ def _run_ho_energy(name, config, out_base):
 
 
 def _run_kepler_energy(name, config, out_base):
+    """Energy error against time per method and tau, at about 500 points each."""
     base, _, x0 = _problem_setup(config)
     table = _new_table(name, config)
-    tau = config.tau_list[0]
-    n = round(config.t_final / tau)
-    stride = max(1, n // 500)
     for method_name, level, method in _methods(config, base):
-        values, status = _measure(table, method_name, tau, lambda: (
-            energy_error_series(integrate(method, x0, tau, n), kepler_energy),))
-        points = [(None, math.nan)] if values is None else [
-            (tau * idx, float(values[0][idx])) for idx in range(0, n + 1, stride)]
-        for time, value in points:
-            table.add_row(**_common(name, config, method=method_name,
-                                    level=level, quantity="energy_error", tau=tau,
-                                    time=time, value=value, status=status))
+        for tau in config.tau_list:
+            n = round(config.t_final / tau)
+            values, status = _measure(table, method_name, tau, lambda: (
+                energy_error_series(integrate(method, x0, tau, n), kepler_energy),))
+            points = [(None, math.nan)] if values is None else [
+                (tau * idx, float(values[0][idx]))
+                for idx in range(0, n + 1, max(1, n // 500))]
+            for time, value in points:
+                table.add_row(**_common(name, config, method=method_name, level=level,
+                                        quantity="energy_error", tau=tau, time=time,
+                                        value=value, status=status))
     return table, []
 
 

@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import re
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from pscomp.bench import (
     parse_config, preset_config, run_preset,
 )
 from pscomp.bench.cli import main
-from pscomp.bench.config import BASE_METHODS, PROBLEMS
+from pscomp.bench.config import BASE_METHODS, PRESET_READS, PROBLEMS
 from pscomp.bench.run import CELL_QUANTITIES
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import successive_error
@@ -98,15 +100,15 @@ def test_apply_overrides_keeps_validation():
 def test_emit_header_only(tmp_path):
     table = ResultTable(schema=["a", "b"], metadata={"x": 1})
     csv_path, json_path = emit(table, str(tmp_path / "empty"))
-    assert open(csv_path).read() == "a,b\n"
-    assert json.load(open(json_path)) == {"x": 1}
+    assert Path(csv_path).read_text() == "a,b\n"
+    assert json.loads(Path(json_path).read_text()) == {"x": 1}
 
 
 def test_emit_formats_cells(tmp_path):
     table = ResultTable(schema=["name", "count", "value", "flag", "missing"])
     table.add_row(name="row", count=3, value=math.nan, flag=True)
     csv_path, _ = emit(table, str(tmp_path / "cells"))
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[1] == "row,3,nan,true,"
 
 
@@ -114,7 +116,7 @@ def test_emit_uses_lf_endings(tmp_path):
     table = ResultTable(schema=["a"])
     table.add_row(a=1.0)
     csv_path, _ = emit(table, str(tmp_path / "lf"))
-    raw = open(csv_path, "rb").read()
+    raw = Path(csv_path).read_bytes()
     assert b"\r" not in raw
 
 
@@ -122,7 +124,7 @@ def test_emit_17_significant_digits(tmp_path):
     table = ResultTable(schema=["v"])
     table.add_row(v=1.0 / 3.0)
     csv_path, _ = emit(table, str(tmp_path / "digits"))
-    cell = open(csv_path).read().splitlines()[1]
+    cell = Path(csv_path).read_text().splitlines()[1]
     assert cell == "3.3333333333333331e-01"
 
 
@@ -151,6 +153,8 @@ def test_run_preset_applies_overrides(tmp_path):
 def test_run_preset_unknown_name():
     with pytest.raises(ValidationError, match="unknown preset"):
         run_preset("nope")
+    with pytest.raises(ValidationError, match="unknown preset"):
+        run_preset("nope", config=preset_config("coeff-audit"))
 
 
 def test_cli_list(capsys):
@@ -177,7 +181,7 @@ def test_cli_run_with_config_overrides(tmp_path, capsys):
     code = main(["run", "fisher-order", "--config", str(config_path),
                  "--out", str(tmp_path)])
     assert code == 0
-    data = json.load(open(tmp_path / "fisher-order.json"))
+    data = json.loads((tmp_path / "fisher-order.json").read_text())
     assert data["config"]["grid_points"] == 32
 
 
@@ -252,6 +256,10 @@ BAD_CONFIGS = [
     ("fisher-order", {"grid_points": 2**70}, "grid_points"),
     ("ho-energy", {"problem_params": {"q0": 1e-200}}, "q0"),
     ("ho-energy", {"problem_params": {"p0": 1e200}}, "p0"),
+    ("ho-table1", {"tau_list": []}, "tau_list"),
+    ("coeff-audit", {"levels": 2}, "levels"),
+    ("kepler-order", {"grid_points": 16}, "grid_points"),
+    ("fisher-order", {"grid_points": None}, "grid_points"),
 ]
 
 
@@ -272,6 +280,81 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, command, preset,
     assert field in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+#: Per preset: a small run, and a changed value for each field it reads.
+SMALL_RUNS = {
+    "ho-table1": ({}, {"base_method": "s4sim", "levels": 2,
+                       "tau_list": [0.4, 0.2, 0.1, 0.05, 0.025]}),
+    "ho-energy": ({"tau_list": [0.2, 0.1], "t_final": 10.0, "levels": 1},
+                  {"base_method": "s4sim", "levels": 2, "tau_list": [0.2],
+                   "t_final": 20.0, "problem_params": {"q0": 1.0}}),
+    "kepler-order": ({"tau_list": [0.1, 0.05], "t_final": 0.5, "levels": 1},
+                     {"base_method": "s4sim", "levels": 2, "tau_list": [0.1],
+                      "t_final": 1.0, "problem_params": {"e": 0.3}}),
+    "kepler-energy": ({"tau_list": [0.1], "t_final": 1.0, "levels": 1},
+                      {"base_method": "s4sim", "levels": 2, "tau_list": [0.05],
+                       "t_final": 2.0, "problem_params": {"e": 0.3}}),
+    "fisher-order": ({"tau_list": [0.1, 0.05], "t_final": 0.2, "grid_points": 16,
+                      "levels": 1},
+                     {"base_method": "s4sim", "levels": 2, "tau_list": [0.1],
+                      "t_final": 0.4, "grid_points": 32}),
+    "cgl-order": ({"tau_list": [0.1, 0.05], "t_final": 0.1, "grid_points": 16,
+                   "levels": 1},
+                  {"base_method": "s4sim", "levels": 2, "tau_list": [0.1],
+                   "t_final": 0.2, "grid_points": 32, "problem_params": {"c1": 0.5}}),
+    "coeff-audit": ({}, {}),
+}
+
+
+def _run_csv(tmp_path, preset, document):
+    """``(exit code, CSV bytes or None)`` of one CLI run in a fresh directory."""
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    config_path = run_dir / "cfg.json"
+    config_path.write_text(json.dumps(document))
+    code = main(["run", preset, "--config", str(config_path),
+                 "--out", str(run_dir / "out")])
+    csv_path = run_dir / "out" / f"{preset}.csv"
+    return code, csv_path.read_bytes() if csv_path.exists() else None
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_accepts_only_the_fields_it_reads(tmp_path, capsys, preset):
+    small, changes = SMALL_RUNS[preset]
+    assert set(changes) == PRESET_READS[preset]
+    code, reference = _run_csv(tmp_path, preset, small)
+    assert code == 0
+    for key, value in changes.items():
+        code, written = _run_csv(tmp_path, preset, {**small, key: value})
+        assert code == 0 and written != reference, key
+    own = PRESETS[preset]
+    others = {"problem": "harmonic" if own.problem == "kepler" else "kepler",
+              "base_method": "s4sim", "levels": 2 if own.levels != 2 else 1,
+              "tau_list": [0.1, 0.05], "t_final": 0.8, "grid_points": 16,
+              "problem_params": {"q0": 1.0}}
+    capsys.readouterr()
+    for key in (f.name for f in fields(ExperimentConfig)):
+        if key in PRESET_READS[preset]:
+            continue
+        code, written = _run_csv(tmp_path, preset, {**small, key: others[key]})
+        err = capsys.readouterr().err
+        assert code == 2 and written is None, key
+        assert re.search(rf"\b{key}\b", err) and "Traceback" not in err, err
+    # A field the preset does not read may still be set to its own value.
+    assert _run_csv(tmp_path, preset, {**small, "problem": own.problem})[0] == 0
+
+
+def test_kepler_energy_runs_every_tau(tmp_path):
+    table, _ = run_preset("kepler-energy", out_dir=str(tmp_path), overrides={
+        "tau_list": [0.1, 0.05], "t_final": 1.0, "levels": 1})
+    idx = {c: i for i, c in enumerate(table.schema)}
+    rows = {}
+    for r in table.rows:
+        rows.setdefault((r[idx["method"]], r[idx["tau"]]), []).append(r[idx["time"]])
+    assert sorted(rows) == [("level1", 0.05), ("level1", 0.1),
+                            ("strang", 0.05), ("strang", 0.1)]
+    for (_, tau), times in rows.items():
+        assert times == pytest.approx([tau * i for i in range(round(1.0 / tau) + 1)])
 
 
 #: (preset, config document) whose every measured cell overflows.
