@@ -14,15 +14,16 @@ is marked failed (see :func:`_measure`) instead of aborting the preset.
 import math
 import os
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
 from .. import __version__
 from ..composition import coefficient_arguments, recursive_family
 from ..diagnostics import (
-    energy_error_series, envelope_growth, integrate, power_law_fit,
-    propagate, slope_with_floor, successive_error, symmetry_defect,
-    symplecticity_defect, truncation_matrix_fit,
+    energy_error_series, envelope_growth, fit_leading_term, integrate,
+    oscillator_defects, power_law_fit, propagate, slope_with_floor,
+    successive_error,
 )
 from ..errors import SingularityError
 from ..problems import (
@@ -46,7 +47,8 @@ SCHEMA = [
 ORDER_FIT_FLOORS = {"kepler": 1e-13, "fisher": 1e-13, "cgl": 5e-13}
 
 #: Quantities of the rows that record a measured (method, tau) cell.
-CELL_QUANTITIES = ("successive_error", "energy_error", "energy_plateau")
+CELL_QUANTITIES = ("successive_error", "energy_error", "energy_plateau",
+                   "symmetry_defect", "determinant_defect")
 
 
 def _problem_setup(config):
@@ -119,10 +121,14 @@ def _common(name, config, **extra):
     return cells
 
 
-def _fit_cells(fit, missing):
-    """Cells of a fit row: the fit's numbers, or status ``missing`` without one."""
+def _fit_cells(fit, n_ok, needed=3):
+    """Cells of a fit row from a :class:`PowerLawFit`, an order fit's bare
+    slope, or None: then ``insufficient_samples`` when fewer than ``needed``
+    cells are ``ok``, else ``below_floor`` (the floor left too few)."""
     if fit is None:
-        return {"status": missing}
+        return {"status": "insufficient_samples" if n_ok < needed else "below_floor"}
+    if isinstance(fit, float):
+        return {"slope": fit, "status": "ok"}
     return {"slope": fit.exponent, "coefficient": fit.coefficient,
             "residual": fit.residual, "status": "ok"}
 
@@ -181,12 +187,9 @@ def _run_order(name, config, out_base):
                                     level=level, quantity=quantity, tau=tau,
                                     value=value, status=status))
         slope = slope_with_floor(taus, errors, floor=ORDER_FIT_FLOORS[config.problem])
-        table.add_row(**_common(
-            name, config, method=method_name, level=level,
-            quantity="order_fit",
-            slope=slope if slope is not None else math.nan,
-            status="ok" if slope is not None else "insufficient_samples",
-        ))
+        table.add_row(**_common(name, config, method=method_name, level=level,
+                                quantity="order_fit"),
+                      **_fit_cells(slope, len(taus), needed=2))
         if grid is not None and last_field is not None:
             path = f"{out_base}_{method_name}_field.txt"
             if config.problem == "cgl":
@@ -197,31 +200,31 @@ def _run_order(name, config, out_base):
 
 
 def _run_ho_table1(name, config, out_base):
+    """Per level: four truncation-entry fits, then each defect per tau and its fit."""
     base, _, _ = _problem_setup(config)
     table = _new_table(name, config)
-    taus = np.asarray(config.tau_list)
     family = recursive_family(base, config.levels)
     for level, method in enumerate(family.levels, start=1):
         method_name = f"level{level}"
-        fits = truncation_matrix_fit(method, taus)
-        for i in range(2):
-            for j in range(2):
-                table.add_row(**_common(name, config, method=method_name, level=level,
-                                        quantity="truncation", entry=f"{i}{j}"),
-                              **_fit_cells(fits[i][j], "below_floor"))
-        for quantity, (series, fit) in (
-            ("symmetry_defect", symmetry_defect(method, None, taus, matrix_dim=2)),
-            ("determinant_defect",
-             symplecticity_defect(method, None, taus, matrix_dim=2)),
-        ):
-            for tau, value in zip(taus, series):
-                table.add_row(**_common(name, config, method=method_name,
-                                        level=level, quantity=quantity,
-                                        tau=float(tau), value=float(value),
-                                        status="ok"))
-            table.add_row(**_common(name, config, method=method_name, level=level,
-                                    quantity=f"{quantity}_fit"),
-                          **_fit_cells(fit, "below_floor"))
+        row = partial(_common, name, config, method=method_name, level=level)
+        cells = [(tau, *_measure(table, method_name, tau,
+                                 lambda: oscillator_defects(method, tau)))
+                 for tau in config.tau_list]
+        ok = [(tau, values) for tau, values, _ in cells if values is not None]
+        taus = [tau for tau, _ in ok]
+
+        def fit_cells(series):
+            return _fit_cells(fit_leading_term(taus, series), len(ok))
+
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            table.add_row(**row(quantity="truncation", entry=f"{i}{j}"),
+                          **fit_cells([values[0][i, j] for _, values in ok]))
+        for k, quantity in ((1, "symmetry_defect"), (2, "determinant_defect")):
+            for tau, values, status in cells:
+                table.add_row(**row(quantity=quantity, tau=tau, status=status,
+                                    value=math.nan if values is None else values[k]))
+            table.add_row(**row(quantity=f"{quantity}_fit"),
+                          **fit_cells([values[k] for _, values in ok]))
     return table, []
 
 
@@ -243,10 +246,12 @@ def _run_ho_energy(name, config, out_base):
             table.add_row(**_common(name, config, method=method_name,
                                     level=config.levels, quantity=quantity,
                                     tau=tau, value=value, status=status))
+    # Growth at or under zero is roundoff: zero is this fit's floor.
     fit = power_law_fit(*zip(*positive)) if len(positive) >= 3 else None
+    n_ok = len(config.tau_list) - len(table.metadata["failures"])
     table.add_row(**_common(name, config, method=method_name,
                             level=config.levels, quantity="secular_order"),
-                  **_fit_cells(fit, "insufficient_samples"))
+                  **_fit_cells(fit, n_ok))
     return table, []
 
 

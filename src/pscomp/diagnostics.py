@@ -1,17 +1,18 @@
 """Measurement harness: trajectory integration, energy-error series,
 successive-error convergence estimates, symmetry/symplecticity defects,
-and leading-truncation-term extraction.
+and the oscillator's truncation and defect cell.
 
-Fit protocol used throughout: samples below a roundoff floor are
-discarded; the window is then narrowed from the large-step end until the
-log-log least-squares residual drops below a threshold (large steps carry
-higher-order contamination); the exponent is the free least-squares slope;
-and when that slope sits near an integer the leading coefficient is read
-off at the smallest surviving step, where contamination is weakest.
+Fits: :func:`power_law_fit` is the free log-log least-squares slope; when
+that slope sits near an integer it reads the coefficient at the
+second-smallest step.  :func:`fit_leading_term` first discards samples
+below a roundoff floor and narrows the window from the large-step end
+until the log-log residual drops below a threshold (large steps carry
+higher-order contamination).  :func:`slope_with_floor` only discards
+samples below its floor.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +49,18 @@ class PowerLawFit:
             raise ValidationError("residual must be non-negative")
 
 
+def _steps(method, x, tau, n_steps):
+    """Yield the state after each of ``n_steps`` steps from the complex array
+    ``x``; a singularity is re-raised with its step index attached."""
+    for i in range(n_steps):
+        try:
+            x = method(x, tau)
+        except SingularityError as exc:
+            exc.step = i
+            raise
+        yield x
+
+
 def integrate(method, x0, tau, n_steps):
     """Real parts of the ``n_steps + 1`` states of ``method`` at fixed real
     step ``tau``, the start included, as one array (state k sits at time
@@ -59,29 +72,17 @@ def integrate(method, x0, tau, n_steps):
     x = np.asarray(x0, dtype=complex)
     states = np.empty((n_steps + 1,) + x.shape, dtype=float)
     states[0] = x.real
-    for i in range(n_steps):
-        try:
-            x = method(x, tau)
-        except SingularityError as exc:
-            exc.step = i
-            raise
-        states[i + 1] = np.asarray(x).real
+    for i, x in enumerate(_steps(method, x, tau, n_steps), start=1):
+        states[i] = np.asarray(x).real
     return states
 
 
 def propagate(method, x0, tau, n_steps):
-    """Final state after ``n_steps`` applications of ``method`` at step ``tau``.
-
-    A singularity is re-raised with the step index attached, as in
-    :func:`integrate`.
-    """
+    """Final state after ``n_steps`` applications of ``method`` at step
+    ``tau``; a singularity is re-raised with the step index."""
     x = np.asarray(x0, dtype=complex)
-    for i in range(n_steps):
-        try:
-            x = method(x, tau)
-        except SingularityError as exc:
-            exc.step = i
-            raise
+    for x in _steps(method, x, tau, n_steps):
+        pass
     return x
 
 
@@ -140,17 +141,21 @@ def power_law_fit(taus, errors):
                        residual=residual, n_samples=len(taus))
 
 
-def fit_leading_term(taus, errors):
-    """Power-law fit with floor filtering and large-step narrowing.
+def fit_leading_term(taus, values):
+    """Power-law fit of ``|values|`` with floor filtering and large-step
+    narrowing; the coefficient takes the sign of the real part of the first
+    value above the floor, so a signed or complex series keeps its sign.
 
     Returns None when fewer than three samples survive the floor (the
     quantity is at roundoff level at this window).
     """
     taus = np.asarray(taus, dtype=float)
-    errors = np.asarray(errors, dtype=float)
+    values = np.asarray(values)
+    errors = np.abs(values)
     keep = np.isfinite(errors) & (errors > ROUNDOFF_FLOOR)
     if keep.sum() < 3:
         return None
+    sign = float(np.sign(values[keep][0].real))
     order = np.argsort(taus[keep])[::-1]
     ts, es = taus[keep][order], errors[keep][order]
     while len(ts) > 3:
@@ -158,7 +163,8 @@ def fit_leading_term(taus, errors):
         if residual <= MAX_LOG_RESIDUAL:
             break
         ts, es = ts[1:], es[1:]
-    return power_law_fit(ts, es)
+    fit = power_law_fit(ts, es)
+    return replace(fit, coefficient=sign * fit.coefficient)
 
 
 def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
@@ -180,26 +186,15 @@ def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
     return None
 
 
-def symmetry_defect(method, x0, taus, matrix_dim=None):
-    """Size of ``psi_tau o psi_{-tau} - id`` per step size, with fit.
-
-    Returns ``(defects, fit)``: the defect per entry of ``taus`` and its
-    :func:`fit_leading_term` fit (None at roundoff level).  With
-    ``matrix_dim`` set the defect is the max-abs entry of
-    ``M(tau) M(-tau) - I`` (for linear methods); otherwise it is the
-    sup-norm displacement of the round trip started at ``x0``.  A method
-    of pseudo-symmetry order q shows exponent >= q + 1.
+def symmetry_defect(method, x0, taus):
+    """Sup-norm displacement of the round trip ``psi_tau o psi_{-tau}`` from
+    ``x0`` per entry of ``taus``, and its :func:`fit_leading_term` fit (None
+    at roundoff level).  Pseudo-symmetry order q shows exponent >= q + 1.
     """
+    x = np.asarray(x0, dtype=complex)
     taus = np.asarray(taus, dtype=float)
-    defects = np.empty(len(taus))
-    for i, tau in enumerate(taus):
-        if matrix_dim is not None:
-            roundtrip = method.matrix(tau, matrix_dim) @ method.matrix(-tau, matrix_dim)
-            defects[i] = float(np.max(np.abs(roundtrip - np.eye(matrix_dim))))
-        else:
-            x = np.asarray(x0, dtype=complex)
-            y = method(method(x, -tau), tau)
-            defects[i] = float(np.max(np.abs(y - x)))
+    defects = np.array([float(np.max(np.abs(method(method(x, -tau), tau) - x)))
+                        for tau in taus])
     return defects, fit_leading_term(taus, defects)
 
 
@@ -224,56 +219,32 @@ def _fd_jacobian(method, x, tau):
     return jac
 
 
-def symplecticity_defect(method, x0, taus, matrix_dim=None):
-    """Deviation of the method's Jacobian from the symplectic identity.
-
-    Returns ``(defects, fit)`` as :func:`symmetry_defect` does.  For 2x2
-    matrix methods the defect is ``|det M(tau) - 1|``; in general the
-    Jacobian is approximated by central finite differences (relative step
-    1e-5 per component) and the defect is the max-abs entry of
-    ``J^T S J - S`` with S the canonical form.
+def symplecticity_defect(method, x0, taus):
+    """``(defects, fit)`` as :func:`symmetry_defect`, for the max-abs entry of
+    ``J^T S J - S`` with S the canonical form and J the Jacobian at ``x0`` by
+    central finite differences (relative step 1e-5 per component).
     """
+    x = np.asarray(x0, dtype=complex)
+    if len(x) % 2 != 0:
+        raise DomainError("symplecticity needs an even-dimensional state")
+    form = _canonical_form(len(x))
     taus = np.asarray(taus, dtype=float)
     defects = np.empty(len(taus))
     for i, tau in enumerate(taus):
-        if matrix_dim is not None:
-            defects[i] = abs(np.linalg.det(method.matrix(tau, matrix_dim)) - 1.0)
-        else:
-            x = np.asarray(x0, dtype=complex)
-            if len(x) % 2 != 0:
-                raise DomainError("symplecticity needs an even-dimensional state")
-            form = _canonical_form(len(x))
-            jac = _fd_jacobian(method, x, tau)
-            defects[i] = float(np.max(np.abs(jac.T @ form @ jac - form)))
+        jac = _fd_jacobian(method, x, tau)
+        defects[i] = float(np.max(np.abs(jac.T @ form @ jac - form)))
     return defects, fit_leading_term(taus, defects)
 
 
-def truncation_matrix_fit(method, taus):
-    """Entrywise leading term of ``ho_exact(tau) - method.matrix(tau)``.
-
-    ``method`` is a flow map on the oscillator's ``[q, p]``.  Returns a
-    nested 2x2 list of :class:`PowerLawFit` with sign-carrying
-    coefficients; entries that never rise above the roundoff floor are
-    None (zero at this order).
+def oscillator_defects(method, tau):
+    """``(ho_exact(tau) - M(tau), max|M(tau) M(-tau) - I|, |det M(tau) - 1|)``
+    of an oscillator method on ``[q, p]``: its truncation matrix and symmetry
+    and determinant defects, from ``M(tau)`` and ``M(-tau)`` built once each.
     """
-    taus = np.asarray(taus, dtype=float)
-    diffs = np.array([ho_exact(tau) - method.matrix(tau) for tau in taus])
-    fits = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            series = np.abs(diffs[:, i, j])
-            fit = fit_leading_term(taus, series)
-            if fit is None:
-                continue
-            above = series > ROUNDOFF_FLOOR
-            sign = float(np.sign(diffs[above][0, i, j].real))
-            fits[i][j] = PowerLawFit(
-                exponent=fit.exponent,
-                coefficient=sign * fit.coefficient,
-                residual=fit.residual,
-                n_samples=fit.n_samples,
-            )
-    return fits
+    forward, backward = method.matrix(tau), method.matrix(-tau)
+    return (ho_exact(tau) - forward,
+            float(np.max(np.abs(forward @ backward - np.eye(2)))),
+            float(abs(np.linalg.det(forward) - 1.0)))
 
 
 def energy_error_series(states, energy):

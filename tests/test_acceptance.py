@@ -15,8 +15,8 @@ import pytest
 from pscomp.coefficients import gamma_smallest_phase, gamma_triple_jump
 from pscomp.composition import coefficient_arguments, recursive_family
 from pscomp.diagnostics import (
-    slope_with_floor, successive_error, symmetry_defect, symplecticity_defect,
-    truncation_matrix_fit,
+    fit_leading_term, oscillator_defects, slope_with_floor, successive_error,
+    symmetry_defect,
 )
 from pscomp.problems import (
     CGLParams, S4SIM_A, S4SIM_B, cgl_nonlinear_map, cgl_strang_flow,
@@ -65,47 +65,44 @@ def test_criterion_01_coefficient_identities():
     _report("1 coefficient identities", checks)
 
 
-def test_criterion_02_truncation_and_defect_table():
-    family = recursive_family(ho_strang_flow(), 3)
-    levels = dict(zip((1, 2, 3), family.levels))
+def test_criterion_02_truncation_and_defect_table(tmp_path):
+    # The ho-table1 preset at its defaults: the Strang family, levels 1-3.
+    table, _ = run_preset("ho-table1", out_dir=str(tmp_path))
+    assert np.array_equal(table.metadata["config"]["tau_list"], TABLE1_TAUS)
+    idx = {c: i for i, c in enumerate(table.schema)}
+    fits = {(r[idx["level"]], r[idx["quantity"]], r[idx["entry"]]):
+            (r[idx["slope"]], r[idx["coefficient"]]) for r in table.rows}
     checks = []
 
-    def check_entry(fit, label, power, coeff, rel_tol, exp_tol=None):
-        ok_exp = (round(fit.exponent) == power if exp_tol is None
-                  else abs(fit.exponent - power) < exp_tol)
-        rel = abs(abs(fit.coefficient) - abs(coeff)) / abs(coeff)
-        checks.append((f"{label} exponent", ok_exp, f"{fit.exponent:.4f} vs {power}"))
+    def check_entry(key, label, power, coeff, rel_tol, exp_tol=None):
+        exponent, coefficient = fits[key]
+        ok_exp = (round(exponent) == power if exp_tol is None
+                  else abs(exponent - power) < exp_tol)
+        rel = abs(abs(coefficient) - abs(coeff)) / abs(coeff)
+        checks.append((f"{label} exponent", ok_exp, f"{exponent:.4f} vs {power}"))
         checks.append((f"{label} coefficient", rel < rel_tol,
-                       f"{fit.coefficient:.4e} vs {coeff:.4e} ({rel:.2%})"))
+                       f"{coefficient:.4e} vs {coeff:.4e} ({rel:.2%})"))
 
-    def defect_fits(method):
-        _, sym_fit = symmetry_defect(method, None, TABLE1_TAUS, matrix_dim=2)
-        _, det_fit = symplecticity_defect(method, None, TABLE1_TAUS, matrix_dim=2)
-        return sym_fit, det_fit
+    def check_defects(level, power, coeff, rel_tol):
+        for quantity, label in (("symmetry_defect_fit", "symmetry defect"),
+                                ("determinant_defect_fit", "determinant defect")):
+            check_entry((level, quantity, None), f"level{level} {label}",
+                        power, coeff, rel_tol)
 
     # first projected level: tau^5 truncation pair, tau^8 defects at 1/1728
-    fits = truncation_matrix_fit(levels[1], TABLE1_TAUS)
-    check_entry(fits[0][1], "level1 (0,1)", 5, -1.0 / 180.0, 0.01, exp_tol=0.05)
-    check_entry(fits[1][0], "level1 (1,0)", 5, -1.0 / 120.0, 0.01, exp_tol=0.05)
-    sym, det = defect_fits(levels[1])
-    check_entry(sym, "level1 symmetry defect", 8, 1.0 / 1728.0, 0.01)
-    check_entry(det, "level1 determinant defect", 8, 1.0 / 1728.0, 0.01)
+    check_entry((1, "truncation", "01"), "level1 (0,1)", 5, -1.0 / 180.0, 0.01, exp_tol=0.05)
+    check_entry((1, "truncation", "10"), "level1 (1,0)", 5, -1.0 / 120.0, 0.01, exp_tol=0.05)
+    check_defects(1, 8, 1.0 / 1728.0, 0.01)
 
     # second level: tau^7 truncation pair, tau^8 defects at 5.4e-6
-    fits = truncation_matrix_fit(levels[2], TABLE1_TAUS)
-    check_entry(fits[0][1], "level2 (0,1)", 7, 3.8e-5, 0.05)
-    check_entry(fits[1][0], "level2 (1,0)", 7, 5.1e-5, 0.05)
-    sym, det = defect_fits(levels[2])
-    check_entry(sym, "level2 symmetry defect", 8, 5.4e-6, 0.05)
-    check_entry(det, "level2 determinant defect", 8, 5.4e-6, 0.05)
+    check_entry((2, "truncation", "01"), "level2 (0,1)", 7, 3.8e-5, 0.05)
+    check_entry((2, "truncation", "10"), "level2 (1,0)", 7, 5.1e-5, 0.05)
+    check_defects(2, 8, 5.4e-6, 0.05)
 
     # third level: tau^8 diagonal truncation, tau^8 defects at 1.1e-8
-    fits = truncation_matrix_fit(levels[3], TABLE1_TAUS)
-    check_entry(fits[0][0], "level3 (0,0)", 8, 5.8e-9, 0.10)
-    check_entry(fits[1][1], "level3 (1,1)", 8, 5.8e-9, 0.10)
-    sym, det = defect_fits(levels[3])
-    check_entry(sym, "level3 symmetry defect", 8, 1.1e-8, 0.10)
-    check_entry(det, "level3 determinant defect", 8, 1.1e-8, 0.10)
+    check_entry((3, "truncation", "00"), "level3 (0,0)", 8, 5.8e-9, 0.10)
+    check_entry((3, "truncation", "11"), "level3 (1,1)", 8, 5.8e-9, 0.10)
+    check_defects(3, 8, 1.1e-8, 0.10)
 
     _report("2 truncation/defect table", checks)
 
@@ -263,8 +260,8 @@ def test_criterion_08_closed_form_flow_oracles():
 
 def test_criterion_09_pseudo_symmetry_defect_order():
     ho_level1 = recursive_family(ho_strang_flow(), 1).levels[0]
-    _, ho_fit = symmetry_defect(ho_level1, None, TABLE1_TAUS, matrix_dim=2)
-    ho_exponent = ho_fit.exponent
+    ho_defects = [oscillator_defects(ho_level1, tau)[1] for tau in TABLE1_TAUS]
+    ho_exponent = fit_leading_term(TABLE1_TAUS, ho_defects).exponent
 
     kepler_level1 = recursive_family(kepler_strang_flow(), 1).levels[0]
     x0 = kepler_initial_conditions(0.6).as_vector()

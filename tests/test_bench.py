@@ -26,7 +26,7 @@ from pscomp.composition import recursive_family
 from pscomp.diagnostics import successive_error
 from pscomp.errors import SingularityError, ValidationError
 from pscomp.flowmap import STRANG_META, FlowMap
-from pscomp.problems import fisher_strang_flow
+from pscomp.problems import fisher_strang_flow, ho_strang_flow
 from pscomp.spectral import SpectralGrid
 
 
@@ -362,6 +362,7 @@ NON_FINITE_CONFIGS = [
     ("cgl-order", {"problem_params": {"eps": 1e300}, "tau_list": [0.1, 0.05],
                    "t_final": 0.1, "grid_points": 16, "levels": 1}),
     ("ho-energy", {"tau_list": [1e200], "t_final": 1e200}),
+    ("ho-table1", {"tau_list": [1e300]}),
 ]
 
 
@@ -406,6 +407,51 @@ def test_singular_cell_records_its_step(tmp_path, monkeypatch):
     statuses = {r[idx["status"]] for r in table.rows if r[idx["quantity"]] == "energy_error"}
     assert statuses == {"singular: past the cut"}
     assert table.metadata["all_rows_failed"]
+
+
+#: (preset, config document, status of each method's fit rows).
+FIT_STATUS_CONFIGS = [
+    # One step size cannot give a fit at any floor.
+    ("ho-table1", {"tau_list": [0.1]},
+     {f"level{n}": "insufficient_samples" for n in (1, 2, 3)}),
+    # Three cells, all at roundoff level.
+    ("ho-table1", {"tau_list": [0.001, 0.0005, 0.00025]},
+     {f"level{n}": "below_floor" for n in (1, 2, 3)}),
+    ("fisher-order", {"tau_list": [0.1], "t_final": 0.2, "grid_points": 16,
+                      "levels": 1},
+     {"strang": "insufficient_samples", "level1": "insufficient_samples"}),
+    # Both level-1 cells lie under the 1e-13 floor; the Strang ones do not.
+    ("fisher-order", {"tau_list": [1e-4, 5e-5], "t_final": 2e-4,
+                      "grid_points": 16, "levels": 1},
+     {"strang": "ok", "level1": "below_floor"}),
+]
+
+
+@pytest.mark.parametrize("preset, overrides, expected", FIT_STATUS_CONFIGS)
+def test_fit_rows_say_why_they_have_no_fit(tmp_path, preset, overrides, expected):
+    table, _ = run_preset(preset, overrides=overrides, out_dir=str(tmp_path))
+    idx = {c: i for i, c in enumerate(table.schema)}
+    statuses = {}
+    for r in table.rows:
+        if r[idx["tau"]] is None:
+            statuses.setdefault(r[idx["method"]], set()).add(r[idx["status"]])
+    assert statuses == {method: {status} for method, status in expected.items()}
+
+
+def test_ho_table1_builds_each_matrix_once(tmp_path, monkeypatch):
+    calls = []
+    strang = ho_strang_flow()
+
+    def counted(x, tau):
+        calls.append(tau)
+        return strang(x, tau)
+
+    monkeypatch.setattr(bench_run, "ho_strang_flow",
+                        lambda: FlowMap(counted, STRANG_META))
+    run_preset("ho-table1", out_dir=str(tmp_path), overrides={"levels": 1})
+    # Per tau, M(tau) and M(-tau) once each: 2 matrices x 2 columns x 2 base
+    # evaluations per level-1 step, so 8 calls at each of the 6 taus.
+    assert len(calls) == 6 * 8
 
 
 def _successive_errors(table):

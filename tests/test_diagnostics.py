@@ -8,9 +8,9 @@ import pytest
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
     PowerLawFit, energy_error_series, envelope_growth,
-    fit_leading_term, integrate, power_law_fit, propagate, slope_with_floor,
-    successive_error, symmetry_defect, symplecticity_defect,
-    truncation_matrix_fit,
+    fit_leading_term, integrate, oscillator_defects, power_law_fit,
+    propagate, slope_with_floor, successive_error, symmetry_defect,
+    symplecticity_defect,
 )
 from pscomp.errors import DomainError, SingularityError, ValidationError
 from pscomp.flowmap import EXACT_META, FlowMap, matrix_flow
@@ -153,27 +153,25 @@ def test_successive_error_rejects_non_multiple():
 
 def test_symmetry_defect_symmetric_method_below_floor():
     taus = np.array([0.4, 0.2, 0.1])
-    defects, fit = symmetry_defect(ho_strang_flow(), None, taus, matrix_dim=2)
+    defects = [oscillator_defects(ho_strang_flow(), tau)[1] for tau in taus]
     assert np.max(defects) < 1e-14
-    assert fit is None
+    assert fit_leading_term(taus, defects) is None
 
 
 def test_symmetry_defect_point_mode_matches_matrix_mode():
     method = recursive_family(ho_strang_flow(), 1).levels[0]
     taus = np.array([0.8, 0.4, 0.2])
-    matrix_mode, _ = symmetry_defect(method, None, taus, matrix_dim=2)
+    point_mode, _ = symmetry_defect(method, np.array([1.0, 0.0]), taus)
     # The point-mode defect on basis vectors is bounded by the matrix norm.
-    for tau, expected in zip(taus, matrix_mode):
-        x = np.array([1.0, 0.0])
-        y = method(method(x, -tau), tau)
-        assert np.max(np.abs(y - x)) <= 2.0 * expected + 1e-15
+    for tau, defect in zip(taus, point_mode):
+        assert defect <= 2.0 * oscillator_defects(method, tau)[1] + 1e-15
 
 
 def test_symplecticity_defect_exact_rotation():
     taus = np.array([0.4, 0.2, 0.1])
-    defects, fit = symplecticity_defect(ho_exact_flow(), None, taus, matrix_dim=2)
+    defects = [oscillator_defects(ho_exact_flow(), tau)[2] for tau in taus]
     assert np.max(defects) < 1e-14
-    assert fit is None
+    assert fit_leading_term(taus, defects) is None
 
 
 def test_symplecticity_defect_point_mode_strang():
@@ -191,6 +189,14 @@ def test_symplecticity_defect_rejects_odd_dimension():
         symplecticity_defect(flow, np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.05, 0.025]))
 
 
+def _truncation_fits(matrix, taus):
+    """Entrywise fits of the truncation matrices of ``x -> matrix(tau) x``."""
+    method = matrix_flow(matrix, EXACT_META)
+    truncation = np.array([oscillator_defects(method, tau)[0] for tau in taus])
+    return [[fit_leading_term(taus, truncation[:, i, j]) for j in range(2)]
+            for i in range(2)]
+
+
 def test_truncation_matrix_fit_synthetic():
     def matrix(tau):
         defect = np.zeros((2, 2), dtype=complex)
@@ -198,7 +204,7 @@ def test_truncation_matrix_fit_synthetic():
         return ho_exact(tau) - defect
 
     taus = 0.8 * 0.5 ** np.arange(6)
-    fits = truncation_matrix_fit(matrix_flow(matrix, EXACT_META), taus)
+    fits = _truncation_fits(matrix, taus)
     assert abs(fits[0][0].exponent - 5.0) < 1e-5
     # the difference of O(1) matrix entries leaves cancellation noise
     assert fits[0][0].coefficient == pytest.approx(2e-3, rel=1e-6)
@@ -214,7 +220,7 @@ def test_truncation_matrix_fit_sign():
         return ho_exact(tau) - defect
 
     taus = 0.4 * 0.5 ** np.arange(5)
-    fits = truncation_matrix_fit(matrix_flow(matrix, EXACT_META), taus)
+    fits = _truncation_fits(matrix, taus)
     assert fits[1][0].coefficient == pytest.approx(-4e-3, rel=1e-6)
 
 
