@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 from ..errors import ValidationError
 
 PROBLEMS = ("harmonic", "kepler", "fisher", "cgl")
+#: Most steps one (tau, t_final) run may take: 50 times the largest default.
+MAX_STEPS = 10**6
 BASE_METHODS = ("strang", "s4sim")
 
 #: The ``problem_params`` each problem reads, with their defaults.
@@ -59,6 +61,9 @@ class ExperimentConfig:
                     raise ValidationError(
                         f"t_final={self.t_final} is not a positive integer multiple of tau={tau}"
                     )
+                if n > MAX_STEPS:
+                    raise ValidationError(
+                        f"t_final={self.t_final} takes over {MAX_STEPS} steps of tau={tau}")
         if self.grid_points is not None:
             n = self.grid_points
             if not _is_int(n) or not 2 <= n <= 65536 or (n & (n - 1)) != 0:

@@ -93,7 +93,7 @@ def _new_table(name, config):
     table = ResultTable(schema=SCHEMA)
     table.metadata = {
         "preset": name,
-        "config": _config_dict(config),
+        "config": asdict(config),
         "artifact": "pscomp",
         "version": __version__,
         "precision": "f64",
@@ -106,12 +106,6 @@ def _new_table(name, config):
         "failures": [],
     }
     return table
-
-
-def _config_dict(config):
-    data = asdict(config)
-    data["tau_list"] = list(data["tau_list"])
-    return data
 
 
 def _common(name, config, **extra):

@@ -30,7 +30,8 @@ class MethodMeta:
     max_coeff_arg
         Largest |argument| among the complex step coefficients the method
         applies internally to its underlying flows (0 for real-coefficient
-        methods).  Used by the coefficient-argument audit.
+        methods).  The coefficient-argument audit reads only the base
+        method's value; a family level adds its own arguments to it.
     """
 
     order: int
@@ -58,9 +59,9 @@ class MethodMeta:
             )
 
 
-#: Meta for an exact flow: symmetric and symplectic to all orders.  The
-#: classical order is irrelevant for exact flows; a large even value keeps
-#: the combinators' order bookkeeping out of the way.
+#: Meta for an exact flow: symmetric and symplectic to all orders.  No
+#: combinator reads the classical order of an exact flow (``strang`` and
+#: ``s4sim`` read only the parts' pseudo-symplecticity order), so it is 2.
 EXACT_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
                         pseudo_symplecticity_order=INFINITE_ORDER)
 
@@ -92,14 +93,14 @@ class FlowMap:
         label = self.name or "anonymous"
         return f"FlowMap({label}, order={self.meta.order})"
 
-    def matrix(self, tau, dim=2):
-        """Matrix representation at step ``tau``.
+    def matrix(self, tau):
+        """2x2 matrix of a map on the oscillator's ``(q, p)`` state at step ``tau``.
 
         Columns are the images of the canonical basis vectors, which is the
         exact matrix whenever the map is linear in the state.
         """
-        eye = np.eye(dim, dtype=complex)
-        return np.column_stack([self(eye[:, j], tau) for j in range(dim)])
+        eye = np.eye(2, dtype=complex)
+        return np.column_stack([self(eye[:, j], tau) for j in range(2)])
 
 
 def matrix_flow(mat_fn, meta, name=""):

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s``; pytest's
-own per-test verdicts mirror them).  Protocol constants (step windows,
-error floors) are pinned here and match the benchmark presets.
+own per-test verdicts mirror them).  Criteria 2, 3, 5, 6 and 7 read the
+rows that their benchmark preset writes at its defaults, and pin those
+defaults (and the order-fit floor) here, so a changed preset fails the
+criterion instead of passing unchecked.
 """
 
 import cmath
@@ -10,25 +12,26 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from pscomp.coefficients import gamma_smallest_phase, gamma_triple_jump
-from pscomp.composition import coefficient_arguments, recursive_family
+from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
-    fit_leading_term, oscillator_defects, slope_with_floor, successive_error,
-    symmetry_defect,
+    fit_leading_term, oscillator_defects, slope_with_floor, symmetry_defect,
 )
 from pscomp.problems import (
-    CGLParams, S4SIM_A, S4SIM_B, cgl_nonlinear_map, cgl_strang_flow,
-    fisher_reaction_map, fisher_strang_flow, ho_drift_flow, ho_exact,
-    ho_kick_flow, ho_strang_flow, kepler_energy, kepler_initial_conditions,
-    kepler_strang_flow, pulse_pair_profile, s4sim,
+    CGLParams, S4SIM_B, cgl_nonlinear_map, fisher_reaction_map,
+    ho_drift_flow, ho_exact, ho_kick_flow, ho_strang_flow,
+    kepler_initial_conditions, kepler_strang_flow, s4sim,
 )
 from pscomp.problems.splitting import S4SIM_A_FRACTIONS, S4SIM_B_FRACTIONS
-from pscomp.spectral import SpectralGrid
 from pscomp.bench import run_preset
+from pscomp.bench.run import ORDER_FIT_FLOORS
 
 TABLE1_TAUS = 0.8 * 0.5 ** np.arange(6)
+
+
+def _halving(tau0, count):
+    return tuple(tau0 * 0.5 ** np.arange(count))
 
 
 def _report(criterion, checks):
@@ -37,6 +40,21 @@ def _report(criterion, checks):
     for label, ok, detail in checks:
         print(f"    {'ok  ' if ok else 'FAIL'} {label}: {detail}")
     assert not failed, [c[0] for c in failed]
+
+
+def _preset_rows(tmp_path, preset, floor=None, **protocol):
+    """Rows of ``preset`` run at its defaults, as dicts, after checking that
+    its config is ``protocol`` and its order-fit floor is ``floor``."""
+    table, _ = run_preset(preset, out_dir=str(tmp_path))
+    assert table.metadata["config"] == protocol
+    if floor is not None:
+        assert ORDER_FIT_FLOORS[protocol["problem"]] == floor
+    return [dict(zip(table.schema, row)) for row in table.rows]
+
+
+def _order_fits(rows):
+    """Fitted orders of the base and of each family level, in that order."""
+    return [row["slope"] for row in rows if row["quantity"] == "order_fit"]
 
 
 def _global_error_slope(method, taus, t_final=1.0, floor=1e-13):
@@ -67,11 +85,12 @@ def test_criterion_01_coefficient_identities():
 
 def test_criterion_02_truncation_and_defect_table(tmp_path):
     # The ho-table1 preset at its defaults: the Strang family, levels 1-3.
-    table, _ = run_preset("ho-table1", out_dir=str(tmp_path))
-    assert np.array_equal(table.metadata["config"]["tau_list"], TABLE1_TAUS)
-    idx = {c: i for i, c in enumerate(table.schema)}
-    fits = {(r[idx["level"]], r[idx["quantity"]], r[idx["entry"]]):
-            (r[idx["slope"]], r[idx["coefficient"]]) for r in table.rows}
+    rows = _preset_rows(tmp_path, "ho-table1", problem="harmonic",
+                        base_method="strang", levels=3, tau_list=_halving(0.8, 6),
+                        t_final=0.0, grid_points=None,
+                        problem_params={"q0": 2.5, "p0": 0.0})
+    fits = {(r["level"], r["quantity"], r["entry"]): (r["slope"], r["coefficient"])
+            for r in rows}
     checks = []
 
     def check_entry(key, label, power, coeff, rel_tol, exp_tol=None):
@@ -107,24 +126,12 @@ def test_criterion_02_truncation_and_defect_table(tmp_path):
     _report("2 truncation/defect table", checks)
 
 
-def test_criterion_03_kepler_convergence():
-    base = kepler_strang_flow()
-    family = recursive_family(base, 3)
-    x0 = kepler_initial_conditions(0.6).as_vector()
-    h0 = kepler_energy(x0)
-    taus = (20.0 / 250.0) * 0.5 ** np.arange(6)
-
-    def final_energy_slope(method):
-        errors = []
-        for tau in taus:
-            x = x0.copy()
-            for _ in range(round(20.0 / tau)):
-                x = method(x, tau)
-            h = kepler_energy(x)
-            errors.append(abs(h - h0) / abs(h0))
-        return slope_with_floor(taus, np.asarray(errors), floor=1e-13)
-
-    slopes = [final_energy_slope(m) for m in (base, *family.levels)]
+def test_criterion_03_kepler_convergence(tmp_path):
+    # Relative energy error at t = 20 of the Strang family, levels 1-3.
+    slopes = _order_fits(_preset_rows(
+        tmp_path, "kepler-order", floor=1e-13, problem="kepler",
+        base_method="strang", levels=3, tau_list=_halving(20.0 / 250.0, 6),
+        t_final=20.0, grid_points=None, problem_params={"e": 0.6}))
     checks = [
         ("splitting order 2", abs(slopes[0] - 2.0) < 0.2, f"{slopes[0]:.3f}"),
         ("level1 order 4", abs(slopes[1] - 4.0) < 0.2, f"{slopes[1]:.3f}"),
@@ -153,12 +160,16 @@ def test_criterion_04_fourth_order_splitting():
     _report("4 fourth-order splitting", checks)
 
 
-def test_criterion_05_coefficient_argument_audit():
-    strang_family = recursive_family(ho_strang_flow(), 3)
-    max_arg, all_positive = coefficient_arguments(strang_family)
+def test_criterion_05_coefficient_argument_audit(tmp_path):
+    # The Strang family to level 3 and the s4sim family to level 4.
+    rows = _preset_rows(tmp_path, "coeff-audit", problem="harmonic",
+                        base_method="strang", levels=3, tau_list=(), t_final=0.0,
+                        grid_points=None, problem_params={})
+    audit = {r["method"]: (r["value"], r["status"] == "all_positive_real")
+             for r in rows if r["quantity"] == "max_coefficient_argument"}
+    max_arg, all_positive = audit["strangx3"]
     target = (math.pi / 2.0) * (71.0 / 105.0)
-    s4_family = recursive_family(s4sim(ho_drift_flow(), ho_kick_flow()), 4)
-    s4_arg, s4_positive = coefficient_arguments(s4_family)
+    s4_arg, s4_positive = audit["s4simx4"]
     checks = [
         ("splitting family max argument", abs(max_arg - target) < 1e-12,
          f"{max_arg:.12f} vs {target:.12f}"),
@@ -170,26 +181,12 @@ def test_criterion_05_coefficient_argument_audit():
     _report("5 coefficient-argument audit", checks)
 
 
-def _successive_error_slopes(base, x0, taus, t_final, floor):
-    # The taus halve exactly, so each tau/2 run is the next cell's tau run.
-    assert np.all(taus[1:] == taus[:-1] / 2.0)
-    family = recursive_family(base, 2)
-    slopes = []
-    for method in (base, *family.levels):
-        errors, fine = [], None
-        for tau in taus:
-            error, fine = successive_error(method, x0, tau, t_final, coarse=fine)
-            errors.append(error)
-        slopes.append(slope_with_floor(taus, np.asarray(errors), floor=floor))
-    return slopes
-
-
-def test_criterion_06_reaction_diffusion_orders():
-    grid = SpectralGrid(0.0, 1.0, 128)
-    x0 = np.asarray(np.sin(2.0 * np.pi * grid.nodes), dtype=complex)
-    taus = 0.05 * 0.5 ** np.arange(5)
-    slopes = _successive_error_slopes(fisher_strang_flow(grid), x0, taus,
-                                      t_final=1.0, floor=1e-13)
+def test_criterion_06_reaction_diffusion_orders(tmp_path):
+    # Successive error at t = 1 of the Strang family, levels 1-2, N = 128.
+    slopes = _order_fits(_preset_rows(
+        tmp_path, "fisher-order", floor=1e-13, problem="fisher",
+        base_method="strang", levels=2, tau_list=_halving(0.05, 5), t_final=1.0,
+        grid_points=128, problem_params={}))
     checks = [
         ("splitting order 2", abs(slopes[0] - 2.0) < 0.3, f"{slopes[0]:.3f}"),
         ("level1 order 4", abs(slopes[1] - 4.0) < 0.4, f"{slopes[1]:.3f}"),
@@ -198,14 +195,12 @@ def test_criterion_06_reaction_diffusion_orders():
     _report("6 reaction-diffusion orders", checks)
 
 
-def test_criterion_07_ginzburg_landau_orders():
-    params = CGLParams(c1=1.0, c3=-2.0, eps=1.0)
-    grid = SpectralGrid(-100.0, 200.0, 512)
-    x0 = np.array([pulse_pair_profile(grid), np.zeros(grid.n_points)],
-                  dtype=complex)
-    taus = 0.05 * 0.5 ** np.arange(5)
-    slopes = _successive_error_slopes(cgl_strang_flow(params, grid), x0, taus,
-                                      t_final=1.0, floor=5e-13)
+def test_criterion_07_ginzburg_landau_orders(tmp_path):
+    # Successive error at t = 1 of the Strang family, levels 1-2, N = 512.
+    slopes = _order_fits(_preset_rows(
+        tmp_path, "cgl-order", floor=5e-13, problem="cgl",
+        base_method="strang", levels=2, tau_list=_halving(0.05, 5), t_final=1.0,
+        grid_points=512, problem_params={"c1": 1.0, "c3": -2.0, "eps": 1.0}))
     checks = [
         ("splitting order 2", abs(slopes[0] - 2.0) < 0.3, f"{slopes[0]:.3f}"),
         ("level1 order 4", abs(slopes[1] - 4.0) < 0.4, f"{slopes[1]:.3f}"),

@@ -20,7 +20,7 @@ from pscomp.bench import (
     parse_config, preset_config, run_preset,
 )
 from pscomp.bench.cli import main
-from pscomp.bench.config import BASE_METHODS, PRESET_READS, PROBLEMS
+from pscomp.bench.config import BASE_METHODS, MAX_STEPS, PRESET_READS, PROBLEMS
 from pscomp.bench.run import CELL_QUANTITIES
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import successive_error
@@ -87,6 +87,12 @@ def test_config_levels_range():
         ExperimentConfig(problem="kepler", levels=5)
     with pytest.raises(ValidationError):
         ExperimentConfig(problem="nosuch")
+
+
+def test_config_step_bound():
+    ExperimentConfig(problem="harmonic", tau_list=(1.0,), t_final=float(MAX_STEPS))
+    with pytest.raises(ValidationError, match="t_final"):
+        ExperimentConfig(problem="harmonic", tau_list=(1.0,), t_final=MAX_STEPS + 1.0)
 
 
 def test_apply_overrides_keeps_validation():
@@ -260,6 +266,8 @@ BAD_CONFIGS = [
     ("coeff-audit", {"levels": 2}, "levels"),
     ("kepler-order", {"grid_points": 16}, "grid_points"),
     ("fisher-order", {"grid_points": None}, "grid_points"),
+    ("ho-energy", {"tau_list": [1.0], "t_final": 1e300}, "t_final"),
+    ("kepler-energy", {"tau_list": [1.0], "t_final": 1e300}, "t_final"),
 ]
 
 

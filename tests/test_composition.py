@@ -199,6 +199,8 @@ def test_coefficient_arguments_strang_levels():
     max_arg, all_positive = coefficient_arguments(family)
     assert abs(max_arg - (math.pi / 2.0) * (71.0 / 105.0)) < 1e-12
     assert all_positive
+    # The argument the deepest level declares is the one the audit measures.
+    assert abs(family.levels[-1].meta.max_coeff_arg - max_arg) < 1e-15
 
     one_level = recursive_family(ho_strang_flow(), 1)
     max_arg, all_positive = coefficient_arguments(one_level)
@@ -214,6 +216,7 @@ def test_coefficient_arguments_s4sim_levels():
     assert abs(max_arg - expected) < 1e-12
     assert max_arg < 0.96 * (math.pi / 2.0)
     assert all_positive
+    assert abs(family.levels[-1].meta.max_coeff_arg - max_arg) < 1e-15
 
 
 def test_method_meta_rejects_orders_below_classical():
