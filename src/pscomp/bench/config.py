@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from ..diagnostics import step_count
 from ..errors import ValidationError
 
 PROBLEMS = ("harmonic", "kepler", "fisher", "cgl")
@@ -55,13 +56,7 @@ class ExperimentConfig:
             raise ValidationError(f"t_final must not be negative, got {self.t_final!r}")
         if self.t_final > 0:
             for tau in taus:
-                steps = self.t_final / tau
-                n = round(steps) if math.isfinite(steps) else 0
-                if n < 1 or abs(steps - n) > 1e-9 * max(1.0, steps):
-                    raise ValidationError(
-                        f"t_final={self.t_final} is not a positive integer multiple of tau={tau}"
-                    )
-                if n > MAX_STEPS:
+                if step_count(self.t_final, tau) > MAX_STEPS:
                     raise ValidationError(
                         f"t_final={self.t_final} takes over {MAX_STEPS} steps of tau={tau}")
         if self.grid_points is not None:

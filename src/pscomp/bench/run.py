@@ -23,7 +23,7 @@ from ..composition import coefficient_arguments, recursive_family
 from ..diagnostics import (
     energy_error_series, envelope_growth, fit_leading_term, integrate,
     oscillator_defects, power_law_fit, propagate, slope_with_floor,
-    successive_error,
+    step_count, successive_error,
 )
 from ..errors import SingularityError
 from ..problems import (
@@ -160,7 +160,7 @@ def _run_order(name, config, out_base):
     def measure(method, tau, coarse):
         if quantity == "successive_error":
             return successive_error(method, x0, tau, config.t_final, coarse)
-        final = propagate(method, x0, tau, round(config.t_final / tau))
+        final = propagate(method, x0, tau, step_count(config.t_final, tau))
         return abs(kepler_energy(final) - h0) / abs(h0), final
 
     snapshots = []
@@ -230,7 +230,7 @@ def _run_ho_energy(name, config, out_base):
     method_name = f"level{config.levels}"
     positive = []
     for tau in config.tau_list:
-        n = round(config.t_final / tau)
+        n = step_count(config.t_final, tau)
         values, status = _measure(table, method_name, tau, lambda: envelope_growth(
             energy_error_series(integrate(method, x0, tau, n), ho_energy)))
         if values is not None and values[2] > 0:
@@ -255,7 +255,7 @@ def _run_kepler_energy(name, config, out_base):
     table = _new_table(name, config)
     for method_name, level, method in _methods(config, base):
         for tau in config.tau_list:
-            n = round(config.t_final / tau)
+            n = step_count(config.t_final, tau)
             values, status = _measure(table, method_name, tau, lambda: (
                 energy_error_series(integrate(method, x0, tau, n), kepler_energy),))
             points = [(None, math.nan)] if values is None else [
@@ -274,6 +274,7 @@ def _run_coeff_audit(name, config, out_base):
         ("strang", ho_strang_flow(), 3),
         ("s4sim", s4sim(ho_drift_flow(), ho_kick_flow()), 4),
     )
+    table.metadata["families"] = [{"base_method": b, "levels": n} for b, _, n in bases]
     for base_name, base, levels in bases:
         family = recursive_family(base, levels)
         max_arg, all_positive = coefficient_arguments(family)

@@ -8,7 +8,15 @@ with imaginary part in (-pi, pi).  It is undefined on the closed negative
 real axis; callers hitting the cut get a :class:`SingularityError` rather
 than a silently wrong branch.  Callers rely on this one check and do not
 repeat it.
+
+A Python ``complex`` (``np.complex128`` included) off the cut takes a
+``math``/``cmath`` path, a fraction of the cost of a 0-d numpy call, equal
+to the array formula up to roundoff; where a scalar ``abs`` or ``exp``
+overflows, the numpy formula gives the inf or 0 that an array gets.
 """
+
+import cmath
+import math
 
 import numpy as np
 
@@ -21,6 +29,11 @@ def principal_log(z):
     Raises :class:`SingularityError` on the closed negative real axis
     (including 0); for arrays the first offending flat index is reported.
     """
+    if isinstance(z, complex) and not (z.imag == 0.0 and z.real <= 0.0):
+        try:
+            return complex(math.log(abs(z)), math.atan2(z.imag, z.real))
+        except OverflowError:  # |z| overflows; the array formula gives inf
+            pass
     arr = np.asarray(z, dtype=complex)
     on_cut = (arr.imag == 0.0) & (arr.real <= 0.0)
     if np.any(on_cut):
@@ -42,4 +55,10 @@ def analytic_inv_r3(z):
     Computed as ``exp(-(3/2) principal_log(z))``; agrees with the real
     formula for real positive ``z`` and propagates the branch-cut error.
     """
-    return np.exp(-1.5 * principal_log(z))
+    w = -1.5 * principal_log(z)
+    if isinstance(w, complex):
+        try:
+            return cmath.exp(w)
+        except OverflowError:  # numpy's exp gives inf
+            return complex(np.exp(w))
+    return np.exp(w)

@@ -65,12 +65,12 @@ class _RealProjection:
 
     def __call__(self, x, tau):
         if tau.imag == 0.0:
-            scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-            if float(np.max(np.abs(x.imag))) > 1e-14 * scale:
-                raise DomainError(
-                    "real projection at a real step requires a real state "
-                    f"(imaginary magnitude {float(np.max(np.abs(x.imag))):.3e})"
-                )
+            # One pass clears an exactly real state, the common case.
+            if x.imag.any():
+                imag = float(np.max(np.abs(x.imag)))
+                if imag > 1e-14 * max(1.0, float(np.max(np.abs(x)))):
+                    raise DomainError("real projection at a real step requires a "
+                                      f"real state (imaginary magnitude {imag:.3e})")
             y = self.method(x.real.astype(complex), tau)
             return y.real.astype(complex)
         y = self.method(x, tau)

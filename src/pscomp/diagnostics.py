@@ -86,6 +86,17 @@ def propagate(method, x0, tau, n_steps):
     return x
 
 
+def step_count(t_final, tau):
+    """Steps of ``tau`` that reach ``t_final``, a positive whole multiple of
+    ``tau`` up to rounding (relative 1e-12); anything else raises."""
+    steps = t_final / tau
+    n = round(steps) if math.isfinite(steps) else 0
+    if n < 1 or abs(steps - n) > 1e-12 * steps:
+        raise ValidationError(
+            f"t_final={t_final} is not a positive integer multiple of tau={tau}")
+    return n
+
+
 def successive_error(method, x0, tau, t_final, coarse=None):
     """Sup-norm distance at ``t_final`` between the tau and tau/2 runs.
 
@@ -94,12 +105,7 @@ def successive_error(method, x0, tau, t_final, coarse=None):
     Returns ``(distance, fine)`` with ``fine`` the final state of the
     tau/2 run; a caller that has the tau run's final state passes it as
     ``coarse`` (on a halving step list, the previous ``fine``)."""
-    steps = t_final / tau
-    n = round(steps)
-    if n < 1 or abs(steps - n) > 1e-9 * max(1.0, abs(steps)):
-        raise ValidationError(
-            f"t_final={t_final} is not an integer multiple of tau={tau}"
-        )
+    n = step_count(t_final, tau)
     coarse = propagate(method, x0, tau, n) if coarse is None else coarse
     fine = propagate(method, x0, tau / 2.0, 2 * n)
     return float(np.max(np.abs(coarse - fine))), fine

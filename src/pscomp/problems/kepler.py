@@ -5,7 +5,8 @@ the principal logarithm so every stage map stays holomorphic off the
 negative real axis of q1^2 + q2^2.  A trajectory crossing that cut raises
 a :class:`SingularityError`; no alternative branch is chosen.
 
-State vectors are laid out as ``[q1, q2, p1, p2]``.
+State vectors are laid out as ``[q1, q2, p1, p2]``; the drift and kick
+step them as Python ``complex`` scalars and return a new array.
 """
 
 import math
@@ -63,9 +64,14 @@ def kepler_energy(x):
 
 
 def _drift(x, tau):
-    out = x.copy()
-    out[:2] += tau * x[2:]
-    return out
+    q1, q2, p1, p2 = x.tolist()
+    return np.array([q1 + tau * p1, q2 + tau * p2, p1, p2])
+
+
+def _kick(x, tau):
+    q1, q2, p1, p2 = x.tolist()
+    factor = tau * analytic_inv_r3(q1 * q1 + q2 * q2)
+    return np.array([q1, q2, p1 - factor * q1, p2 - factor * q2])
 
 
 def kepler_drift_flow():
@@ -73,14 +79,7 @@ def kepler_drift_flow():
 
 
 def kepler_kick_flow():
-    def apply(x, tau):
-        z = x[0] * x[0] + x[1] * x[1]
-        factor = tau * analytic_inv_r3(z)
-        out = x.copy()
-        out[2:] -= factor * x[:2]
-        return out
-
-    return FlowMap(apply, EXACT_META, name="kepler-kick")
+    return FlowMap(_kick, EXACT_META, name="kepler-kick")
 
 
 def kepler_strang_flow():

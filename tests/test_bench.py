@@ -205,6 +205,15 @@ def test_cli_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", str(missing)]) == 2
 
 
+def test_cli_validate_rejects_t_final_off_a_multiple(tmp_path, capsys):
+    # 5000.0000025 steps of 0.2: more than rounding, so no whole step count.
+    doc = tmp_path / "off.json"
+    doc.write_text('{"preset": "ho-energy", "tau_list": [0.2, 0.1], '
+                   '"t_final": 1000.0000005}')
+    assert main(["validate", str(doc)]) == 2
+    assert "integer multiple" in capsys.readouterr().err
+
+
 def test_cli_run_invalid_config_file(tmp_path, capsys):
     config_path = tmp_path / "broken.json"
     config_path.write_text('{"tau_list": [0.1, 0.2]}')
@@ -218,6 +227,19 @@ def test_preset_metadata_echoes_config(tmp_path):
     assert table.metadata["preset"] == "coeff-audit"
     assert table.metadata["precision"] == "f64"
     assert table.metadata["config"]["problem"] == "harmonic"
+
+
+def test_coeff_audit_sidecar_names_each_family_it_audits(tmp_path):
+    table, _ = run_preset("coeff-audit", out_dir=str(tmp_path))
+    sidecar = json.loads((tmp_path / "coeff-audit.json").read_text())
+    idx = {c: i for i, c in enumerate(table.schema)}
+    depth = {}
+    for row in table.rows:
+        if row[idx["quantity"]] == "declared_order":
+            depth[row[idx["base"]]] = max(depth.get(row[idx["base"]], 0), row[idx["level"]])
+    assert sidecar["families"] == [{"base_method": base, "levels": levels}
+                                   for base, levels in depth.items()]
+    assert depth == {"strang": 3, "s4sim": 4}
 
 
 def test_order_preset_rows_and_slope(tmp_path):

@@ -5,9 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pscomp.complexlog import analytic_inv_r3, principal_log
 from pscomp.errors import SingularityError
+from pscomp.problems import kepler_kick_flow
+
+#: Off the cut, with |z| in [1e-200, 1e200] so that 1/r^3 stays a normal
+#: float and relative errors are defined.
+OFF_CUT = st.complex_numbers(min_magnitude=1e-200, max_magnitude=1e200).filter(
+    lambda z: not (z.imag == 0.0 and z.real <= 0.0))
+ON_CUT = st.builds(complex, st.floats(max_value=0.0, allow_nan=False),
+                   st.sampled_from([0.0, -0.0]))
+#: Inputs whose scalar ``abs`` or ``exp`` overflows; numpy gives 0 or inf.
+OVERFLOW_INPUTS = [1.5e308 + 1.5e308j, 1e-250 + 0j, 1e-300 + 1e-300j]
 
 
 def test_log_of_one_is_zero():
@@ -79,3 +91,42 @@ def test_log_scalar_type():
     out = principal_log(2.0 + 1.0j)
     assert isinstance(out, complex)
     assert out == pytest.approx(cmath.log(2.0 + 1.0j), abs=1e-15)
+
+
+@given(OFF_CUT)
+def test_scalar_path_matches_array_path(z):
+    # numpy's abs and arctan2 differ from libm's by an ulp, which moves the
+    # log by 1e-16 absolute and 1/r^3 by |log z| ulps relative.
+    log_z = principal_log(np.array([z]))[0]
+    scale = max(1.0, abs(log_z))
+    assert abs(principal_log(z) - log_z) <= 1e-15 * scale
+    inv = analytic_inv_r3(np.array([z]))[0]
+    assert abs(analytic_inv_r3(z) - inv) <= 1e-15 * scale * abs(inv)
+    assert isinstance(analytic_inv_r3(z), complex)
+
+
+@given(ON_CUT)
+def test_scalar_and_array_paths_raise_alike_on_the_cut(z):
+    for fn in (principal_log, analytic_inv_r3):
+        with pytest.raises(SingularityError) as scalar:
+            fn(z)
+        with pytest.raises(SingularityError) as array:
+            fn(np.array([z]))
+        assert (scalar.value.index, scalar.value.value) == (0, z)
+        assert (array.value.index, array.value.value) == (0, z)
+
+
+@pytest.mark.parametrize("z", OVERFLOW_INPUTS)
+def test_scalar_overflow_gives_the_array_value(z):
+    # Preset cells run with numpy's overflow warnings off, as here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (principal_log, analytic_inv_r3):
+            np.testing.assert_array_equal(fn(z), fn(np.array([z]))[0])
+
+
+def test_kepler_kick_overflow_is_non_finite_not_an_error():
+    x = np.array([1e-125, 0.0, 0.3, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kepler_kick_flow()(x, 0.1)
+    assert not np.all(np.isfinite(out[2:]))
+    np.testing.assert_array_equal(out[:2], x[:2])

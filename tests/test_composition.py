@@ -15,7 +15,7 @@ from pscomp.errors import DomainError, ValidationError
 from pscomp.flowmap import EXACT_META, FlowMap, MethodMeta
 from pscomp.problems import (
     CGLParams, cgl_strang_flow, ho_drift_flow, ho_exact, ho_kick_flow,
-    ho_strang_flow, s4sim,
+    ho_strang_flow, kepler_initial_conditions, kepler_strang_flow, s4sim,
 )
 from pscomp.spectral import SpectralGrid
 
@@ -86,6 +86,23 @@ def test_real_projection_rejects_complex_state_at_real_step():
     projected = recursive_family(ho_strang_flow(), 1).levels[0]
     with pytest.raises(DomainError, match="real state"):
         projected(np.array([1.0 + 1e-6j, 0.0]), 0.1)
+
+
+@pytest.mark.parametrize("imag", [2e-14, 5e-15, 0.0])
+def test_real_projection_guard_tolerance_on_kepler_state(imag):
+    # The circular orbit's start has max |x| = 1, so the guard's bound is
+    # 1e-14 absolute; a state it accepts steps as its real part.
+    g = gamma_smallest_phase(2)
+    pair = compose_schedule(kepler_strang_flow(), [g, g.conjugate()], MethodMeta(order=3))
+    projected = _RealProjection(pair)
+    x = kepler_initial_conditions(0.0).as_vector() + 1j * imag * np.array([0, 1, 1, 0])
+    tau = complex(0.05)
+    if imag > 1e-14:
+        with pytest.raises(DomainError, match="real state"):
+            projected(x, tau)
+        return
+    expected = pair(x.real.astype(complex), tau).real.astype(complex)
+    np.testing.assert_array_equal(projected(x, tau), expected)
 
 
 def test_real_projection_output_has_zero_imaginary_part():
@@ -238,6 +255,12 @@ def _cgl_level2_inputs(rng):
         (0.5 * rng.normal(size=(2, 64)), rng.choice(taus)) for _ in range(64)]
 
 
+def _kepler_level2_inputs(rng):
+    x0 = kepler_initial_conditions(0.6).as_vector().real
+    return recursive_family(kepler_strang_flow(), 2).levels[1], [
+        (x0 + 0.05 * rng.normal(size=4), rng.uniform(0.01, 0.1)) for _ in range(64)]
+
+
 def test_flow_maps_are_thread_safe():
     # One shared method evaluated concurrently must agree with serial runs.
     from concurrent.futures import ThreadPoolExecutor
@@ -245,7 +268,8 @@ def test_flow_maps_are_thread_safe():
     method = recursive_family(ho_strang_flow(), 2).levels[1]
     rng = np.random.default_rng(29)
     inputs = [(rng.normal(size=2), rng.uniform(0.01, 0.5)) for _ in range(64)]
-    for method, inputs in ((method, inputs), _cgl_level2_inputs(rng)):
+    for method, inputs in ((method, inputs), _cgl_level2_inputs(rng),
+                           _kepler_level2_inputs(rng)):
         serial = [method(x, tau) for x, tau in inputs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -9,7 +9,7 @@ from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
     PowerLawFit, energy_error_series, envelope_growth,
     fit_leading_term, integrate, oscillator_defects, power_law_fit,
-    propagate, slope_with_floor, successive_error, symmetry_defect,
+    propagate, slope_with_floor, step_count, successive_error, symmetry_defect,
     symplecticity_defect,
 )
 from pscomp.errors import DomainError, SingularityError, ValidationError
@@ -149,6 +149,13 @@ def test_successive_error_order_two_halving():
 def test_successive_error_rejects_non_multiple():
     with pytest.raises(ValidationError):
         successive_error(ho_exact_flow(), np.array([1.0, 0.0]), 0.3, 1.0)
+
+
+def test_step_count_allows_rounding_only():
+    assert step_count(1.0, 0.1) == 10
+    assert step_count(0.9, 0.3) == 3
+    with pytest.raises(ValidationError, match="integer multiple"):
+        successive_error(ho_exact_flow(), np.array([1.0, 0.0]), 0.1, 1.0 + 5e-10)
 
 
 def test_symmetry_defect_symmetric_method_below_floor():
