@@ -217,7 +217,7 @@ def _fd_jacobian(method, x, tau):
     jac = np.empty((dim, dim))
     for j in range(dim):
         h = 1e-5 * max(1.0, abs(x[j]))
-        xp = x.astype(complex).copy()
+        xp = x.copy()
         xm = xp.copy()
         xp[j] += h
         xm[j] -= h

@@ -73,8 +73,12 @@ STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
 class FlowMap:
     """A one-step integrator ``(state, step) -> state``.
 
-    ``evaluator`` takes a complex ndarray state and a complex step and
-    returns a new state of the same shape.  It may keep a bounded cache of
+    A call hands ``evaluator`` the caller's state and step unconverted.
+    The entry points convert once: ``integrate``/``propagate``,
+    ``symmetry_defect``, ``symplecticity_defect`` and :meth:`matrix` pass a
+    complex ndarray, and the step is a Python ``complex`` or ``float``
+    (both have ``.imag`` and ``.conjugate()``).  The evaluator returns a
+    new state of the same shape.  It may keep a bounded cache of
     read-only step constants and shares nothing else, and must not mutate
     its input, so one FlowMap can be applied from several threads at once.
     A flow map carries its evaluator, ``meta`` and ``name``, nothing else.
@@ -86,8 +90,7 @@ class FlowMap:
         self.name = name
 
     def __call__(self, state, tau):
-        state = np.asarray(state, dtype=complex)
-        return self._evaluator(state, complex(tau))
+        return self._evaluator(state, tau)
 
     def __repr__(self):
         label = self.name or "anonymous"
@@ -102,11 +105,3 @@ class FlowMap:
         eye = np.eye(2, dtype=complex)
         return np.column_stack([self(eye[:, j], tau) for j in range(2)])
 
-
-def matrix_flow(mat_fn, meta, name=""):
-    """Flow map acting by a step-dependent matrix, ``x -> M(tau) x``."""
-
-    def apply(x, tau):
-        return mat_fn(tau) @ x
-
-    return FlowMap(apply, meta, name=name)

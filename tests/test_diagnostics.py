@@ -13,7 +13,7 @@ from pscomp.diagnostics import (
     symplecticity_defect,
 )
 from pscomp.errors import DomainError, SingularityError, ValidationError
-from pscomp.flowmap import EXACT_META, FlowMap, matrix_flow
+from pscomp.flowmap import EXACT_META, FlowMap
 from pscomp.problems import (
     ho_energy, ho_exact, ho_exact_flow, ho_strang_flow,
     kepler_initial_conditions, kepler_strang_flow,
@@ -198,7 +198,7 @@ def test_symplecticity_defect_rejects_odd_dimension():
 
 def _truncation_fits(matrix, taus):
     """Entrywise fits of the truncation matrices of ``x -> matrix(tau) x``."""
-    method = matrix_flow(matrix, EXACT_META)
+    method = FlowMap(lambda x, tau: matrix(tau) @ x, EXACT_META)
     truncation = np.array([oscillator_defects(method, tau)[0] for tau in taus])
     return [[fit_leading_term(taus, truncation[:, i, j]) for j in range(2)]
             for i in range(2)]
