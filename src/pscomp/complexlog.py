@@ -36,15 +36,17 @@ def principal_log(z):
             pass
     arr = np.asarray(z, dtype=complex)
     on_cut = (arr.imag == 0.0) & (arr.real <= 0.0)
-    if np.any(on_cut):
+    if on_cut.any():
         idx = int(np.argmax(on_cut.ravel()))
         value = complex(arr.ravel()[idx])
         raise SingularityError(
             f"principal logarithm undefined on the negative real axis: z={value}",
             index=idx, value=value,
         )
-    result = np.log(np.abs(arr)) + 1j * np.arctan2(arr.imag, arr.real)
-    if np.isscalar(z) or np.ndim(z) == 0:
+    result = np.empty_like(arr)
+    np.log(np.abs(arr), out=result.real)
+    np.arctan2(arr.imag, arr.real, out=result.imag)
+    if arr.ndim == 0:
         return complex(result)
     return result
 

@@ -16,9 +16,12 @@ has the closed form
     wt(t) = wt0 exp(-(conj(beta)/2) log(1 + 2 t m0)),
 
 with m0 = 4i vt0 wt0 (= v0^2 + w0^2) and the principal logarithm, defined
-as long as 1 + 2 t m0 avoids the negative real axis.  States are stored as
-(2, N) arrays holding the (v, w) rows; the diagonal variables are internal
-to each substep.
+as long as 1 + 2 t m0 avoids the negative real axis.  Since Re beta = 1,
+conj(beta) = 2 - beta and the second factor is 1 / ((1 + 2 t m0) times the
+first), so the cubic substep takes one exp.  States are stored as (2, N)
+arrays holding the (v, w) rows; the diagonal variables are internal to
+each evaluation: the Strang step changes basis once each way and runs its
+three substeps in place on one array.
 """
 
 from dataclasses import dataclass
@@ -26,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..complexlog import principal_log
-from ..flowmap import EXACT_META, FlowMap
+from ..flowmap import EXACT_META, STRANG_META, FlowMap
 from ..spectral import step_cache
-from .splitting import strang
 
 
 @dataclass(frozen=True)
@@ -58,21 +60,25 @@ def _from_diagonal(diag):
     return np.array([1j * dv + dw, dv + 1j * dw])
 
 
-def cgl_nonlinear_map(params):
-    beta = params.beta
-
-    def apply(vw, tau):
-        diag = _to_diagonal(vw)
-        m0 = 4j * diag[0] * diag[1]
-        log_term = principal_log(1.0 + 2.0 * tau * m0)
-        diag[0] = diag[0] * np.exp(-0.5 * beta * log_term)
-        diag[1] = diag[1] * np.exp(-0.5 * np.conj(beta) * log_term)
-        return _from_diagonal(diag)
-
-    return FlowMap(apply, EXACT_META, name="cgl-nonlinear")
+def _linear(diag, multipliers):
+    """Linear substep in place on the diagonal rows."""
+    for row, multiplier in enumerate(multipliers):
+        diag[row] = np.fft.ifft(multiplier * np.fft.fft(diag[row]))
+    return diag
 
 
-def cgl_linear_map(params, grid):
+def _cubic(diag, tau, beta):
+    """Cubic substep in place on the diagonal rows."""
+    z = 1.0 + 2.0 * tau * (4j * diag[0] * diag[1])
+    decay = np.exp(-0.5 * beta * principal_log(z))
+    diag[0] *= decay
+    decay *= z  # exp(-(conj(beta)/2) log z) = 1 / (z exp(-(beta/2) log z))
+    diag[1] /= decay
+    return diag
+
+
+def _multipliers(params, grid):
+    """Step-cached Fourier multipliers of the linear flow, one per diagonal row."""
     alpha, eps = params.alpha, params.eps
     k2 = grid.wavenumbers() ** 2
 
@@ -81,19 +87,38 @@ def cgl_linear_map(params, grid):
         gain = np.exp(eps * tau)
         return gain * np.exp(-tau * alpha * k2), gain * np.exp(-tau * np.conj(alpha) * k2)
 
+    return multipliers
+
+
+def cgl_nonlinear_map(params):
+    beta = params.beta
+
     def apply(vw, tau):
-        diag = _to_diagonal(vw)
-        for row, multiplier in enumerate(multipliers(tau)):
-            diag[row] = np.fft.ifft(multiplier * np.fft.fft(diag[row]))
-        return _from_diagonal(diag)
+        return _from_diagonal(_cubic(_to_diagonal(vw), tau, beta))
+
+    return FlowMap(apply, EXACT_META, name="cgl-nonlinear")
+
+
+def cgl_linear_map(params, grid):
+    multipliers = _multipliers(params, grid)
+
+    def apply(vw, tau):
+        return _from_diagonal(_linear(_to_diagonal(vw), multipliers(tau)))
 
     return FlowMap(apply, EXACT_META, name="cgl-linear")
 
 
 def cgl_strang_flow(params, grid):
     """Splitting linear(tau/2), cubic(tau), linear(tau/2) on (v, w) arrays."""
-    return strang(cgl_linear_map(params, grid), cgl_nonlinear_map(params),
-                  name="cgl-strang")
+    beta = params.beta
+    multipliers = _multipliers(params, grid)
+
+    def apply(vw, tau):
+        half = multipliers(tau / 2.0)
+        diag = _cubic(_linear(_to_diagonal(vw), half), tau, beta)
+        return _from_diagonal(_linear(diag, half))
+
+    return FlowMap(apply, STRANG_META, name="cgl-strang")
 
 
 def pulse_pair_profile(grid):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pscomp.problems.cgl as cgl
 from pscomp.errors import SingularityError
 from pscomp.problems import (
     CGLParams, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
-    pulse_pair_profile,
+    pulse_pair_profile, strang,
 )
 from pscomp.complexlog import principal_log
 from pscomp.spectral import SpectralGrid
@@ -174,6 +177,49 @@ def test_strang_real_data_stays_numerically_real(params, grid):
     # (v, w) solve a real system; the diagonal round trip leaves only
     # roundoff-level imaginary parts.
     assert np.max(np.abs(out.imag)) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.05, complex(0.04, 0.02), complex(0.03, -0.015)])
+def test_strang_matches_the_stage_composition_and_keeps_its_input(params, grid, tau):
+    rng = np.random.default_rng(46)
+    state = _state(pulse_pair_profile(grid) + 0.1 * rng.normal(size=64),
+                   0.2 * rng.normal(size=64))
+    before = state.copy()
+    composed = strang(cgl_linear_map(params, grid), cgl_nonlinear_map(params), name="x")
+    fused = cgl_strang_flow(params, grid)(state, tau)
+    assert np.max(np.abs(fused - composed(state, tau))) < 1e-13
+    # The kernels write in place on the diagonal rows, never on the caller's state.
+    for flow in (cgl_strang_flow(params, grid), cgl_linear_map(params, grid),
+                 cgl_nonlinear_map(params)):
+        flow(state, tau)
+        np.testing.assert_array_equal(state, before)
+
+
+def test_strang_reports_the_grid_index_of_a_branch_cut():
+    # With c1 = eps = 0, a real field and a real step, the 4-point DFT
+    # (twiddles +-1, +-i) keeps the diagonal rows exactly imaginary and
+    # real, so 1 + 2 tau m0 is exactly real.  After the first half-step it
+    # is about 0.9 off the peak and about -2.6 at the peak (index 3).
+    params = CGLParams(c1=0.0, c3=-2.0, eps=0.0)
+    flow = cgl_strang_flow(params, SpectralGrid(-100.0, 200.0, 4))
+    with pytest.raises(SingularityError) as excinfo:
+        flow(_state([0.5, 0.5, 0.5, 3.0], np.zeros(4)), -0.2)
+    assert excinfo.value.index == 3
+    assert excinfo.value.value.real < 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(c3=st.floats(-50.0, 50.0),
+       tau=st.complex_numbers(max_magnitude=0.2).filter(lambda t: t.real >= 0.0))
+def test_one_exp_cubic_matches_the_two_exp_closed_form(c3, tau):
+    rng = np.random.default_rng(47)
+    beta = CGLParams(c1=1.0, c3=c3, eps=1.0).beta
+    diag = cgl._to_diagonal(_state(rng.uniform(-1.0, 1.0, 64), rng.uniform(-1.0, 1.0, 64)))
+    log_term = principal_log(1.0 + 2.0 * tau * (4j * diag[0] * diag[1]))
+    expected = np.array([diag[0] * np.exp(-0.5 * beta * log_term),
+                         diag[1] * np.exp(-0.5 * np.conj(beta) * log_term)])
+    out = cgl._cubic(diag.copy(), tau, beta)
+    assert np.max(np.abs(out - expected) / np.abs(expected)) < 1e-14
 
 
 def test_pulse_pair_profile(grid):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pscomp.complexlog import analytic_inv_r3, principal_log
@@ -103,6 +103,17 @@ def test_scalar_path_matches_array_path(z):
     inv = analytic_inv_r3(np.array([z]))[0]
     assert abs(analytic_inv_r3(z) - inv) <= 1e-15 * scale * abs(inv)
     assert isinstance(analytic_inv_r3(z), complex)
+
+
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False).filter(
+    lambda z: not (z.imag == 0.0 and z.real <= 0.0)), min_size=1, max_size=16))
+@example(OVERFLOW_INPUTS)
+def test_array_log_is_the_log_abs_plus_arctan2_formula(values):
+    # Every finite magnitude is allowed, so |z| overflows to inf in some draws.
+    z = np.array(values, dtype=complex)
+    with np.errstate(over="ignore"):
+        expected = np.log(np.abs(z)) + 1j * np.arctan2(z.imag, z.real)
+        np.testing.assert_array_equal(principal_log(z), expected)
 
 
 @given(ON_CUT)
