@@ -89,7 +89,7 @@ def _check_problem_params(problem, params):
     if not isinstance(params, dict):
         raise ValidationError(f"problem_params must be an object, got {params!r}")
     defaults = PROBLEM_PARAMS[problem]
-    unknown = sorted(set(params) - set(defaults))
+    unknown = sorted(map(str, set(params) - set(defaults)))
     if unknown:
         raise ValidationError(
             f"unknown problem_params keys for {problem}: {', '.join(unknown)} "
@@ -179,7 +179,7 @@ def apply_overrides(base, overrides):
     keys are listed in the error.
     """
     overrides = dict(overrides)
-    unknown = sorted(set(overrides) - set(_CONFIG_KEYS))
+    unknown = sorted(map(str, set(overrides) - set(_CONFIG_KEYS)))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     params = overrides.get("problem_params", {})
@@ -188,10 +188,7 @@ def apply_overrides(base, overrides):
     if overrides.get("problem", base.problem) == base.problem:
         params = {**base.problem_params, **params}
     overrides["problem_params"] = params
-    try:
-        return replace(base, **overrides)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from exc
+    return replace(base, **overrides)
 
 
 def parse_config(text, preset=None):

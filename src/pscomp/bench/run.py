@@ -46,10 +46,6 @@ SCHEMA = [
 #: runs accumulate more FFT roundoff per step than the others.
 ORDER_FIT_FLOORS = {"kepler": 1e-13, "fisher": 1e-13, "cgl": 5e-13}
 
-#: Quantities of the rows that record a measured (method, tau) cell.
-CELL_QUANTITIES = ("successive_error", "energy_error", "energy_plateau",
-                   "symmetry_defect", "determinant_defect")
-
 
 def _problem_setup(config):
     """Base flow map, grid (PDE only), and initial state for a config."""
@@ -134,8 +130,8 @@ def _measure(table, method_name, tau, compute):
     a tuple of numbers and arrays.  A ``SingularityError`` makes the cell
     ``singular: <message>``, a nan or inf in the tuple ``non_finite: ...``;
     either way ``values`` is None and the cell gets one ``failures`` entry,
-    with the singularity's step index (None for a non-finite value).
-    """
+    with the singularity's step index (None for a non-finite value).  A
+    failed cell sets ``all_rows_failed`` unless an ``ok`` cell cleared it."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = compute()
@@ -143,8 +139,10 @@ def _measure(table, method_name, tau, compute):
         kind, error, step = "singular", str(exc), exc.step
     else:
         if all(np.isfinite(v).all() for v in values):
+            table.metadata["all_rows_failed"] = False
             return values, "ok"
         kind, error, step = "non_finite", "result has nan or inf", None
+    table.metadata.setdefault("all_rows_failed", True)
     table.metadata["failures"].append(
         {"method": method_name, "tau": tau, "error": error, "step": step})
     return None, f"{kind}: {error}"
@@ -316,9 +314,7 @@ def run_preset(name, overrides=None, out_dir=".", config=None):
     os.makedirs(out_dir, exist_ok=True)
     out_base = os.path.join(out_dir, name)
     table, extra_paths = _RUNNERS[name](name, config, out_base)
-    quantity, status = table.schema.index("quantity"), table.schema.index("status")
-    statuses = [row[status] for row in table.rows if row[quantity] in CELL_QUANTITIES]
-    table.metadata["all_rows_failed"] = bool(statuses) and "ok" not in statuses
+    table.metadata.setdefault("all_rows_failed", False)
     csv_path, json_path = emit(table, out_base)
     return table, [csv_path, json_path, *extra_paths]
 

@@ -49,8 +49,8 @@ def compose_schedule(base, coefficients, meta):
     return FlowMap(apply, meta, name=f"schedule[{len(coeffs)}]({base.name})")
 
 
-class _RealProjection:
-    """Average of a method with its coefficient-conjugated mirror.
+def _real_projection(method):
+    """Evaluator averaging ``method`` with its coefficient-conjugated mirror.
 
     For a real vector field the mirror branch at step sigma equals
     ``conj(method(conj(x), conj(sigma)))``, so no explicit mirror method is
@@ -58,12 +58,7 @@ class _RealProjection:
     single evaluation; the input state must then be (numerically) real.
     """
 
-    __slots__ = ("method",)
-
-    def __init__(self, method):
-        self.method = method
-
-    def __call__(self, x, tau):
+    def project(x, tau):
         if tau.imag == 0.0:
             # One pass clears an exactly real state, the common case.
             if x.imag.any():
@@ -71,11 +66,13 @@ class _RealProjection:
                 if imag > 1e-14 * max(1.0, float(np.max(np.abs(x)))):
                     raise DomainError("real projection at a real step requires a "
                                       f"real state (imaginary magnitude {imag:.3e})")
-            y = self.method(x.real.astype(complex), tau)
+            y = method(x.real.astype(complex), tau)
             return y.real.astype(complex)
-        y = self.method(x, tau)
-        mirror = np.conj(self.method(np.conj(x), tau.conjugate()))
+        y = method(x, tau)
+        mirror = np.conj(method(np.conj(x), tau.conjugate()))
         return 0.5 * (y + mirror)
+
+    return project
 
 
 def _level_meta(meta, gamma):
@@ -112,9 +109,6 @@ class RecursiveFamily:
     coefficient_products: list
     capped: list
 
-    def declared_orders(self):
-        return [lvl.meta.order for lvl in self.levels]
-
 
 def recursive_family(base, levels):
     """Build ``levels`` successive projected conjugate-pair methods.
@@ -145,7 +139,7 @@ def recursive_family(base, levels):
         gamma = gamma_smallest_phase(prev.meta.order)
         meta = _level_meta(prev.meta, gamma)
         pair = compose_schedule(prev, (gamma, gamma.conjugate()), meta)
-        level = FlowMap(_RealProjection(pair), meta, name=f"Re({pair.name})")
+        level = FlowMap(_real_projection(pair), meta, name=f"Re({pair.name})")
         prev_products = [gamma * p for p in prev_products] + [
             gamma.conjugate() * p for p in prev_products
         ]

@@ -1,14 +1,14 @@
 """Measurement harness: trajectory integration, energy-error series,
-successive-error convergence estimates, symmetry/symplecticity defects,
-and the oscillator's truncation and defect cell.
+successive-error convergence estimates, one-step symmetry/symplecticity
+defects, and the oscillator's truncation and defect cell.
 
-Fits: :func:`power_law_fit` is the free log-log least-squares slope; when
-that slope sits near an integer it reads the coefficient at the
-second-smallest step.  :func:`fit_leading_term` first discards samples
-below a roundoff floor and narrows the window from the large-step end
-until the log-log residual drops below a threshold (large steps carry
-higher-order contamination).  :func:`slope_with_floor` only discards
-samples below its floor.
+Each measurement is one (method, tau) cell; the caller fits the series.
+:func:`power_law_fit` is the free log-log least-squares slope; when that
+slope sits near an integer it reads the coefficient at the second-smallest
+step.  :func:`fit_leading_term` first discards samples below a roundoff
+floor and narrows the window from the large-step end until the log-log
+residual drops below a threshold (large steps carry higher-order
+contamination); :func:`slope_with_floor` only applies its floor.
 """
 
 import math
@@ -192,54 +192,31 @@ def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
     return None
 
 
-def symmetry_defect(method, x0, taus):
+def symmetry_defect(method, x0, tau):
     """Sup-norm displacement of the round trip ``psi_tau o psi_{-tau}`` from
-    ``x0`` per entry of ``taus``, and its :func:`fit_leading_term` fit (None
-    at roundoff level).  Pseudo-symmetry order q shows exponent >= q + 1.
-    """
+    ``x0`` at one step ``tau``; pseudo-symmetry order q shows as a defect
+    O(tau^(q+1)) over a range of steps."""
     x = np.asarray(x0, dtype=complex)
-    taus = np.asarray(taus, dtype=float)
-    defects = np.array([float(np.max(np.abs(method(method(x, -tau), tau) - x)))
-                        for tau in taus])
-    return defects, fit_leading_term(taus, defects)
+    return float(np.max(np.abs(method(method(x, -tau), tau) - x)))
 
 
-def _canonical_form(dim):
-    half = dim // 2
-    form = np.zeros((dim, dim))
-    form[:half, half:] = np.eye(half)
-    form[half:, :half] = -np.eye(half)
-    return form
-
-
-def _fd_jacobian(method, x, tau):
+def symplecticity_defect(method, x0, tau):
+    """Max-abs entry of ``J^T S J - S`` at one step ``tau``, with S the
+    canonical form and J the Jacobian at ``x0`` by central finite
+    differences (relative step 1e-5 per component)."""
+    x = np.asarray(x0, dtype=complex)
     dim = len(x)
+    if dim % 2 != 0:
+        raise DomainError("symplecticity needs an even-dimensional state")
+    form = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dim // 2))
     jac = np.empty((dim, dim))
     for j in range(dim):
         h = 1e-5 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = xp.copy()
+        xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
         jac[:, j] = ((method(xp, tau) - method(xm, tau)) / (2.0 * h)).real
-    return jac
-
-
-def symplecticity_defect(method, x0, taus):
-    """``(defects, fit)`` as :func:`symmetry_defect`, for the max-abs entry of
-    ``J^T S J - S`` with S the canonical form and J the Jacobian at ``x0`` by
-    central finite differences (relative step 1e-5 per component).
-    """
-    x = np.asarray(x0, dtype=complex)
-    if len(x) % 2 != 0:
-        raise DomainError("symplecticity needs an even-dimensional state")
-    form = _canonical_form(len(x))
-    taus = np.asarray(taus, dtype=float)
-    defects = np.empty(len(taus))
-    for i, tau in enumerate(taus):
-        jac = _fd_jacobian(method, x, tau)
-        defects[i] = float(np.max(np.abs(jac.T @ form @ jac - form)))
-    return defects, fit_leading_term(taus, defects)
+    return float(np.max(np.abs(jac.T @ form @ jac - form)))
 
 
 def oscillator_defects(method, tau):

@@ -92,10 +92,6 @@ class FlowMap:
     def __call__(self, state, tau):
         return self._evaluator(state, tau)
 
-    def __repr__(self):
-        label = self.name or "anonymous"
-        return f"FlowMap({label}, order={self.meta.order})"
-
     def matrix(self, tau):
         """2x2 matrix of a map on the oscillator's ``(q, p)`` state at step ``tau``.
 

@@ -21,7 +21,6 @@ from pscomp.bench import (
 )
 from pscomp.bench.cli import main
 from pscomp.bench.config import BASE_METHODS, MAX_STEPS, PRESET_READS, PROBLEMS
-from pscomp.bench.run import CELL_QUANTITIES
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import successive_error
 from pscomp.errors import SingularityError, ValidationError
@@ -101,6 +100,11 @@ def test_apply_overrides_keeps_validation():
     assert config.grid_points == 64
     with pytest.raises(ValidationError):
         apply_overrides(base, {"nonsense": True})
+    # Keys of a Python mapping need not be strings; they are named all the same.
+    with pytest.raises(ValidationError, match="unknown config keys: 1, x"):
+        apply_overrides(base, {1: True, "x": 2})
+    with pytest.raises(ValidationError, match="problem_params keys for fisher: 1, x"):
+        apply_overrides(base, {"problem_params": {1: 0.5, "x": 0.1}})
 
 
 def test_emit_header_only(tmp_path):
@@ -312,6 +316,31 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, command, preset,
     assert not list(tmp_path.rglob("*.csv"))
 
 
+#: (config text that is not a JSON object, text the error must name).
+NOT_AN_OBJECT = [
+    ("{", "not valid JSON"),
+    ("[1]", "JSON object"),
+    ('"x"', "JSON object"),
+    ("3", "JSON object"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("text, message", NOT_AN_OBJECT)
+def test_cli_rejects_config_that_is_not_a_json_object(tmp_path, capsys, command,
+                                                      text, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(text)
+    out = tmp_path / "out"
+    argv = (["run", "kepler-order", "--config", str(config_path), "--out", str(out)]
+            if command == "run" else ["validate", str(config_path)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 #: Per preset: a small run, and a changed value for each field it reads.
 SMALL_RUNS = {
     "ho-table1": ({}, {"base_method": "s4sim", "levels": 2,
@@ -386,6 +415,10 @@ def test_kepler_energy_runs_every_tau(tmp_path):
     for (_, tau), times in rows.items():
         assert times == pytest.approx([tau * i for i in range(round(1.0 / tau) + 1)])
 
+
+#: Quantities of the rows that record a measured (method, tau) cell.
+CELL_QUANTITIES = ("successive_error", "energy_error", "energy_plateau",
+                   "symmetry_defect", "determinant_defect")
 
 #: (preset, config document) whose every measured cell overflows.
 NON_FINITE_CONFIGS = [

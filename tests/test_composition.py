@@ -8,7 +8,7 @@ import pytest
 
 from pscomp.coefficients import gamma_smallest_phase
 from pscomp.composition import (
-    _RealProjection, coefficient_arguments, compose_schedule, recursive_family,
+    _real_projection, coefficient_arguments, compose_schedule, recursive_family,
 )
 from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
@@ -74,7 +74,7 @@ def test_real_projection_identity_is_exact():
 
 def test_real_projection_idempotent_on_real_states():
     once = recursive_family(ho_strang_flow(), 1).levels[0]
-    twice = FlowMap(_RealProjection(once), once.meta)
+    twice = FlowMap(_real_projection(once), once.meta)
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.normal(size=2)
@@ -94,7 +94,7 @@ def test_real_projection_guard_tolerance_on_kepler_state(imag):
     # 1e-14 absolute; a state it accepts steps as its real part.
     g = gamma_smallest_phase(2)
     pair = compose_schedule(kepler_strang_flow(), [g, g.conjugate()], MethodMeta(order=3))
-    projected = _RealProjection(pair)
+    projected = _real_projection(pair)
     x = kepler_initial_conditions(0.0).as_vector() + 1j * imag * np.array([0, 1, 1, 0])
     tau = complex(0.05)
     if imag > 1e-14:
@@ -115,14 +115,14 @@ def test_real_projection_output_has_zero_imaginary_part():
 
 def test_recursive_family_strang_orders():
     family = recursive_family(ho_strang_flow(), 3)
-    assert family.declared_orders() == [4, 6, 7]
+    assert [lvl.meta.order for lvl in family.levels] == [4, 6, 7]
     assert family.capped == [False, False, True]
 
 
 def test_recursive_family_s4sim_orders():
     base = s4sim(ho_drift_flow(), ho_kick_flow())
     family = recursive_family(base, 4)
-    assert family.declared_orders() == [6, 8, 10, 11]
+    assert [lvl.meta.order for lvl in family.levels] == [6, 8, 10, 11]
     assert family.capped == [False, False, False, True]
 
 
@@ -136,7 +136,7 @@ def test_recursive_family_pseudo_symmetric_base_caps_at_q(q, orders, capped):
     meta = MethodMeta(order=2, pseudo_symmetry_order=q,
                       pseudo_symplecticity_order=math.inf)
     family = recursive_family(FlowMap(lambda x, tau: x, meta), 3)
-    assert family.declared_orders() == orders
+    assert [lvl.meta.order for lvl in family.levels] == orders
     assert family.capped == capped
 
 

@@ -51,6 +51,8 @@ def test_power_law_fit_validates_input():
         power_law_fit([0.1, 0.2, -0.3], [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         power_law_fit([0.1, 0.2, 0.3], [1.0, 0.0, 3.0])
+    with pytest.raises(DomainError, match="equal length"):
+        power_law_fit([0.1, 0.2, 0.3], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_power_law_fit_noninteger_exponent_uses_intercept():
@@ -168,7 +170,7 @@ def test_symmetry_defect_symmetric_method_below_floor():
 def test_symmetry_defect_point_mode_matches_matrix_mode():
     method = recursive_family(ho_strang_flow(), 1).levels[0]
     taus = np.array([0.8, 0.4, 0.2])
-    point_mode, _ = symmetry_defect(method, np.array([1.0, 0.0]), taus)
+    point_mode = [symmetry_defect(method, np.array([1.0, 0.0]), tau) for tau in taus]
     # The point-mode defect on basis vectors is bounded by the matrix norm.
     for tau, defect in zip(taus, point_mode):
         assert defect <= 2.0 * oscillator_defects(method, tau)[1] + 1e-15
@@ -184,7 +186,7 @@ def test_symplecticity_defect_exact_rotation():
 def test_symplecticity_defect_point_mode_strang():
     x0 = kepler_initial_conditions(0.6).as_vector()
     taus = np.array([0.2, 0.1, 0.05])
-    defects, _ = symplecticity_defect(kepler_strang_flow(), x0, taus)
+    defects = [symplecticity_defect(kepler_strang_flow(), x0, tau) for tau in taus]
     # exactly symplectic map; what remains is finite-difference truncation,
     # amplified by the 1/r^3 curvature near perihelion
     assert np.max(defects) < 1e-7
@@ -193,7 +195,7 @@ def test_symplecticity_defect_point_mode_strang():
 def test_symplecticity_defect_rejects_odd_dimension():
     flow = FlowMap(lambda x, tau: x, EXACT_META)
     with pytest.raises(DomainError):
-        symplecticity_defect(flow, np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.05, 0.025]))
+        symplecticity_defect(flow, np.array([1.0, 2.0, 3.0]), 0.1)
 
 
 def _truncation_fits(matrix, taus):
