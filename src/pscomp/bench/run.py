@@ -25,9 +25,9 @@ from ..diagnostics import (
     oscillator_defects, power_law_fit, propagate, slope_with_floor,
     step_count, successive_error,
 )
-from ..errors import SingularityError
+from ..errors import NonFiniteError, SingularityError
 from ..problems import (
-    CGLParams, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
+    CGLParams, S4SIM_MAX_ARG, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
     fisher_diffusion_map, fisher_reaction_map, fisher_strang_flow,
     ho_drift_flow, ho_energy, ho_kick_flow, ho_strang_flow,
     kepler_drift_flow, kepler_energy, kepler_initial_conditions,
@@ -78,11 +78,9 @@ def _problem_setup(config):
 
 def _methods(config, base):
     """Ordered (name, level, flow) triples: the base plus family levels."""
-    out = [(config.base_method, 0, base)]
-    family = recursive_family(base, config.levels)
-    for i, level in enumerate(family.levels, start=1):
-        out.append((f"level{i}", i, level))
-    return out
+    levels = recursive_family(base, config.levels).levels
+    return [(config.base_method, 0, base)] + [
+        (f"level{i}", i, level) for i, level in enumerate(levels, start=1)]
 
 
 def _new_table(name, config):
@@ -128,20 +126,22 @@ def _measure(table, method_name, tau, compute):
 
     ``compute()`` runs with numpy's floating-point warnings off and returns
     a tuple of numbers and arrays.  A ``SingularityError`` makes the cell
-    ``singular: <message>``, a nan or inf in the tuple ``non_finite: ...``;
-    either way ``values`` is None and the cell gets one ``failures`` entry,
-    with the singularity's step index (None for a non-finite value).  A
-    failed cell sets ``all_rows_failed`` unless an ``ok`` cell cleared it."""
+    ``singular: <message>``, a ``NonFiniteError`` or a nan or inf in the tuple
+    ``non_finite: ...``; either way ``values`` is None and the cell gets one
+    ``failures`` entry with the error's step (None for a nan or inf in the
+    tuple).  A failed cell sets ``all_rows_failed`` unless an ``ok`` cell
+    cleared it."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = compute()
-    except SingularityError as exc:
-        kind, error, step = "singular", str(exc), exc.step
+        if not all(np.isfinite(v).all() for v in values):
+            raise NonFiniteError()
+    except (SingularityError, NonFiniteError) as exc:
+        kind = "singular" if isinstance(exc, SingularityError) else "non_finite"
+        error, step = str(exc), exc.step
     else:
-        if all(np.isfinite(v).all() for v in values):
-            table.metadata["all_rows_failed"] = False
-            return values, "ok"
-        kind, error, step = "non_finite", "result has nan or inf", None
+        table.metadata["all_rows_failed"] = False
+        return values, "ok"
     table.metadata.setdefault("all_rows_failed", True)
     table.metadata["failures"].append(
         {"method": method_name, "tau": tau, "error": error, "step": step})
@@ -195,9 +195,7 @@ def _run_ho_table1(name, config, out_base):
     """Per level: four truncation-entry fits, then each defect per tau and its fit."""
     base, _, _ = _problem_setup(config)
     table = _new_table(name, config)
-    family = recursive_family(base, config.levels)
-    for level, method in enumerate(family.levels, start=1):
-        method_name = f"level{level}"
+    for method_name, level, method in _methods(config, base)[1:]:
         row = partial(_common, name, config, method=method_name, level=level)
         cells = [(tau, *_measure(table, method_name, tau,
                                  lambda: oscillator_defects(method, tau)))
@@ -223,9 +221,7 @@ def _run_ho_table1(name, config, out_base):
 def _run_ho_energy(name, config, out_base):
     base, _, x0 = _problem_setup(config)
     table = _new_table(name, config)
-    family = recursive_family(base, config.levels)
-    method = family.levels[-1]
-    method_name = f"level{config.levels}"
+    method_name, level, method = _methods(config, base)[-1]
     positive = []
     for tau in config.tau_list:
         n = step_count(config.t_final, tau)
@@ -236,13 +232,13 @@ def _run_ho_energy(name, config, out_base):
         for quantity, value in zip(("energy_plateau", "energy_envelope",
                                     "secular_growth"), values or (math.nan,) * 3):
             table.add_row(**_common(name, config, method=method_name,
-                                    level=config.levels, quantity=quantity,
+                                    level=level, quantity=quantity,
                                     tau=tau, value=value, status=status))
     # Growth at or under zero is roundoff: zero is this fit's floor.
     fit = power_law_fit(*zip(*positive)) if len(positive) >= 3 else None
     n_ok = len(config.tau_list) - len(table.metadata["failures"])
     table.add_row(**_common(name, config, method=method_name,
-                            level=config.levels, quantity="secular_order"),
+                            level=level, quantity="secular_order"),
                   **_fit_cells(fit, n_ok))
     return table, []
 
@@ -269,13 +265,13 @@ def _run_kepler_energy(name, config, out_base):
 def _run_coeff_audit(name, config, out_base):
     table = _new_table(name, config)
     bases = (
-        ("strang", ho_strang_flow(), 3),
-        ("s4sim", s4sim(ho_drift_flow(), ho_kick_flow()), 4),
+        ("strang", ho_strang_flow(), 3, 0.0),
+        ("s4sim", s4sim(ho_drift_flow(), ho_kick_flow()), 4, S4SIM_MAX_ARG),
     )
-    table.metadata["families"] = [{"base_method": b, "levels": n} for b, _, n in bases]
-    for base_name, base, levels in bases:
+    table.metadata["families"] = [{"base_method": b, "levels": n} for b, _, n, _ in bases]
+    for base_name, base, levels, base_arg in bases:
         family = recursive_family(base, levels)
-        max_arg, all_positive = coefficient_arguments(family)
+        max_arg, all_positive = coefficient_arguments(family, base_arg)
         table.add_row(problem="harmonic", preset=name, base=base_name,
                       method=f"{base_name}x{levels}",
                       quantity="max_coefficient_argument",

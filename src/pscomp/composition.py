@@ -46,7 +46,7 @@ def compose_schedule(base, coefficients, meta):
             x = base(x, c * tau)
         return x
 
-    return FlowMap(apply, meta, name=f"schedule[{len(coeffs)}]({base.name})")
+    return FlowMap(apply, meta)
 
 
 def _real_projection(method):
@@ -75,7 +75,7 @@ def _real_projection(method):
     return project
 
 
-def _level_meta(meta, gamma):
+def _level_meta(meta):
     """Declared orders of the projected conjugate pair built on ``meta``.
 
     With k the order and q the pseudo-symmetry order of the previous
@@ -89,7 +89,6 @@ def _level_meta(meta, gamma):
         order=int(min(k + 2, q)),
         pseudo_symmetry_order=min(q, 2 * k + 3),
         pseudo_symplecticity_order=min(q, meta.pseudo_symplecticity_order, 2 * k + 3),
-        max_coeff_arg=meta.max_coeff_arg + abs(cmath.phase(gamma)),
     )
 
 
@@ -104,7 +103,6 @@ class RecursiveFamily:
     pseudo-symmetry cap of the construction.
     """
 
-    base: FlowMap
     levels: list
     coefficient_products: list
     capped: list
@@ -137,9 +135,9 @@ def recursive_family(base, levels):
     prev_products = [1.0 + 0.0j]
     for _ in range(levels):
         gamma = gamma_smallest_phase(prev.meta.order)
-        meta = _level_meta(prev.meta, gamma)
+        meta = _level_meta(prev.meta)
         pair = compose_schedule(prev, (gamma, gamma.conjugate()), meta)
-        level = FlowMap(_real_projection(pair), meta, name=f"Re({pair.name})")
+        level = FlowMap(_real_projection(pair), meta)
         prev_products = [gamma * p for p in prev_products] + [
             gamma.conjugate() * p for p in prev_products
         ]
@@ -148,19 +146,21 @@ def recursive_family(base, levels):
         capped_flags.append(meta.order < prev.meta.order + 2)
         prev = level
 
-    return RecursiveFamily(base=base, levels=family_levels,
-                           coefficient_products=products, capped=capped_flags)
+    return RecursiveFamily(levels=family_levels, coefficient_products=products,
+                           capped=capped_flags)
 
 
-def coefficient_arguments(family):
+def coefficient_arguments(family, base_arg):
     """Largest |argument| over all base-method step coefficients of a family.
 
-    Includes the base method's own internal coefficient arguments (zero for
-    real-coefficient bases).  The boolean is True when every coefficient
-    has a positive real part, i.e. the maximum argument stays below pi/2.
+    ``base_arg`` is the largest |argument| among the base method's own
+    internal coefficients (zero for a real-coefficient base such as Strang,
+    ``S4SIM_MAX_ARG`` for ``s4sim``); it adds to that of the products.  The
+    boolean is True when every coefficient has a positive real part, i.e.
+    the maximum argument stays below pi/2.
     """
     max_product_arg = max(
         abs(cmath.phase(p)) for level in family.coefficient_products for p in level
     )
-    max_arg = max_product_arg + family.base.meta.max_coeff_arg
+    max_arg = max_product_arg + base_arg
     return max_arg, max_arg < math.pi / 2

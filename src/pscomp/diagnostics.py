@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, NonFiniteError, SingularityError, ValidationError
 from .problems.harmonic import ho_exact
 
 #: Discard error samples below this magnitude before fitting; one-step
@@ -49,6 +49,13 @@ class PowerLawFit:
             raise ValidationError("residual must be non-negative")
 
 
+def _start(x0, n_steps):
+    """``x0`` as a complex array, once ``n_steps`` is checked to be at least 1."""
+    if n_steps < 1:
+        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    return np.asarray(x0, dtype=complex)
+
+
 def _steps(method, x, tau, n_steps):
     """Yield the state after each of ``n_steps`` steps from the complex array
     ``x``; a singularity is re-raised with its step index attached."""
@@ -65,22 +72,25 @@ def integrate(method, x0, tau, n_steps):
     """Real parts of the ``n_steps + 1`` states of ``method`` at fixed real
     step ``tau``, the start included, as one array (state k sits at time
     ``tau * k``; methods fed here are expected to project to real states).
-    A singularity raised by any stage is re-raised with the step index.
+    A singularity raised by any stage is re-raised with the step index; a
+    nan or inf state, found in one pass after the last step, raises
+    :class:`NonFiniteError` with the step that produced it.
     """
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    x = np.asarray(x0, dtype=complex)
+    x = _start(x0, n_steps)
     states = np.empty((n_steps + 1,) + x.shape, dtype=float)
     states[0] = x.real
     for i, x in enumerate(_steps(method, x, tau, n_steps), start=1):
         states[i] = np.asarray(x).real
+    finite = np.isfinite(states).reshape(n_steps + 1, -1).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(step=int(np.argmin(finite)) - 1)
     return states
 
 
 def propagate(method, x0, tau, n_steps):
     """Final state after ``n_steps`` applications of ``method`` at step
     ``tau``; a singularity is re-raised with the step index."""
-    x = np.asarray(x0, dtype=complex)
+    x = _start(x0, n_steps)
     for x in _steps(method, x, tau, n_steps):
         pass
     return x
@@ -205,9 +215,9 @@ def symplecticity_defect(method, x0, tau):
     canonical form and J the Jacobian at ``x0`` by central finite
     differences (relative step 1e-5 per component)."""
     x = np.asarray(x0, dtype=complex)
+    if x.ndim != 1 or len(x) % 2 != 0:
+        raise DomainError("symplecticity needs an even-dimensional vector state")
     dim = len(x)
-    if dim % 2 != 0:
-        raise DomainError("symplecticity needs an even-dimensional state")
     form = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dim // 2))
     jac = np.empty((dim, dim))
     for j in range(dim):

@@ -22,3 +22,11 @@ class SingularityError(ArithmeticError):
         self.index = index
         self.value = value
         self.step = step
+
+
+class NonFiniteError(ArithmeticError):
+    """A state holds nan or inf; ``step`` is the step that produced it."""
+
+    def __init__(self, step=None):
+        super().__init__("result has nan or inf")
+        self.step = step

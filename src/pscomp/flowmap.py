@@ -6,7 +6,7 @@ of old ones, so this is the unit the whole package composes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,41 +27,23 @@ class MethodMeta:
     pseudo_symplecticity_order
         Largest r such that the Jacobian satisfies the symplecticity
         identity up to O(tau^{r+1}).  ``math.inf`` for symplectic methods.
-    max_coeff_arg
-        Largest |argument| among the complex step coefficients the method
-        applies internally to its underlying flows (0 for real-coefficient
-        methods).  The coefficient-argument audit reads only the base
-        method's value; a family level adds its own arguments to it.
     """
 
     order: int
-    pseudo_symmetry_order: float = field(default=None)
-    pseudo_symplecticity_order: float = field(default=None)
-    max_coeff_arg: float = 0.0
+    pseudo_symmetry_order: float
+    pseudo_symplecticity_order: float
 
     def __post_init__(self):
         if self.order < 1:
             raise ValidationError(f"order must be >= 1, got {self.order}")
-        # A method of order k is pseudo-symmetric (and -symplectic) of
-        # order at least k, so the declared values default to k.
-        if self.pseudo_symmetry_order is None:
-            object.__setattr__(self, "pseudo_symmetry_order", float(self.order))
-        if self.pseudo_symplecticity_order is None:
-            object.__setattr__(self, "pseudo_symplecticity_order", float(self.order))
-        if self.pseudo_symmetry_order < self.order:
-            raise ValidationError(
-                f"pseudo-symmetry order {self.pseudo_symmetry_order} below order {self.order}"
-            )
-        if self.pseudo_symplecticity_order < self.order:
-            raise ValidationError(
-                f"pseudo-symplecticity order {self.pseudo_symplecticity_order} "
-                f"below order {self.order}"
-            )
+        for label, value in (("symmetry", self.pseudo_symmetry_order),
+                             ("symplecticity", self.pseudo_symplecticity_order)):
+            if value < self.order:
+                raise ValidationError(f"pseudo-{label} order {value} below order {self.order}")
 
 
 #: Meta for an exact flow: symmetric and symplectic to all orders.  No
-#: combinator reads the classical order of an exact flow (``strang`` and
-#: ``s4sim`` read only the parts' pseudo-symplecticity order), so it is 2.
+#: combinator reads the meta of a stage flow, so the order is nominally 2.
 EXACT_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
                         pseudo_symplecticity_order=INFINITE_ORDER)
 
@@ -81,13 +63,12 @@ class FlowMap:
     new state of the same shape.  It may keep a bounded cache of
     read-only step constants and shares nothing else, and must not mutate
     its input, so one FlowMap can be applied from several threads at once.
-    A flow map carries its evaluator, ``meta`` and ``name``, nothing else.
+    A flow map carries its evaluator and ``meta``, nothing else.
     """
 
-    def __init__(self, evaluator, meta, name=""):
+    def __init__(self, evaluator, meta):
         self._evaluator = evaluator
         self.meta = meta
-        self.name = name
 
     def __call__(self, state, tau):
         return self._evaluator(state, tau)

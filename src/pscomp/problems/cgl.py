@@ -96,7 +96,7 @@ def cgl_nonlinear_map(params):
     def apply(vw, tau):
         return _from_diagonal(_cubic(_to_diagonal(vw), tau, beta))
 
-    return FlowMap(apply, EXACT_META, name="cgl-nonlinear")
+    return FlowMap(apply, EXACT_META)
 
 
 def cgl_linear_map(params, grid):
@@ -105,7 +105,7 @@ def cgl_linear_map(params, grid):
     def apply(vw, tau):
         return _from_diagonal(_linear(_to_diagonal(vw), multipliers(tau)))
 
-    return FlowMap(apply, EXACT_META, name="cgl-linear")
+    return FlowMap(apply, EXACT_META)
 
 
 def cgl_strang_flow(params, grid):
@@ -118,7 +118,7 @@ def cgl_strang_flow(params, grid):
         diag = _cubic(_linear(_to_diagonal(vw), half), tau, beta)
         return _from_diagonal(_linear(diag, half))
 
-    return FlowMap(apply, STRANG_META, name="cgl-strang")
+    return FlowMap(apply, STRANG_META)
 
 
 def pulse_pair_profile(grid):

@@ -34,7 +34,7 @@ def _reaction(values, tau):
 
 
 def fisher_reaction_map():
-    return FlowMap(_reaction, EXACT_META, name="fisher-reaction")
+    return FlowMap(_reaction, EXACT_META)
 
 
 def fisher_diffusion_map(grid):
@@ -45,10 +45,9 @@ def fisher_diffusion_map(grid):
     def apply(values, tau):
         return np.fft.ifft(multipliers(tau)[0] * np.fft.fft(values))
 
-    return FlowMap(apply, EXACT_META, name="fisher-diffusion")
+    return FlowMap(apply, EXACT_META)
 
 
 def fisher_strang_flow(grid):
     """Splitting diffusion(tau/2), reaction(tau), diffusion(tau/2)."""
-    return strang(fisher_diffusion_map(grid), fisher_reaction_map(),
-                  name="fisher-strang")
+    return strang(fisher_diffusion_map(grid), fisher_reaction_map())

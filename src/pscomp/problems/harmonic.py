@@ -30,20 +30,20 @@ def _kick(x, tau):
 
 
 def ho_exact_flow():
-    return FlowMap(lambda x, tau: ho_exact(tau) @ x, EXACT_META, name="ho-exact")
+    return FlowMap(lambda x, tau: ho_exact(tau) @ x, EXACT_META)
 
 
 def ho_drift_flow():
-    return FlowMap(_drift, EXACT_META, name="ho-drift")
+    return FlowMap(_drift, EXACT_META)
 
 
 def ho_kick_flow():
-    return FlowMap(_kick, EXACT_META, name="ho-kick")
+    return FlowMap(_kick, EXACT_META)
 
 
 def ho_strang_flow():
     """Second-order splitting: drift(tau/2), kick(tau), drift(tau/2)."""
-    return strang(ho_drift_flow(), ho_kick_flow(), name="ho-strang")
+    return strang(ho_drift_flow(), ho_kick_flow())
 
 
 def ho_energy(state):

@@ -75,13 +75,13 @@ def _kick(x, tau):
 
 
 def kepler_drift_flow():
-    return FlowMap(_drift, EXACT_META, name="kepler-drift")
+    return FlowMap(_drift, EXACT_META)
 
 
 def kepler_kick_flow():
-    return FlowMap(_kick, EXACT_META, name="kepler-kick")
+    return FlowMap(_kick, EXACT_META)
 
 
 def kepler_strang_flow():
     """Second-order splitting: drift(tau/2), kick(tau), drift(tau/2)."""
-    return strang(kepler_drift_flow(), kepler_kick_flow(), name="kepler-strang")
+    return strang(kepler_drift_flow(), kepler_kick_flow())

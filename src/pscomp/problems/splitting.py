@@ -41,23 +41,23 @@ _STAGES = (
 )
 
 
-def strang(flow_a, flow_b, name):
+def strang(flow_a, flow_b):
     """Second-order symmetric splitting a(tau/2), b(tau), a(tau/2)."""
 
     def apply(x, tau):
         half = tau / 2.0
         return flow_a(flow_b(flow_a(x, half), tau), half)
 
-    return FlowMap(apply, STRANG_META, name=name)
+    return FlowMap(apply, STRANG_META)
 
 
 def s4sim(flow_a, flow_b):
     """Fourth-order symmetric method from the exact flows of a splitting.
 
     ``flow_a`` and ``flow_b`` must be the exact flows of the two parts; the
-    palindromic arrangement then gives a symmetric method of order 4, and
-    the declared metadata records symmetry (infinite pseudo-symmetry
-    order) and the coefficient-argument bound used by the audit.
+    palindromic arrangement then gives a symmetric method of order 4, and a
+    composition of exact flows declares infinite q and r.  The largest
+    |argument| of its coefficients is ``S4SIM_MAX_ARG``.
     """
     flows = {"a": flow_a, "b": flow_b}
     stages = tuple((flows[kind], coeff) for kind, coeff in _STAGES)
@@ -67,13 +67,5 @@ def s4sim(flow_a, flow_b):
             x = flow(x, coeff * tau)
         return x
 
-    meta = MethodMeta(
-        order=4,
-        pseudo_symmetry_order=INFINITE_ORDER,
-        pseudo_symplecticity_order=min(
-            flow_a.meta.pseudo_symplecticity_order,
-            flow_b.meta.pseudo_symplecticity_order,
-        ),
-        max_coeff_arg=S4SIM_MAX_ARG,
-    )
-    return FlowMap(apply, meta, name=f"s4sim({flow_a.name},{flow_b.name})")
+    return FlowMap(apply, MethodMeta(order=4, pseudo_symmetry_order=INFINITE_ORDER,
+                                     pseudo_symplecticity_order=INFINITE_ORDER))

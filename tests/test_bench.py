@@ -427,6 +427,9 @@ NON_FINITE_CONFIGS = [
     ("ho-energy", {"tau_list": [1e200], "t_final": 1e200}),
     ("ho-table1", {"tau_list": [1e300]}),
 ]
+#: Step recorded per failed cell: integrate finds the first non-finite
+#: state (ho-energy); propagate (cgl-order) and ho-table1 record none.
+NON_FINITE_STEPS = {"cgl-order": None, "ho-energy": 0, "ho-table1": None}
 
 
 @pytest.mark.parametrize("preset, document", NON_FINITE_CONFIGS)
@@ -447,6 +450,7 @@ def test_cli_run_marks_non_finite_cells_failed(tmp_path, capsys, preset, documen
     failures = json.loads((out / f"{preset}.json").read_text())["failures"]
     failed = {(r["method"], float(r["tau"])) for r in cells}
     assert sorted((f["method"], f["tau"]) for f in failures) == sorted(failed)
+    assert {f["step"] for f in failures} == {NON_FINITE_STEPS[preset]}
     assert f"{len(failed)} cell(s) failed" in capsys.readouterr().err
 
 

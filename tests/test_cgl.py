@@ -185,7 +185,7 @@ def test_strang_matches_the_stage_composition_and_keeps_its_input(params, grid, 
     state = _state(pulse_pair_profile(grid) + 0.1 * rng.normal(size=64),
                    0.2 * rng.normal(size=64))
     before = state.copy()
-    composed = strang(cgl_linear_map(params, grid), cgl_nonlinear_map(params), name="x")
+    composed = strang(cgl_linear_map(params, grid), cgl_nonlinear_map(params))
     fused = cgl_strang_flow(params, grid)(state, tau)
     assert np.max(np.abs(fused - composed(state, tau))) < 1e-13
     # The kernels write in place on the diagonal rows, never on the caller's state.

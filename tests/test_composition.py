@@ -1,5 +1,6 @@
 """Composition combinators: schedules, projection, recursive family."""
 
+import cmath
 import math
 import sys
 
@@ -15,9 +16,13 @@ from pscomp.errors import DomainError, ValidationError
 from pscomp.flowmap import EXACT_META, FlowMap, MethodMeta
 from pscomp.problems import (
     CGLParams, cgl_strang_flow, ho_drift_flow, ho_exact, ho_kick_flow,
-    ho_strang_flow, kepler_initial_conditions, kepler_strang_flow, s4sim,
+    S4SIM_MAX_ARG, ho_strang_flow, kepler_initial_conditions, kepler_strang_flow,
+    s4sim,
 )
 from pscomp.spectral import SpectralGrid
+
+#: Declared orders of a bare conjugate pair on a second-order base.
+PAIR_META = MethodMeta(order=3, pseudo_symmetry_order=3, pseudo_symplecticity_order=3)
 
 
 def test_schedule_singleton_equals_base():
@@ -48,8 +53,7 @@ def test_conjugate_pair_schedule_is_third_order():
     # Global error against the exact rotation at t = 1 falls like tau^3.
     g = gamma_smallest_phase(2)
     base = ho_strang_flow()
-    meta = MethodMeta(order=3)
-    method = compose_schedule(base, [g, g.conjugate()], meta)
+    method = compose_schedule(base, [g, g.conjugate()], PAIR_META)
     taus = 0.1 * 0.5 ** np.arange(6)
     errors = []
     for tau in taus:
@@ -93,7 +97,7 @@ def test_real_projection_guard_tolerance_on_kepler_state(imag):
     # The circular orbit's start has max |x| = 1, so the guard's bound is
     # 1e-14 absolute; a state it accepts steps as its real part.
     g = gamma_smallest_phase(2)
-    pair = compose_schedule(kepler_strang_flow(), [g, g.conjugate()], MethodMeta(order=3))
+    pair = compose_schedule(kepler_strang_flow(), [g, g.conjugate()], PAIR_META)
     projected = _real_projection(pair)
     x = kepler_initial_conditions(0.0).as_vector() + 1j * imag * np.array([0, 1, 1, 0])
     tau = complex(0.05)
@@ -147,7 +151,7 @@ def test_double_jump_uses_smallest_phase_coefficient():
     family = recursive_family(base, 2)
     g = gamma_smallest_phase(2)
     assert g == pytest.approx(complex(0.5, math.sqrt(3.0) / 6.0))
-    pair = compose_schedule(base, [g, g.conjugate()], MethodMeta(order=3))
+    pair = compose_schedule(base, [g, g.conjugate()], PAIR_META)
     x = np.array([0.3, -0.7], dtype=complex)
     np.testing.assert_allclose(family.levels[0](x, 0.1), pair(x, 0.1).real,
                                rtol=0.0, atol=1e-15)
@@ -170,10 +174,12 @@ def test_recursive_family_level1_products():
 
 
 def test_recursive_family_rejects_bad_base():
-    odd = FlowMap(lambda x, tau: x, MethodMeta(order=3, pseudo_symmetry_order=math.inf))
+    odd = FlowMap(lambda x, tau: x, MethodMeta(order=3, pseudo_symmetry_order=math.inf,
+                                               pseudo_symplecticity_order=3))
     with pytest.raises(DomainError):
         recursive_family(odd, 1)
-    asymmetric = FlowMap(lambda x, tau: x, MethodMeta(order=2, pseudo_symmetry_order=3))
+    asymmetric = FlowMap(lambda x, tau: x, MethodMeta(order=2, pseudo_symmetry_order=3,
+                                                      pseudo_symplecticity_order=2))
     with pytest.raises(DomainError):
         recursive_family(asymmetric, 1)
     with pytest.raises(DomainError):
@@ -211,16 +217,21 @@ def test_recursive_family_level3_order_via_one_step_truncation():
     assert slope >= 6.75 + 1.0, slope  # local exponent = global order + 1
 
 
+def _gamma_argument_sum(orders):
+    """Sum of |arg gamma| over the levels built on methods of these orders."""
+    return sum(abs(cmath.phase(gamma_smallest_phase(k))) for k in orders)
+
+
 def test_coefficient_arguments_strang_levels():
     family = recursive_family(ho_strang_flow(), 3)
-    max_arg, all_positive = coefficient_arguments(family)
+    max_arg, all_positive = coefficient_arguments(family, 0.0)
     assert abs(max_arg - (math.pi / 2.0) * (71.0 / 105.0)) < 1e-12
     assert all_positive
-    # The argument the deepest level declares is the one the audit measures.
-    assert abs(family.levels[-1].meta.max_coeff_arg - max_arg) < 1e-15
+    # The largest product argument is the sum of the levels' gamma arguments.
+    assert abs(_gamma_argument_sum((2, 4, 6)) - max_arg) < 1e-15
 
     one_level = recursive_family(ho_strang_flow(), 1)
-    max_arg, all_positive = coefficient_arguments(one_level)
+    max_arg, all_positive = coefficient_arguments(one_level, 0.0)
     assert abs(max_arg - math.pi / 6.0) < 1e-14
     assert all_positive
 
@@ -228,21 +239,21 @@ def test_coefficient_arguments_strang_levels():
 def test_coefficient_arguments_s4sim_levels():
     base = s4sim(ho_drift_flow(), ho_kick_flow())
     family = recursive_family(base, 4)
-    max_arg, all_positive = coefficient_arguments(family)
+    max_arg, all_positive = coefficient_arguments(family, S4SIM_MAX_ARG)
     expected = math.acos(0.8) + (math.pi / 2.0) * (1888.0 / 3465.0)
     assert abs(max_arg - expected) < 1e-12
     assert max_arg < 0.96 * (math.pi / 2.0)
     assert all_positive
-    assert abs(family.levels[-1].meta.max_coeff_arg - max_arg) < 1e-15
+    assert abs(S4SIM_MAX_ARG + _gamma_argument_sum((4, 6, 8, 10)) - max_arg) < 1e-15
 
 
 def test_method_meta_rejects_orders_below_classical():
     with pytest.raises(ValidationError):
-        MethodMeta(order=4, pseudo_symmetry_order=3)
+        MethodMeta(order=4, pseudo_symmetry_order=3, pseudo_symplecticity_order=4)
     with pytest.raises(ValidationError):
-        MethodMeta(order=4, pseudo_symplecticity_order=2)
+        MethodMeta(order=4, pseudo_symmetry_order=4, pseudo_symplecticity_order=2)
     with pytest.raises(ValidationError):
-        MethodMeta(order=0)
+        MethodMeta(order=0, pseudo_symmetry_order=0, pseudo_symplecticity_order=0)
 
 
 def _cgl_level2_inputs(rng):

@@ -130,8 +130,12 @@ def test_integrate_attaches_step_to_singularity(run):
 
 
 def test_integrate_rejects_zero_steps():
-    with pytest.raises(ValidationError):
-        integrate(FlowMap(lambda x, tau: x.copy(), EXACT_META), np.array([1.0]), 0.1, 0)
+    # propagate shares integrate's one check on n_steps.
+    for run in (integrate, propagate):
+        with pytest.raises(ValidationError):
+            run(FlowMap(lambda x, tau: x.copy(), EXACT_META), np.array([1.0]), 0.1, 0)
+        with pytest.raises(ValidationError):
+            run(ho_strang_flow(), np.array([1.0, 0.0]), 0.1, -3)
 
 
 def test_successive_error_exact_flow_vanishes():
@@ -193,9 +197,13 @@ def test_symplecticity_defect_point_mode_strang():
 
 
 def test_symplecticity_defect_rejects_odd_dimension():
+    # Only a 1-D vector of even length is a canonical state: an odd vector,
+    # a (v, w) CGL field, a 0-d state and a column are all rejected.
     flow = FlowMap(lambda x, tau: x, EXACT_META)
-    with pytest.raises(DomainError):
-        symplecticity_defect(flow, np.array([1.0, 2.0, 3.0]), 0.1)
+    for x0 in (np.array([1.0, 2.0, 3.0]), np.ones((2, 8)), np.array(1.0),
+               np.ones((4, 1))):
+        with pytest.raises(DomainError):
+            symplecticity_defect(flow, x0, 0.1)
 
 
 def _truncation_fits(matrix, taus):

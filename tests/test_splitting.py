@@ -10,7 +10,8 @@ import pytest
 from pscomp.diagnostics import power_law_fit
 from pscomp.flowmap import INFINITE_ORDER, STRANG_META
 from pscomp.problems import (
-    S4SIM_A, S4SIM_B, ho_drift_flow, ho_exact, ho_kick_flow, s4sim, strang,
+    S4SIM_A, S4SIM_B, S4SIM_MAX_ARG, ho_drift_flow, ho_exact, ho_kick_flow,
+    s4sim, strang,
 )
 from pscomp.problems.splitting import S4SIM_A_FRACTIONS, S4SIM_B_FRACTIONS
 
@@ -34,7 +35,7 @@ def test_b_coefficients_have_positive_real_parts():
 
 
 def test_strang_builder_matches_oscillator_matrix():
-    method = strang(ho_drift_flow(), ho_kick_flow(), name="ho-strang-built")
+    method = strang(ho_drift_flow(), ho_kick_flow())
     tau = 0.3 + 0.2j
     x = np.array([0.7, -1.1], dtype=complex)
     # D(tau/2) K(tau) D(tau/2) from the closed-form shears of drift and kick
@@ -57,7 +58,8 @@ def test_meta():
     method = s4sim(ho_drift_flow(), ho_kick_flow())
     assert method.meta.order == 4
     assert method.meta.pseudo_symmetry_order == INFINITE_ORDER
-    assert method.meta.max_coeff_arg == pytest.approx(math.acos(0.8))
+    assert method.meta.pseudo_symplecticity_order == INFINITE_ORDER
+    assert S4SIM_MAX_ARG == pytest.approx(math.acos(0.8))
 
 
 def test_fourth_order_on_oscillator():
