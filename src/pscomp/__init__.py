@@ -12,8 +12,8 @@ Building blocks:
   as exact or split flow maps on plain arrays, plus the Strang and the
   fourth-order complex splitting builders.
 - :mod:`pscomp.spectral` -- periodic grid and field snapshots.
-- :mod:`pscomp.diagnostics` -- state series, successive errors, and
-  convergence, defect, and truncation fits.
+- :mod:`pscomp.diagnostics` -- state series, successive errors, power-law
+  fits, and Taylor coefficients on a circle of complex steps.
 - :mod:`pscomp.bench` -- named experiment presets with CSV/JSON output.
 """
 

@@ -116,7 +116,7 @@ def _dyadic(tau0, count):
 PRESETS = {
     "ho-table1": ExperimentConfig(
         problem="harmonic", base_method="strang", levels=3,
-        tau_list=_dyadic(0.8, 6), t_final=0.0,
+        tau_list=(), t_final=0.0,
         problem_params={"q0": 2.5, "p0": 0.0},
     ),
     "ho-energy": ExperimentConfig(
@@ -151,7 +151,7 @@ PRESETS = {
 
 #: The config fields each preset's runner reads.
 PRESET_READS = {
-    "ho-table1": {"base_method", "levels", "tau_list"},
+    "ho-table1": {"base_method", "levels"},
     "ho-energy": {"base_method", "levels", "tau_list", "t_final", "problem_params"},
     "kepler-order": {"base_method", "levels", "tau_list", "t_final", "problem_params"},
     "kepler-energy": {"base_method", "levels", "tau_list", "t_final", "problem_params"},

@@ -21,15 +21,15 @@ import numpy as np
 from .. import __version__
 from ..composition import coefficient_arguments, recursive_family
 from ..diagnostics import (
-    energy_error_series, envelope_growth, fit_leading_term, integrate,
-    oscillator_defects, power_law_fit, propagate, slope_with_floor,
-    step_count, successive_error,
+    PowerLawFit, energy_error_series, envelope_growth, integrate, leading_term,
+    power_law_fit, propagate, slope_with_floor, step_count, successive_error,
+    taylor_coefficients,
 )
 from ..errors import NonFiniteError, SingularityError
 from ..problems import (
     CGLParams, S4SIM_MAX_ARG, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
     fisher_diffusion_map, fisher_reaction_map, fisher_strang_flow,
-    ho_drift_flow, ho_energy, ho_kick_flow, ho_strang_flow,
+    ho_drift_flow, ho_energy, ho_exact, ho_kick_flow, ho_strang_flow,
     kepler_drift_flow, kepler_energy, kepler_initial_conditions,
     kepler_kick_flow, kepler_strang_flow, pulse_pair_profile, s4sim,
 )
@@ -45,6 +45,9 @@ SCHEMA = [
 #: Error floors below which order-fit samples count as roundoff; the CGL
 #: runs accumulate more FFT roundoff per step than the others.
 ORDER_FIT_FLOORS = {"kepler": 1e-13, "fisher": 1e-13, "cgl": 5e-13}
+
+#: Radius and node count of ``ho-table1``'s circle of complex steps.
+TABLE1_RADIUS, TABLE1_NODES = 1.0, 32
 
 
 def _problem_setup(config):
@@ -96,6 +99,9 @@ def _new_table(name, config):
             "the quantity column names what the value column holds "
             "(successive_error/energy_error rows carry E_tau per step size; "
             "*_fit rows carry slope/coefficient/residual of the power-law fit)"
+            if name != "ho-table1" else "one row per (level, series): slope, "
+            "coefficient and residual hold the leading degree, its coefficient "
+            "and the noise ratio of the Taylor coefficients on a circle of complex steps"
         ),
         "failures": [],
     }
@@ -110,15 +116,16 @@ def _common(name, config, **extra):
 
 
 def _fit_cells(fit, n_ok, needed=3):
-    """Cells of a fit row from a :class:`PowerLawFit`, an order fit's bare
-    slope, or None: then ``insufficient_samples`` when fewer than ``needed``
-    cells are ``ok``, else ``below_floor`` (the floor left too few)."""
+    """Cells of a fit row from a :class:`PowerLawFit`, a bare slope, a
+    ``leading_term``, or None: then ``insufficient_samples`` when fewer than
+    ``needed`` cells are ``ok``, else ``below_floor`` (the floor left too few)."""
     if fit is None:
         return {"status": "insufficient_samples" if n_ok < needed else "below_floor"}
     if isinstance(fit, float):
         return {"slope": fit, "status": "ok"}
-    return {"slope": fit.exponent, "coefficient": fit.coefficient,
-            "residual": fit.residual, "status": "ok"}
+    if isinstance(fit, PowerLawFit):
+        fit = (fit.exponent, fit.coefficient, fit.residual)
+    return dict(zip(("slope", "coefficient", "residual"), fit), status="ok")
 
 
 def _measure(table, method_name, tau, compute):
@@ -192,29 +199,28 @@ def _run_order(name, config, out_base):
 
 
 def _run_ho_table1(name, config, out_base):
-    """Per level: four truncation-entry fits, then each defect per tau and its fit."""
+    """Per level, the leading terms of the truncation ho_exact - M, the
+    symmetry defect M(tau)M(-tau) - I and det M - 1 on a circle of complex
+    steps, with M built once per node (M(-tau) is M at the opposite node)."""
     base, _, _ = _problem_setup(config)
     table = _new_table(name, config)
+    n = TABLE1_NODES
+
+    def series(method, taus):
+        forward = np.array([method.matrix(tau) for tau in taus.tolist()])
+        return np.column_stack([
+            (np.array([ho_exact(tau) for tau in taus]) - forward).reshape(n, 4),
+            (forward @ np.roll(forward, n // 2, axis=0) - np.eye(2)).reshape(n, 4),
+            np.linalg.det(forward) - 1.0])
+
     for method_name, level, method in _methods(config, base)[1:]:
-        row = partial(_common, name, config, method=method_name, level=level)
-        cells = [(tau, *_measure(table, method_name, tau,
-                                 lambda: oscillator_defects(method, tau)))
-                 for tau in config.tau_list]
-        ok = [(tau, values) for tau, values, _ in cells if values is not None]
-        taus = [tau for tau, _ in ok]
-
-        def fit_cells(series):
-            return _fit_cells(fit_leading_term(taus, series), len(ok))
-
-        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            table.add_row(**row(quantity="truncation", entry=f"{i}{j}"),
-                          **fit_cells([values[0][i, j] for _, values in ok]))
-        for k, quantity in ((1, "symmetry_defect"), (2, "determinant_defect")):
-            for tau, values, status in cells:
-                table.add_row(**row(quantity=quantity, tau=tau, status=status,
-                                    value=math.nan if values is None else values[k]))
-            table.add_row(**row(quantity=f"{quantity}_fit"),
-                          **fit_cells([values[k] for _, values in ok]))
+        c = taylor_coefficients(partial(series, method), TABLE1_RADIUS, n)
+        readings = [("truncation", f"{k // 2}{k % 2}", c[:, k]) for k in range(4)] + [
+            ("symmetry_defect", None, c[:, 4:8]), ("determinant_defect", None, c[:, 8])]
+        for quantity, entry, coefficients in readings:
+            table.add_row(**_common(name, config, method=method_name, level=level,
+                                    quantity=quantity, entry=entry),
+                          **_fit_cells(leading_term(coefficients, TABLE1_RADIUS), n))
     return table, []
 
 

@@ -1,32 +1,25 @@
 """Measurement harness: trajectory integration, energy-error series,
-successive-error convergence estimates, one-step symmetry/symplecticity
-defects, and the oscillator's truncation and defect cell.
+successive-error convergence estimates, one-step symplecticity defects,
+and Taylor coefficients of a one-step series on a circle of complex steps.
 
 Each measurement is one (method, tau) cell; the caller fits the series.
 :func:`power_law_fit` is the free log-log least-squares slope; when that
 slope sits near an integer it reads the coefficient at the second-smallest
-step.  :func:`fit_leading_term` first discards samples below a roundoff
-floor and narrows the window from the large-step end until the log-log
-residual drops below a threshold (large steps carry higher-order
-contamination); :func:`slope_with_floor` only applies its floor.
+step.  :func:`slope_with_floor` only applies its floor.  A one-step series
+whose leading power is the claim is not fitted but read off its Taylor
+coefficients (:func:`taylor_coefficients`, :func:`leading_term`).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, SingularityError, ValidationError
-from .problems.harmonic import ho_exact
 
-#: Discard error samples below this magnitude before fitting; one-step
-#: quantities on O(1) states have a roundoff floor around 1e-16, and 100x
-#: that keeps relative noise within a few percent.
+#: Discard error samples (and Taylor terms c_k rho^k) below this magnitude:
+#: 100x the roundoff of one-step quantities on O(1) states (about 1e-16).
 ROUNDOFF_FLOOR = 1e-14
-
-#: Largest acceptable max log deviation of a power-law fit before the
-#: window is narrowed from the large-step end.
-MAX_LOG_RESIDUAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -157,32 +150,6 @@ def power_law_fit(taus, errors):
                        residual=residual, n_samples=len(taus))
 
 
-def fit_leading_term(taus, values):
-    """Power-law fit of ``|values|`` with floor filtering and large-step
-    narrowing; the coefficient takes the sign of the real part of the first
-    value above the floor, so a signed or complex series keeps its sign.
-
-    Returns None when fewer than three samples survive the floor (the
-    quantity is at roundoff level at this window).
-    """
-    taus = np.asarray(taus, dtype=float)
-    values = np.asarray(values)
-    errors = np.abs(values)
-    keep = np.isfinite(errors) & (errors > ROUNDOFF_FLOOR)
-    if keep.sum() < 3:
-        return None
-    sign = float(np.sign(values[keep][0].real))
-    order = np.argsort(taus[keep])[::-1]
-    ts, es = taus[keep][order], errors[keep][order]
-    while len(ts) > 3:
-        _, _, residual = _loglog_lsq(ts, es)
-        if residual <= MAX_LOG_RESIDUAL:
-            break
-        ts, es = ts[1:], es[1:]
-    fit = power_law_fit(ts, es)
-    return replace(fit, coefficient=sign * fit.coefficient)
-
-
 def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
     """Least-squares order estimate over above-floor samples.
 
@@ -200,14 +167,6 @@ def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
         ts, es = taus[keep], errors[keep]
         return float(np.log(es[0] / es[1]) / np.log(ts[0] / ts[1]))
     return None
-
-
-def symmetry_defect(method, x0, tau):
-    """Sup-norm displacement of the round trip ``psi_tau o psi_{-tau}`` from
-    ``x0`` at one step ``tau``; pseudo-symmetry order q shows as a defect
-    O(tau^(q+1)) over a range of steps."""
-    x = np.asarray(x0, dtype=complex)
-    return float(np.max(np.abs(method(method(x, -tau), tau) - x)))
 
 
 def symplecticity_defect(method, x0, tau):
@@ -229,15 +188,33 @@ def symplecticity_defect(method, x0, tau):
     return float(np.max(np.abs(jac.T @ form @ jac - form)))
 
 
-def oscillator_defects(method, tau):
-    """``(ho_exact(tau) - M(tau), max|M(tau) M(-tau) - I|, |det M(tau) - 1|)``
-    of an oscillator method on ``[q, p]``: its truncation matrix and symmetry
-    and determinant defects, from ``M(tau)`` and ``M(-tau)`` built once each.
-    """
-    forward, backward = method.matrix(tau), method.matrix(-tau)
-    return (ho_exact(tau) - forward,
-            float(np.max(np.abs(forward @ backward - np.eye(2)))),
-            float(abs(np.linalg.det(forward) - 1.0)))
+def taylor_coefficients(f, rho, n):
+    """``c_0 .. c_(n-1)``: the mean of ``f(tau_j) tau_j**-k`` over the n (even)
+    nodes ``tau_j = rho exp(2 pi i (j + 1/2) / n)``, as one FFT along the first
+    axis of ``f(nodes)``.  No node is real, so a real projection inside ``f``
+    runs its holomorphic mirror branch, and node ``j + n/2`` is exactly
+    ``-node j``.  ``f`` must be analytic on the disc of radius ``rho``; c_k
+    carries roundoff of about ``eps max|f| / rho**k``."""
+    half = rho * np.exp(2j * np.pi * (np.arange(n // 2) + 0.5) / n)
+    values = np.asarray(f(np.concatenate([half, -half])))
+    k = np.arange(n).reshape((n,) + (1,) * (values.ndim - 1))
+    return np.fft.fft(values, axis=0) * np.exp(-1j * np.pi * k / n) / (n * rho**k)
+
+
+def leading_term(coefficients, rho):
+    """``(degree, coefficient, noise)`` of the first term ``max|c_k| rho**k``
+    above :data:`ROUNDOFF_FLOOR`, or None when every term is at roundoff:
+    ``coefficient`` is the real part of the largest entry of c_degree, and
+    ``noise`` the largest term below the degree over the leading one."""
+    terms = (np.abs(coefficients).reshape(len(coefficients), -1).max(axis=1)
+             * rho ** np.arange(len(coefficients)))
+    above = np.flatnonzero(terms > ROUNDOFF_FLOOR)
+    if not len(above):
+        return None
+    degree = int(above[0])
+    entries = coefficients[degree].reshape(-1)
+    noise = float(terms[:degree].max() / terms[degree]) if degree else 0.0
+    return degree, float(entries[np.argmax(np.abs(entries))].real), noise
 
 
 def energy_error_series(states, energy):

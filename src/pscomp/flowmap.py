@@ -57,13 +57,14 @@ class FlowMap:
 
     A call hands ``evaluator`` the caller's state and step unconverted.
     The entry points convert once: ``integrate``/``propagate``,
-    ``symmetry_defect``, ``symplecticity_defect`` and :meth:`matrix` pass a
-    complex ndarray, and the step is a Python ``complex`` or ``float``
-    (both have ``.imag`` and ``.conjugate()``).  The evaluator returns a
-    new state of the same shape.  It may keep a bounded cache of
-    read-only step constants and shares nothing else, and must not mutate
-    its input, so one FlowMap can be applied from several threads at once.
-    A flow map carries its evaluator and ``meta``, nothing else.
+    ``symplecticity_defect`` and :meth:`matrix` pass a complex ndarray, and
+    the step is a Python ``complex`` or ``float`` (both have ``.imag`` and
+    ``.conjugate()``).  An object-dtype (mpmath) state is not supported: it
+    runs at f64 and the real projection keeps its imaginary part, silently.
+    The evaluator returns a new state of the same shape.  It may keep a
+    bounded cache of read-only step constants and shares nothing else, and
+    must not mutate its input, so one FlowMap can be applied from several
+    threads at once.  A flow map carries its evaluator and ``meta``.
     """
 
     def __init__(self, evaluator, meta):

@@ -3,8 +3,8 @@
 Each test prints one PASS/FAIL line (visible with ``pytest -s``; pytest's
 own per-test verdicts mirror them).  Criteria 2, 3, 5, 6 and 7 read the
 rows that their benchmark preset writes at its defaults, and pin those
-defaults (and the order-fit floor) here, so a changed preset fails the
-criterion instead of passing unchecked.
+defaults (and the order-fit floor, or the circle of complex steps) here,
+so a changed preset fails the criterion instead of passing unchecked.
 """
 
 import cmath
@@ -15,9 +15,7 @@ import numpy as np
 
 from pscomp.coefficients import gamma_smallest_phase, gamma_triple_jump
 from pscomp.composition import recursive_family
-from pscomp.diagnostics import (
-    fit_leading_term, oscillator_defects, slope_with_floor, symmetry_defect,
-)
+from pscomp.diagnostics import leading_term, slope_with_floor, taylor_coefficients
 from pscomp.problems import (
     CGLParams, S4SIM_B, cgl_nonlinear_map, fisher_reaction_map,
     ho_drift_flow, ho_exact, ho_kick_flow, ho_strang_flow,
@@ -25,9 +23,7 @@ from pscomp.problems import (
 )
 from pscomp.problems.splitting import S4SIM_A_FRACTIONS, S4SIM_B_FRACTIONS
 from pscomp.bench import run_preset
-from pscomp.bench.run import ORDER_FIT_FLOORS
-
-TABLE1_TAUS = 0.8 * 0.5 ** np.arange(6)
+from pscomp.bench.run import ORDER_FIT_FLOORS, TABLE1_NODES, TABLE1_RADIUS
 
 
 def _halving(tau0, count):
@@ -84,11 +80,13 @@ def test_criterion_01_coefficient_identities():
 
 
 def test_criterion_02_truncation_and_defect_table(tmp_path):
-    # The ho-table1 preset at its defaults: the Strang family, levels 1-3.
+    # The ho-table1 preset at its defaults: the Strang family, levels 1-3,
+    # read on 32 complex steps of modulus 1.
     rows = _preset_rows(tmp_path, "ho-table1", problem="harmonic",
-                        base_method="strang", levels=3, tau_list=_halving(0.8, 6),
+                        base_method="strang", levels=3, tau_list=(),
                         t_final=0.0, grid_points=None,
                         problem_params={"q0": 2.5, "p0": 0.0})
+    assert (TABLE1_RADIUS, TABLE1_NODES) == (1.0, 32)
     fits = {(r["level"], r["quantity"], r["entry"]): (r["slope"], r["coefficient"])
             for r in rows}
     checks = []
@@ -103,8 +101,8 @@ def test_criterion_02_truncation_and_defect_table(tmp_path):
                        f"{coefficient:.4e} vs {coeff:.4e} ({rel:.2%})"))
 
     def check_defects(level, power, coeff, rel_tol):
-        for quantity, label in (("symmetry_defect_fit", "symmetry defect"),
-                                ("determinant_defect_fit", "determinant defect")):
+        for quantity, label in (("symmetry_defect", "symmetry defect"),
+                                ("determinant_defect", "determinant defect")):
             check_entry((level, quantity, None), f"level{level} {label}",
                         power, coeff, rel_tol)
 
@@ -253,21 +251,35 @@ def test_criterion_08_closed_form_flow_oracles():
     _report("8 closed-form flow oracles", checks)
 
 
+def _round_trip_term(method, x0, rho, n):
+    """Leading term of the round trip psi(psi(x0, -tau), tau) - x0."""
+    c = taylor_coefficients(
+        lambda taus: np.array([method(method(x0, -t), t) - x0 for t in taus.tolist()]),
+        rho, n)
+    return leading_term(c, rho)
+
+
 def test_criterion_09_pseudo_symmetry_defect_order():
+    # The leading degree of the level-1 oscillator symmetry series
+    # M(tau)M(-tau) - I, on the ho-table1 circle.
     ho_level1 = recursive_family(ho_strang_flow(), 1).levels[0]
-    ho_defects = [oscillator_defects(ho_level1, tau)[1] for tau in TABLE1_TAUS]
-    ho_exponent = fit_leading_term(TABLE1_TAUS, ho_defects).exponent
+    c = taylor_coefficients(lambda taus: np.array(
+        [ho_level1.matrix(t) @ ho_level1.matrix(-t) - np.eye(2) for t in taus.tolist()]),
+        TABLE1_RADIUS, TABLE1_NODES)
+    ho_degree = leading_term(c, TABLE1_RADIUS)[0]
+    checks = [("oscillator defect degree", ho_degree >= 7.75, str(ho_degree))]
 
-    kepler_level1 = recursive_family(kepler_strang_flow(), 1).levels[0]
+    # Kepler (e = 0.6, from perihelion), levels 1-3, at two radii inside the
+    # exact flow's nearest singularity (|t| ~ 0.30): a stage can cross the
+    # log's cut between nodes without raising, so the radii must agree.
     x0 = kepler_initial_conditions(0.6).as_vector()
-    kepler_taus = 0.2 * 0.5 ** np.arange(5)
-    kepler_defects = [symmetry_defect(kepler_level1, x0, tau) for tau in kepler_taus]
-    kepler_exponent = fit_leading_term(kepler_taus, kepler_defects).exponent
-
-    checks = [
-        ("oscillator defect exponent", ho_exponent >= 7.75, f"{ho_exponent:.3f}"),
-        ("Kepler defect exponent", kepler_exponent >= 7.75, f"{kepler_exponent:.3f}"),
-    ]
+    for level, method in enumerate(recursive_family(kepler_strang_flow(), 3).levels, 1):
+        terms = {rho: _round_trip_term(method, x0, rho, 64) for rho in (0.1, 0.15)}
+        degrees = {term[0] for term in terms.values()}
+        checks.append((f"Kepler level{level} defect degree",
+                       len(degrees) == 1 and min(degrees) >= 7.75,
+                       ", ".join(f"{d} at rho {rho} (noise ratio {noise:.1e})"
+                                 for rho, (d, _, noise) in terms.items())))
     _report("9 pseudo-symmetry defect order", checks)
 
 

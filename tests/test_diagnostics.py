@@ -1,4 +1,5 @@
-"""Fitting machinery, integration harness, and defect measurements."""
+"""Fitting machinery, integration harness, Taylor coefficients on a circle
+of complex steps, and defect measurements."""
 
 import math
 
@@ -7,10 +8,9 @@ import pytest
 
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
-    PowerLawFit, energy_error_series, envelope_growth,
-    fit_leading_term, integrate, oscillator_defects, power_law_fit,
-    propagate, slope_with_floor, step_count, successive_error, symmetry_defect,
-    symplecticity_defect,
+    PowerLawFit, energy_error_series, envelope_growth, integrate, leading_term,
+    power_law_fit, propagate, slope_with_floor, step_count, successive_error,
+    symplecticity_defect, taylor_coefficients,
 )
 from pscomp.errors import DomainError, SingularityError, ValidationError
 from pscomp.flowmap import EXACT_META, FlowMap
@@ -62,27 +62,56 @@ def test_power_law_fit_noninteger_exponent_uses_intercept():
     assert abs(fit.coefficient - 2.0) / 2.0 < 1e-9
 
 
-def test_fit_leading_term_floor_filtering():
-    taus = 0.8 * 0.5 ** np.arange(6)
-    errors = 1e-3 * taus**5
-    errors[-1] = 1e-16  # drowned sample
-    fit = fit_leading_term(taus, errors)
-    assert fit.n_samples == 5
-    assert abs(fit.exponent - 5.0) < 1e-6
+#: The circle of complex steps of the ho-table1 preset.
+RHO, NODES = 1.0, 32
 
 
-def test_fit_leading_term_all_below_floor():
-    taus = np.array([0.4, 0.2, 0.1])
-    assert fit_leading_term(taus, np.full(3, 1e-16)) is None
+def test_taylor_coefficients_of_exp_are_inverse_factorials():
+    c = taylor_coefficients(np.exp, RHO, NODES)
+    # Roundoff in c_k is absolute (about eps * max|exp| / rho^k), so it is
+    # bounded relative to c_0 = 1; relative to 1/k! it grows like k!.
+    for k in range(13):
+        assert abs(c[k] - 1.0 / math.factorial(k)) < 1e-14
 
 
-def test_fit_leading_term_narrows_contaminated_window():
-    taus = 0.8 * 0.5 ** np.arange(6)
-    errors = taus**5 * (1.0 + 2.0 * taus**2)  # strong large-step pollution
-    fit = fit_leading_term(taus, errors)
-    assert fit.n_samples < 6
-    assert abs(fit.exponent - 5.0) < 0.05
-    assert abs(fit.coefficient - 1.0) < 0.02
+def test_taylor_coefficients_of_a_polynomial_are_exact():
+    coeffs = np.array([3.0, -2.0, 0.5, 1.0, 4.0, -7.0])  # c_0 .. c_5
+    c = taylor_coefficients(lambda t: np.polyval(coeffs[::-1], t), RHO, NODES)
+    np.testing.assert_allclose(c[:6], coeffs, rtol=0, atol=1e-14)
+    assert np.max(np.abs(c[6:])) < 1e-14
+
+
+def test_taylor_nodes_are_off_the_axis_and_opposite_in_pairs():
+    seen = []
+    taylor_coefficients(lambda taus: seen.append(taus) or taus, RHO, NODES)
+    nodes = seen[0]
+    assert nodes.shape == (NODES,)
+    assert np.all(nodes[NODES // 2:] == -nodes[:NODES // 2])
+    assert np.min(np.abs(nodes.imag)) > 0.0
+    np.testing.assert_allclose(np.abs(nodes), RHO, rtol=1e-15)
+
+
+def test_leading_term_reads_degree_sign_and_noise():
+    c = np.zeros(NODES)
+    c[1], c[3], c[4] = 1e-16, -4e-3, 1.0
+    assert leading_term(c, RHO) == (3, -4e-3, 1e-16 / 4e-3)
+    assert leading_term(np.full(NODES, 1e-16), RHO) is None
+
+
+def test_leading_term_of_a_matrix_series_reads_its_largest_entry():
+    c = np.zeros((NODES, 2, 2), dtype=complex)
+    c[5] = [[1e-3, -2e-3 + 1e-9j], [0.0, 5e-4]]
+    assert leading_term(c, RHO) == (5, -2e-3, 0.0)
+
+
+def test_leading_term_scales_the_floor_with_the_radius():
+    # At rho = 0.1 a degree-8 term of 1e-3 is 1e-11 on the circle: above
+    # the floor, while 1e-10 at degree 7 is 1e-17 and lies below it.
+    c = np.zeros(NODES)
+    c[7], c[8] = 1e-10, 1e-3
+    degree, coefficient, noise = leading_term(c, 0.1)
+    assert (degree, coefficient) == (8, 1e-3)
+    assert noise == pytest.approx(1e-17 / 1e-11)
 
 
 def test_slope_with_floor_two_point_fallback():
@@ -164,27 +193,38 @@ def test_step_count_allows_rounding_only():
         successive_error(ho_exact_flow(), np.array([1.0, 0.0]), 0.1, 1.0 + 5e-10)
 
 
+def _matrix_series(matrix):
+    """Taylor coefficients of ``matrix(tau)`` on the ho-table1 circle."""
+    return taylor_coefficients(lambda taus: np.array([matrix(t) for t in taus]),
+                               RHO, NODES)
+
+
+def _symmetry_series(method):
+    return _matrix_series(lambda t: method.matrix(t) @ method.matrix(-t) - np.eye(2))
+
+
 def test_symmetry_defect_symmetric_method_below_floor():
-    taus = np.array([0.4, 0.2, 0.1])
-    defects = [oscillator_defects(ho_strang_flow(), tau)[1] for tau in taus]
-    assert np.max(defects) < 1e-14
-    assert fit_leading_term(taus, defects) is None
+    c = _symmetry_series(ho_strang_flow())
+    assert np.max(np.abs(c)) < 1e-14
+    assert leading_term(c, RHO) is None
 
 
 def test_symmetry_defect_point_mode_matches_matrix_mode():
     method = recursive_family(ho_strang_flow(), 1).levels[0]
-    taus = np.array([0.8, 0.4, 0.2])
-    point_mode = [symmetry_defect(method, np.array([1.0, 0.0]), tau) for tau in taus]
-    # The point-mode defect on basis vectors is bounded by the matrix norm.
-    for tau, defect in zip(taus, point_mode):
-        assert defect <= 2.0 * oscillator_defects(method, tau)[1] + 1e-15
+    x0 = np.array([1.0, 0.0], dtype=complex)
+    point_mode = taylor_coefficients(
+        lambda taus: np.array([method(method(x0, -t), t) - x0 for t in taus]), RHO, NODES)
+    # The round trip from the first basis vector is the first column of
+    # M(tau)M(-tau) - I, coefficient by coefficient.
+    matrix_mode = _symmetry_series(method)[:, :, 0]
+    assert np.max(np.abs(point_mode - matrix_mode)) < 1e-12
+    assert leading_term(point_mode, RHO)[0] == 8
 
 
 def test_symplecticity_defect_exact_rotation():
-    taus = np.array([0.4, 0.2, 0.1])
-    defects = [oscillator_defects(ho_exact_flow(), tau)[2] for tau in taus]
-    assert np.max(defects) < 1e-14
-    assert fit_leading_term(taus, defects) is None
+    c = _matrix_series(lambda t: np.linalg.det(ho_exact_flow().matrix(t)) - 1.0)
+    assert np.max(np.abs(c)) < 1e-14
+    assert leading_term(c, RHO) is None
 
 
 def test_symplecticity_defect_point_mode_strang():
@@ -206,12 +246,11 @@ def test_symplecticity_defect_rejects_odd_dimension():
             symplecticity_defect(flow, x0, 0.1)
 
 
-def _truncation_fits(matrix, taus):
-    """Entrywise fits of the truncation matrices of ``x -> matrix(tau) x``."""
+def _truncation_terms(matrix):
+    """Entrywise leading terms of the truncation matrices of ``x -> matrix(tau) x``."""
     method = FlowMap(lambda x, tau: matrix(tau) @ x, EXACT_META)
-    truncation = np.array([oscillator_defects(method, tau)[0] for tau in taus])
-    return [[fit_leading_term(taus, truncation[:, i, j]) for j in range(2)]
-            for i in range(2)]
+    c = _matrix_series(lambda t: ho_exact(t) - method.matrix(t))
+    return [[leading_term(c[:, i, j], RHO) for j in range(2)] for i in range(2)]
 
 
 def test_truncation_matrix_fit_synthetic():
@@ -220,14 +259,13 @@ def test_truncation_matrix_fit_synthetic():
         defect[0, 0] = 2e-3 * tau**5
         return ho_exact(tau) - defect
 
-    taus = 0.8 * 0.5 ** np.arange(6)
-    fits = _truncation_fits(matrix, taus)
-    assert abs(fits[0][0].exponent - 5.0) < 1e-5
+    terms = _truncation_terms(matrix)
+    assert terms[0][0][0] == 5
     # the difference of O(1) matrix entries leaves cancellation noise
-    assert fits[0][0].coefficient == pytest.approx(2e-3, rel=1e-6)
-    assert fits[0][1] is None
-    assert fits[1][0] is None
-    assert fits[1][1] is None
+    assert terms[0][0][1] == pytest.approx(2e-3, rel=1e-6)
+    assert terms[0][1] is None
+    assert terms[1][0] is None
+    assert terms[1][1] is None
 
 
 def test_truncation_matrix_fit_sign():
@@ -236,9 +274,8 @@ def test_truncation_matrix_fit_sign():
         defect[1, 0] = -4e-3 * tau**3
         return ho_exact(tau) - defect
 
-    taus = 0.4 * 0.5 ** np.arange(5)
-    fits = _truncation_fits(matrix, taus)
-    assert fits[1][0].coefficient == pytest.approx(-4e-3, rel=1e-6)
+    terms = _truncation_terms(matrix)
+    assert terms[1][0][1] == pytest.approx(-4e-3, rel=1e-6)
 
 
 def test_energy_error_series_exact_flow():
