@@ -82,10 +82,16 @@ def integrate(method, x0, tau, n_steps):
 
 def propagate(method, x0, tau, n_steps):
     """Final state after ``n_steps`` applications of ``method`` at step
-    ``tau``; a singularity is re-raised with the step index."""
-    x = _start(x0, n_steps)
-    for x in _steps(method, x, tau, n_steps):
+    ``tau``; a singularity is re-raised with the step index.  A nan or inf
+    final state raises :class:`NonFiniteError` with the first step that
+    produced one, found by walking the same steps again."""
+    x = start = _start(x0, n_steps)
+    for x in _steps(method, start, tau, n_steps):
         pass
+    if not np.isfinite(x).all():
+        bad = (i for i, y in enumerate(_steps(method, start, tau, n_steps))
+               if not np.isfinite(y).all())
+        raise NonFiniteError(step=next(bad, None))
     return x
 
 

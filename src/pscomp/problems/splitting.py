@@ -1,8 +1,9 @@
 """Symmetric splittings built from the exact flows of f = f_a + f_b.
 
 ``strang`` is the second-order palindrome a(tau/2) b(tau) a(tau/2), the
-base method of the Kepler, reaction-diffusion and Ginzburg-Landau
-problems.  ``s4sim`` is the fourth-order one with complex coefficients,
+base method of the reaction-diffusion problem; the oscillator, Kepler and
+Ginzburg-Landau problems run the same palindrome as one-pass kernels.
+``s4sim`` is the fourth-order one with complex coefficients,
 the nine-stage palindrome
 
     b(b1) a(1/4) b(b2) a(1/4) b(b3) a(1/4) b(b2) a(1/4) b(b1)

@@ -111,15 +111,15 @@ def test_criterion_02_truncation_and_defect_table(tmp_path):
     check_entry((1, "truncation", "10"), "level1 (1,0)", 5, -1.0 / 120.0, 0.01, exp_tol=0.05)
     check_defects(1, 8, 1.0 / 1728.0, 0.01)
 
-    # second level: tau^7 truncation pair, tau^8 defects at 5.4e-6
-    check_entry((2, "truncation", "01"), "level2 (0,1)", 7, 3.8e-5, 0.05)
-    check_entry((2, "truncation", "10"), "level2 (1,0)", 7, 5.1e-5, 0.05)
-    check_defects(2, 8, 5.4e-6, 0.05)
+    # second level: tau^7 truncation pair, tau^8 defects at 5.464537e-6
+    check_entry((2, "truncation", "01"), "level2 (0,1)", 7, 3.883785e-5, 0.05)
+    check_entry((2, "truncation", "10"), "level2 (1,0)", 7, 5.178380e-5, 0.05)
+    check_defects(2, 8, 5.464537e-6, 0.05)
 
-    # third level: tau^8 diagonal truncation, tau^8 defects at 1.1e-8
-    check_entry((3, "truncation", "00"), "level3 (0,0)", 8, 5.8e-9, 0.10)
-    check_entry((3, "truncation", "11"), "level3 (1,1)", 8, 5.8e-9, 0.10)
-    check_defects(3, 8, 1.1e-8, 0.10)
+    # third level: tau^8 diagonal truncation, tau^8 defects at 1.163950e-8
+    check_entry((3, "truncation", "00"), "level3 (0,0)", 8, 5.819748e-9, 0.10)
+    check_entry((3, "truncation", "11"), "level3 (1,1)", 8, 5.819748e-9, 0.10)
+    check_defects(3, 8, 1.163950e-8, 0.10)
 
     _report("2 truncation/defect table", checks)
 

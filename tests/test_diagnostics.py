@@ -12,7 +12,7 @@ from pscomp.diagnostics import (
     power_law_fit, propagate, slope_with_floor, step_count, successive_error,
     symplecticity_defect, taylor_coefficients,
 )
-from pscomp.errors import DomainError, SingularityError, ValidationError
+from pscomp.errors import DomainError, NonFiniteError, SingularityError, ValidationError
 from pscomp.flowmap import EXACT_META, FlowMap
 from pscomp.problems import (
     ho_energy, ho_exact, ho_exact_flow, ho_strang_flow,
@@ -156,6 +156,16 @@ def test_integrate_attaches_step_to_singularity(run):
     with pytest.raises(SingularityError) as excinfo:
         run(flow, np.array([1.0]), 0.1, 10)
     assert excinfo.value.step == 2
+
+
+@pytest.mark.parametrize("run", [integrate, propagate])
+def test_integrate_attaches_step_to_non_finite_state(run):
+    # 1 -> 1e200 (step 0) -> inf (step 1) -> inf ...
+    grow = FlowMap(lambda x, tau: x * 1e200, EXACT_META)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as excinfo:
+            run(grow, np.array([1.0]), 0.1, 5)
+    assert excinfo.value.step == 1
 
 
 def test_integrate_rejects_zero_steps():

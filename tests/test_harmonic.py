@@ -1,9 +1,14 @@
 """Harmonic-oscillator flows and the second-order splitting."""
 
 import numpy as np
+import pytest
 
+from pscomp.coefficients import gamma_smallest_phase
 from pscomp.diagnostics import power_law_fit
 from pscomp.problems import ho_drift_flow, ho_exact, ho_kick_flow, ho_strang_flow
+from pscomp.problems import strang as staged_strang
+
+GAMMA = gamma_smallest_phase(2)
 
 
 def drift(tau):
@@ -62,3 +67,14 @@ def test_strang_flow_matches_matrix():
     x = np.array([1.0, -2.0], dtype=complex)
     tau = 0.37
     np.testing.assert_allclose(flow(x, tau), strang(tau) @ x, atol=0)
+
+
+@pytest.mark.parametrize("tau", [0.1, -0.37, 0.0, GAMMA * 0.1, GAMMA.conjugate() * 0.1])
+@pytest.mark.parametrize("x", [np.array([2.5, 0.0], dtype=complex),
+                               np.array([0.3 - 1.2j, -0.7 + 0.4j])],
+                         ids=["real_state", "complex_state"])
+def test_one_pass_strang_equals_the_staged_strang_bit_for_bit(x, tau):
+    fused = ho_strang_flow()(x, tau)
+    staged = staged_strang(ho_drift_flow(), ho_kick_flow())(x, tau)
+    assert fused.dtype == staged.dtype
+    assert fused.tobytes() == staged.tobytes()

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from pscomp.coefficients import gamma_smallest_phase
 from pscomp.diagnostics import integrate, power_law_fit, symplecticity_defect
 from pscomp.errors import DomainError, SingularityError
 from pscomp.problems import (
     kepler_drift_flow, kepler_energy, kepler_initial_conditions,
-    kepler_kick_flow, kepler_strang_flow,
+    kepler_kick_flow, kepler_strang_flow, strang,
 )
+
+GAMMA = gamma_smallest_phase(2)
 
 
 def test_initial_conditions_moderate_eccentricity():
@@ -107,3 +110,26 @@ def test_strang_long_run_energy_bounded():
     h0 = kepler_energy(x0)
     errors = [abs(kepler_energy(s) - h0) / abs(h0) for s in states]
     assert max(errors) < 1e-2
+
+
+@pytest.mark.parametrize("tau", [0.1, -0.37, 0.0, GAMMA * 0.1, GAMMA.conjugate() * 0.1])
+@pytest.mark.parametrize("x", [
+    kepler_initial_conditions(0.6).as_vector(),
+    np.array([0.4 + 0.05j, -0.1 - 0.02j, 0.3j, 2.0 - 0.1j]),
+], ids=["real_state", "complex_state"])
+def test_one_pass_strang_equals_the_staged_strang_bit_for_bit(x, tau):
+    fused = kepler_strang_flow()(x, tau)
+    staged = strang(kepler_drift_flow(), kepler_kick_flow())(x, tau)
+    assert fused.dtype == staged.dtype
+    assert fused.tobytes() == staged.tobytes()
+
+
+def test_one_pass_strang_raises_the_staged_singularity():
+    # q1 = i after the first half drift (p = 0): q1^2 + q2^2 = -1 is on the cut.
+    x = np.array([1j, 0.0, 0.0, 0.0])
+    errors = []
+    for method in (kepler_strang_flow(), strang(kepler_drift_flow(), kepler_kick_flow())):
+        with pytest.raises(SingularityError) as info:
+            method(x, 0.1)
+        errors.append((str(info.value), info.value.value, info.value.index))
+    assert errors[0] == errors[1]
