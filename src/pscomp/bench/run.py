@@ -21,9 +21,8 @@ import numpy as np
 from .. import __version__
 from ..composition import coefficient_arguments, recursive_family
 from ..diagnostics import (
-    PowerLawFit, energy_error_series, envelope_growth, integrate, leading_term,
-    power_law_fit, propagate, slope_with_floor, step_count, successive_error,
-    taylor_coefficients,
+    energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
+    propagate, slope_with_floor, step_count, successive_error, taylor_coefficients,
 )
 from ..errors import NonFiniteError, SingularityError
 from ..problems import (
@@ -116,15 +115,13 @@ def _common(name, config, **extra):
 
 
 def _fit_cells(fit, n_ok, needed=3):
-    """Cells of a fit row from a :class:`PowerLawFit`, a bare slope, a
-    ``leading_term``, or None: then ``insufficient_samples`` when fewer than
+    """Cells of a fit row from a ``power_law_fit`` or ``leading_term`` tuple,
+    a bare slope, or None: then ``insufficient_samples`` when fewer than
     ``needed`` cells are ``ok``, else ``below_floor`` (the floor left too few)."""
     if fit is None:
         return {"status": "insufficient_samples" if n_ok < needed else "below_floor"}
     if isinstance(fit, float):
         return {"slope": fit, "status": "ok"}
-    if isinstance(fit, PowerLawFit):
-        fit = (fit.exponent, fit.coefficient, fit.residual)
     return dict(zip(("slope", "coefficient", "residual"), fit), status="ok")
 
 

@@ -4,11 +4,11 @@ the recursive family of projected conjugate-pair methods.
 The central construction: given a symmetric base method of even order 2n,
 compose it at the conjugate steps ``gamma*tau`` and ``conj(gamma)*tau``
 (one extra order) and average the result with its coefficient-conjugated
-mirror.  For a real vector field and a real step the average is simply the
+mirror.  For a real vector field, step and state the average is simply the
 real part of the output, so the projected method costs the same as the
-unprojected one; at complex steps (as used inside deeper recursion levels)
-both mirror branches are evaluated.  Iterating the construction raises the
-order by two per level until the pseudo-symmetry order of the base caps it.
+unprojected one; at complex steps (as inside deeper recursion levels) or
+states both mirror branches are evaluated.  Iterating the construction
+raises the order by two per level until the pseudo-symmetry order caps it.
 """
 
 import cmath
@@ -54,21 +54,15 @@ def _real_projection(method):
 
     For a real vector field the mirror branch at step sigma equals
     ``conj(method(conj(x), conj(sigma)))``, so no explicit mirror method is
-    needed.  With a real step the average collapses to the real part of a
-    single evaluation; the input state must then be (numerically) real.
+    needed.  When the step and the state are both exactly real the average
+    is the real part of a single evaluation; any other input evaluates both
+    branches, so the projection is holomorphic in the state at every step.
     """
 
     def project(x, tau):
-        if tau.imag == 0.0:
-            # One pass clears an exactly real state, the common case.
-            if x.imag.any():
-                imag = float(np.max(np.abs(x.imag)))
-                if imag > 1e-14 * max(1.0, float(np.max(np.abs(x)))):
-                    raise DomainError("real projection at a real step requires a "
-                                      f"real state (imaginary magnitude {imag:.3e})")
-            y = method(x.real.astype(complex), tau)
-            return y.real.astype(complex)
         y = method(x, tau)
+        if tau.imag == 0.0 and not x.imag.any():
+            return y.real.astype(complex)
         mirror = np.conj(method(np.conj(x), tau.conjugate()))
         return 0.5 * (y + mirror)
 

@@ -11,7 +11,6 @@ coefficients (:func:`taylor_coefficients`, :func:`leading_term`).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,26 +19,6 @@ from .errors import DomainError, NonFiniteError, SingularityError, ValidationErr
 #: Discard error samples (and Taylor terms c_k rho^k) below this magnitude:
 #: 100x the roundoff of one-step quantities on O(1) states (about 1e-16).
 ROUNDOFF_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Fitted ``error ~ coefficient * tau^exponent``.
-
-    ``residual`` is the max absolute log-space deviation over the fitted
-    samples (approximately the max relative deviation).
-    """
-
-    exponent: float
-    coefficient: float
-    residual: float
-    n_samples: int
-
-    def __post_init__(self):
-        if self.n_samples < 3:
-            raise ValidationError("power-law fits need at least 3 samples")
-        if self.residual < 0:
-            raise ValidationError("residual must be non-negative")
 
 
 def _start(x0, n_steps):
@@ -129,7 +108,9 @@ def _loglog_lsq(taus, errors):
 
 
 def power_law_fit(taus, errors):
-    """Fit ``errors ~ C tau^p`` by least squares on logarithms.
+    """``(exponent, coefficient, residual)`` of ``errors ~ C tau^p`` fitted by
+    least squares on logarithms; ``residual`` is the max absolute log-space
+    deviation over the samples (about the max relative deviation).
 
     When the fitted exponent lies near an integer, the coefficient is read
     off at the second-smallest sampled step (``C = e / tau^round(p)``)
@@ -152,8 +133,7 @@ def power_law_fit(taus, errors):
         coefficient = float(errors[pick] / taus[pick] ** nearest)
     else:
         coefficient = float(math.exp(intercept))
-    return PowerLawFit(exponent=slope, coefficient=coefficient,
-                       residual=residual, n_samples=len(taus))
+    return slope, coefficient, residual
 
 
 def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
@@ -176,22 +156,18 @@ def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
 
 
 def symplecticity_defect(method, x0, tau):
-    """Max-abs entry of ``J^T S J - S`` at one step ``tau``, with S the
-    canonical form and J the Jacobian at ``x0`` by central finite
-    differences (relative step 1e-5 per component)."""
+    """``J^T S J - S`` at one step ``tau``, with S the canonical form and J
+    the Jacobian at ``x0``: column j is c_1 of the Taylor series of
+    ``s -> method(x0 + s e_j, tau)`` on a circle of radius 1e-2 (16 nodes)."""
     x = np.asarray(x0, dtype=complex)
     if x.ndim != 1 or len(x) % 2 != 0:
         raise DomainError("symplecticity needs an even-dimensional vector state")
     dim = len(x)
     form = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dim // 2))
-    jac = np.empty((dim, dim))
-    for j in range(dim):
-        h = 1e-5 * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = ((method(xp, tau) - method(xm, tau)) / (2.0 * h)).real
-    return float(np.max(np.abs(jac.T @ form @ jac - form)))
+    jac = np.column_stack([taylor_coefficients(
+        lambda ss: [method(x + s * e, tau) for s in ss.tolist()], 1e-2, 16)[1]
+        for e in np.eye(dim)])
+    return jac.T @ form @ jac - form
 
 
 def taylor_coefficients(f, rho, n):

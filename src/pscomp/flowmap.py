@@ -60,7 +60,8 @@ class FlowMap:
     ``symplecticity_defect`` and :meth:`matrix` pass a complex ndarray, and
     the step is a Python ``complex`` or ``float`` (both have ``.imag`` and
     ``.conjugate()``).  An object-dtype (mpmath) state is not supported: it
-    runs at f64 and the real projection keeps its imaginary part, silently.
+    runs at f64, reads as exactly real, and the real projection keeps its
+    imaginary part, silently.
     The evaluator returns a new state of the same shape.  It may keep a
     bounded cache of read-only step constants and shares nothing else, and
     must not mutate its input, so one FlowMap can be applied from several

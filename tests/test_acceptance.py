@@ -15,7 +15,9 @@ import numpy as np
 
 from pscomp.coefficients import gamma_smallest_phase, gamma_triple_jump
 from pscomp.composition import recursive_family
-from pscomp.diagnostics import leading_term, slope_with_floor, taylor_coefficients
+from pscomp.diagnostics import (
+    leading_term, slope_with_floor, symplecticity_defect, taylor_coefficients,
+)
 from pscomp.problems import (
     CGLParams, S4SIM_B, cgl_nonlinear_map, fisher_reaction_map,
     ho_drift_flow, ho_exact, ho_kick_flow, ho_strang_flow,
@@ -251,11 +253,9 @@ def test_criterion_08_closed_form_flow_oracles():
     _report("8 closed-form flow oracles", checks)
 
 
-def _round_trip_term(method, x0, rho, n):
-    """Leading term of the round trip psi(psi(x0, -tau), tau) - x0."""
-    c = taylor_coefficients(
-        lambda taus: np.array([method(method(x0, -t), t) - x0 for t in taus.tolist()]),
-        rho, n)
+def _leading_series_term(cell, rho, n):
+    """Leading term of the one-step series ``cell(tau)`` on a circle of radius rho."""
+    c = taylor_coefficients(lambda taus: np.array([cell(t) for t in taus.tolist()]), rho, n)
     return leading_term(c, rho)
 
 
@@ -263,24 +263,31 @@ def test_criterion_09_pseudo_symmetry_defect_order():
     # The leading degree of the level-1 oscillator symmetry series
     # M(tau)M(-tau) - I, on the ho-table1 circle.
     ho_level1 = recursive_family(ho_strang_flow(), 1).levels[0]
-    c = taylor_coefficients(lambda taus: np.array(
-        [ho_level1.matrix(t) @ ho_level1.matrix(-t) - np.eye(2) for t in taus.tolist()]),
-        TABLE1_RADIUS, TABLE1_NODES)
-    ho_degree = leading_term(c, TABLE1_RADIUS)[0]
+    ho_degree = _leading_series_term(
+        lambda t: ho_level1.matrix(t) @ ho_level1.matrix(-t) - np.eye(2),
+        TABLE1_RADIUS, TABLE1_NODES)[0]
     checks = [("oscillator defect degree", ho_degree >= 7.75, str(ho_degree))]
 
     # Kepler (e = 0.6, from perihelion), levels 1-3, at two radii inside the
     # exact flow's nearest singularity (|t| ~ 0.30): a stage can cross the
     # log's cut between nodes without raising, so the radii must agree.
+    # Both defects read degree 8 (declared q = r = 7); the symplecticity
+    # coefficient is an entry of an antisymmetric matrix, so its sign may
+    # flip between radii and only its magnitude is compared.
     x0 = kepler_initial_conditions(0.6).as_vector()
     for level, method in enumerate(recursive_family(kepler_strang_flow(), 3).levels, 1):
-        terms = {rho: _round_trip_term(method, x0, rho, 64) for rho in (0.1, 0.15)}
-        degrees = {term[0] for term in terms.values()}
-        checks.append((f"Kepler level{level} defect degree",
-                       len(degrees) == 1 and min(degrees) >= 7.75,
-                       ", ".join(f"{d} at rho {rho} (noise ratio {noise:.1e})"
-                                 for rho, (d, _, noise) in terms.items())))
-    _report("9 pseudo-symmetry defect order", checks)
+        cells = {"symmetry": lambda t: method(method(x0, -t), t) - x0,
+                 "symplecticity": lambda t: symplecticity_defect(method, x0, t)}
+        for label, cell in cells.items():
+            terms = {rho: _leading_series_term(cell, rho, 64) for rho in (0.1, 0.15)}
+            degrees = {t[0] for t in terms.values()}
+            sizes = [abs(t[1]) for t in terms.values()]
+            checks.append((f"Kepler level{level} {label} defect degree",
+                           degrees == {8} and math.isclose(*sizes, rel_tol=1e-5),
+                           ", ".join(f"{d} at rho {rho} (coefficient {coef:.6g}, "
+                                     f"noise ratio {noise:.1e})"
+                                     for rho, (d, coef, noise) in terms.items())))
+    _report("9 pseudo-symmetry and pseudo-symplecticity defect orders", checks)
 
 
 def test_criterion_10_deterministic_output(tmp_path):

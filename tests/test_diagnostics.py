@@ -8,40 +8,39 @@ import pytest
 
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
-    PowerLawFit, energy_error_series, envelope_growth, integrate, leading_term,
-    power_law_fit, propagate, slope_with_floor, step_count, successive_error,
-    symplecticity_defect, taylor_coefficients,
+    energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
+    propagate, slope_with_floor, step_count, successive_error, symplecticity_defect,
+    taylor_coefficients,
 )
 from pscomp.errors import DomainError, NonFiniteError, SingularityError, ValidationError
 from pscomp.flowmap import EXACT_META, FlowMap
 from pscomp.problems import (
-    ho_energy, ho_exact, ho_exact_flow, ho_strang_flow,
-    kepler_initial_conditions, kepler_strang_flow,
+    ho_drift_flow, ho_energy, ho_exact, ho_exact_flow, ho_kick_flow, ho_strang_flow,
+    kepler_initial_conditions, kepler_strang_flow, s4sim,
 )
 
 
 def test_power_law_fit_exact_cubic():
     taus = 0.5 ** np.arange(6)
-    fit = power_law_fit(taus, taus**3)
-    assert abs(fit.exponent - 3.0) < 1e-12
-    assert abs(fit.coefficient - 1.0) < 1e-12
-    assert fit.residual < 1e-12
+    exponent, coefficient, residual = power_law_fit(taus, taus**3)
+    assert abs(exponent - 3.0) < 1e-12
+    assert abs(coefficient - 1.0) < 1e-12
+    assert residual < 1e-12
 
 
 def test_power_law_fit_scaled_quadratic():
     taus = 0.5 ** np.arange(5)
-    fit = power_law_fit(taus, 5.0 * taus**2)
-    assert abs(fit.exponent - 2.0) < 1e-12
-    assert abs(fit.coefficient - 5.0) < 1e-11
+    exponent, coefficient, _ = power_law_fit(taus, 5.0 * taus**2)
+    assert abs(exponent - 2.0) < 1e-12
+    assert abs(coefficient - 5.0) < 1e-11
 
 
 @pytest.mark.parametrize("p", range(2, 9))
 def test_power_law_fit_recovers_synthetic_orders(p):
     taus = 0.8 * 0.5 ** np.arange(6)
-    coefficient = 2.5e-3
-    fit = power_law_fit(taus, coefficient * taus**p)
-    assert abs(fit.exponent - p) < 1e-10
-    assert abs(fit.coefficient - coefficient) / coefficient < 1e-10
+    exponent, coefficient, _ = power_law_fit(taus, 2.5e-3 * taus**p)
+    assert abs(exponent - p) < 1e-10
+    assert abs(coefficient - 2.5e-3) / 2.5e-3 < 1e-10
 
 
 def test_power_law_fit_validates_input():
@@ -57,9 +56,9 @@ def test_power_law_fit_validates_input():
 
 def test_power_law_fit_noninteger_exponent_uses_intercept():
     taus = 0.5 ** np.arange(5)
-    fit = power_law_fit(taus, 2.0 * taus**2.5)
-    assert abs(fit.exponent - 2.5) < 1e-10
-    assert abs(fit.coefficient - 2.0) / 2.0 < 1e-9
+    exponent, coefficient, _ = power_law_fit(taus, 2.0 * taus**2.5)
+    assert abs(exponent - 2.5) < 1e-10
+    assert abs(coefficient - 2.0) / 2.0 < 1e-9
 
 
 #: The circle of complex steps of the ho-table1 preset.
@@ -239,11 +238,22 @@ def test_symplecticity_defect_exact_rotation():
 
 def test_symplecticity_defect_point_mode_strang():
     x0 = kepler_initial_conditions(0.6).as_vector()
-    taus = np.array([0.2, 0.1, 0.05])
-    defects = [symplecticity_defect(kepler_strang_flow(), x0, tau) for tau in taus]
-    # exactly symplectic map; what remains is finite-difference truncation,
-    # amplified by the 1/r^3 curvature near perihelion
-    assert np.max(defects) < 1e-7
+    for tau in (0.2, 0.1, 0.05):
+        # an exactly symplectic map: what remains is roundoff
+        assert np.max(np.abs(symplecticity_defect(kepler_strang_flow(), x0, tau))) < 1e-13
+
+
+@pytest.mark.parametrize("base", ["strang", "s4sim"])
+@pytest.mark.parametrize("tau", [0.3, 0.3 * np.exp(0.4j), -0.7])
+def test_symplecticity_defect_matches_matrix_determinant(base, tau):
+    # For a linear 2x2 map M^T S M = det(M) S, so the Jacobian read through
+    # the Taylor cell must give (det M - 1) S at every state.
+    flow = ho_strang_flow() if base == "strang" else s4sim(ho_drift_flow(), ho_kick_flow())
+    form = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for level in recursive_family(flow, 3).levels:
+        expected = (np.linalg.det(level.matrix(tau)) - 1.0) * form
+        defect = symplecticity_defect(level, np.array([0.8, -0.3]), tau)
+        assert np.max(np.abs(defect - expected)) < 1e-13
 
 
 def test_symplecticity_defect_rejects_odd_dimension():
@@ -303,8 +313,3 @@ def test_energy_error_series_zero_reference():
 def test_envelope_growth():
     series = np.concatenate([np.full(50, 1.0), np.full(50, 3.0)])
     assert envelope_growth(series) == pytest.approx((1.0, 3.0, 2.0))
-
-
-def test_power_law_fit_requires_three_samples_dataclass():
-    with pytest.raises(ValidationError):
-        PowerLawFit(exponent=2.0, coefficient=1.0, residual=0.0, n_samples=2)

@@ -80,8 +80,8 @@ def test_stage_flows_are_symplectic_shears():
     x0 = kepler_initial_conditions(0.6).as_vector()
     taus = np.array([0.4, 0.2, 0.1])
     for flow in (kepler_drift_flow(), kepler_kick_flow()):
-        defects = [symplecticity_defect(flow, x0, tau) for tau in taus]
-        assert np.max(defects) < 1e-9
+        defects = [np.max(np.abs(symplecticity_defect(flow, x0, tau))) for tau in taus]
+        assert np.max(defects) < 1e-13
 
 
 def test_strang_local_energy_error_third_order():
@@ -99,8 +99,8 @@ def test_strang_local_energy_error_third_order():
         out = method(x, tau)
         h = kepler_energy(out)
         errors.append(abs(h - h0))
-    fit = power_law_fit(taus, errors)
-    assert abs(fit.exponent - 3.0) < 0.15
+    exponent = power_law_fit(taus, errors)[0]
+    assert abs(exponent - 3.0) < 0.15
 
 
 def test_strang_long_run_energy_bounded():
