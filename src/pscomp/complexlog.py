@@ -35,14 +35,16 @@ def principal_log(z):
         except OverflowError:  # |z| overflows; the array formula gives inf
             pass
     arr = np.asarray(z, dtype=complex)
-    on_cut = (arr.imag == 0.0) & (arr.real <= 0.0)
-    if on_cut.any():
-        idx = int(np.argmax(on_cut.ravel()))
-        value = complex(arr.ravel()[idx])
-        raise SingularityError(
-            f"principal logarithm undefined on the negative real axis: z={value}",
-            index=idx, value=value,
-        )
+    on_cut = arr.real <= 0.0
+    if on_cut.any():  # the imaginary test runs only when the real one hits
+        on_cut = on_cut & (arr.imag == 0.0)
+        if on_cut.any():
+            idx = int(np.argmax(on_cut.ravel()))
+            value = complex(arr.ravel()[idx])
+            raise SingularityError(
+                f"principal logarithm undefined on the negative real axis: z={value}",
+                index=idx, value=value,
+            )
     result = np.empty_like(arr)
     np.log(np.abs(arr), out=result.real)
     np.arctan2(arr.imag, arr.real, out=result.imag)

@@ -61,7 +61,7 @@ def _real_projection(method):
 
     def project(x, tau):
         y = method(x, tau)
-        if tau.imag == 0.0 and not x.imag.any():
+        if tau.imag == 0.0 and not np.count_nonzero(x.imag):
             return y.real.astype(complex)
         mirror = np.conj(method(np.conj(x), tau.conjugate()))
         return 0.5 * (y + mirror)

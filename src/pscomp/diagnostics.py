@@ -186,8 +186,10 @@ def taylor_coefficients(f, rho, n):
 def leading_term(coefficients, rho):
     """``(degree, coefficient, noise)`` of the first term ``max|c_k| rho**k``
     above :data:`ROUNDOFF_FLOOR`, or None when every term is at roundoff:
-    ``coefficient`` is the real part of the largest entry of c_degree, and
-    ``noise`` the largest term below the degree over the leading one."""
+    ``noise`` is the largest term below the degree over the leading one.
+    ``coefficient`` is the real part of the largest entry of c_degree, with
+    the sign of the first entry (flat order) that equals it or its negative
+    to 1e-8 relative, so roundoff does not pick the sign of a +- pair."""
     terms = (np.abs(coefficients).reshape(len(coefficients), -1).max(axis=1)
              * rho ** np.arange(len(coefficients)))
     above = np.flatnonzero(terms > ROUNDOFF_FLOOR)
@@ -196,7 +198,10 @@ def leading_term(coefficients, rho):
     degree = int(above[0])
     entries = coefficients[degree].reshape(-1)
     noise = float(terms[:degree].max() / terms[degree]) if degree else 0.0
-    return degree, float(entries[np.argmax(np.abs(entries))].real), noise
+    largest = entries[np.argmax(np.abs(entries))]
+    gap = np.minimum(np.abs(entries - largest), np.abs(entries + largest))
+    first = entries[np.argmax(gap <= 1e-8 * abs(largest))]
+    return degree, math.copysign(largest.real, first.real), noise
 
 
 def energy_error_series(states, energy):

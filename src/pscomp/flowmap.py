@@ -64,8 +64,9 @@ class FlowMap:
     imaginary part, silently.
     The evaluator returns a new state of the same shape.  It may keep a
     bounded cache of read-only step constants and shares nothing else, and
-    must not mutate its input, so one FlowMap can be applied from several
-    threads at once.  A flow map carries its evaluator and ``meta``.
+    may write in place only into arrays it allocated itself, never into
+    its input or a cached constant, so one FlowMap can be applied from
+    several threads at once.  A flow map carries its evaluator and ``meta``.
     """
 
     def __init__(self, evaluator, meta):

@@ -21,7 +21,9 @@ conj(beta) = 2 - beta and the second factor is 1 / ((1 + 2 t m0) times the
 first), so the cubic substep takes one exp.  States are stored as (2, N)
 arrays holding the (v, w) rows; the diagonal variables are internal to
 each evaluation: the Strang step changes basis once each way and runs its
-three substeps in place on one array.
+three substeps in place on one array: every FFT and every substep
+operation writes into an array the evaluation allocated, with the operands
+in the order of the allocating formulas, so the results are the same bits.
 """
 
 from dataclasses import dataclass
@@ -52,25 +54,42 @@ class CGLParams:
 
 def _to_diagonal(vw):
     v, w = vw
-    return np.array([0.5 * (-1j * v + w), 0.5 * (v - 1j * w)])
+    diag = np.empty(np.shape(vw), complex)
+    diag[0] = 0.5 * (-1j * v + w)
+    diag[1] = 0.5 * (v - 1j * w)
+    return diag
 
 
 def _from_diagonal(diag):
     dv, dw = diag
-    return np.array([1j * dv + dw, dv + 1j * dw])
+    vw = np.empty_like(diag)
+    vw[0] = 1j * dv + dw
+    vw[1] = dv + 1j * dw
+    return vw
 
 
 def _linear(diag, multipliers):
-    """Linear substep in place on the diagonal rows."""
-    for row, multiplier in enumerate(multipliers):
-        diag[row] = np.fft.ifft(multiplier * np.fft.fft(diag[row]))
+    """Linear substep in place on the diagonal rows.
+
+    The multiplier stays the first operand: for complex arrays ``m * a``
+    and ``a * m`` can differ in the last bit.
+    """
+    for row, multiplier in zip(diag, multipliers):
+        np.fft.fft(row, out=row)
+        np.multiply(multiplier, row, out=row)
+        np.fft.ifft(row, out=row)
     return diag
 
 
 def _cubic(diag, tau, beta):
     """Cubic substep in place on the diagonal rows."""
-    z = 1.0 + 2.0 * tau * (4j * diag[0] * diag[1])
-    decay = np.exp(-0.5 * beta * principal_log(z))
+    z = np.multiply(4j, diag[0])  # 1.0 + 2.0 * tau * (4j * diag[0] * diag[1])
+    np.multiply(z, diag[1], out=z)
+    np.multiply(2.0 * tau, z, out=z)
+    np.add(1.0, z, out=z)
+    decay = principal_log(z)  # exp(-0.5 * beta * log z)
+    np.multiply(-0.5 * beta, decay, out=decay)
+    np.exp(decay, out=decay)
     diag[0] *= decay
     decay *= z  # exp(-(conj(beta)/2) log z) = 1 / (z exp(-(beta/2) log z))
     diag[1] /= decay

@@ -271,9 +271,10 @@ def test_criterion_09_pseudo_symmetry_defect_order():
     # Kepler (e = 0.6, from perihelion), levels 1-3, at two radii inside the
     # exact flow's nearest singularity (|t| ~ 0.30): a stage can cross the
     # log's cut between nodes without raising, so the radii must agree.
-    # Both defects read degree 8 (declared q = r = 7); the symplecticity
-    # coefficient is an entry of an antisymmetric matrix, so its sign may
-    # flip between radii and only its magnitude is compared.
+    # Both defects read degree 8 (declared q = r = 7), with the same
+    # coefficient at both radii: the symplecticity coefficient is an entry
+    # of an antisymmetric matrix, and leading_term takes the sign of the
+    # first entry of the +- pair, so roundoff does not flip it.
     x0 = kepler_initial_conditions(0.6).as_vector()
     for level, method in enumerate(recursive_family(kepler_strang_flow(), 3).levels, 1):
         cells = {"symmetry": lambda t: method(method(x0, -t), t) - x0,
@@ -281,9 +282,9 @@ def test_criterion_09_pseudo_symmetry_defect_order():
         for label, cell in cells.items():
             terms = {rho: _leading_series_term(cell, rho, 64) for rho in (0.1, 0.15)}
             degrees = {t[0] for t in terms.values()}
-            sizes = [abs(t[1]) for t in terms.values()]
+            coefficients = [t[1] for t in terms.values()]
             checks.append((f"Kepler level{level} {label} defect degree",
-                           degrees == {8} and math.isclose(*sizes, rel_tol=1e-5),
+                           degrees == {8} and math.isclose(*coefficients, rel_tol=1e-5),
                            ", ".join(f"{d} at rho {rho} (coefficient {coef:.6g}, "
                                      f"noise ratio {noise:.1e})"
                                      for rho, (d, coef, noise) in terms.items())))

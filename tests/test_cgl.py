@@ -195,6 +195,51 @@ def test_strang_matches_the_stage_composition_and_keeps_its_input(params, grid, 
         np.testing.assert_array_equal(state, before)
 
 
+def _allocating_strang(params, grid, vw, tau):
+    """The Strang evaluation as the allocating expressions it replaced in place."""
+    def to_diagonal(vw):
+        v, w = vw
+        return np.array([0.5 * (-1j * v + w), 0.5 * (v - 1j * w)])
+
+    def from_diagonal(diag):
+        dv, dw = diag
+        return np.array([1j * dv + dw, dv + 1j * dw])
+
+    def linear(diag, multipliers):
+        for row, multiplier in enumerate(multipliers):
+            diag[row] = np.fft.ifft(multiplier * np.fft.fft(diag[row]))
+        return diag
+
+    def cubic(diag, tau, beta):
+        z = 1.0 + 2.0 * tau * (4j * diag[0] * diag[1])
+        decay = np.exp(-0.5 * beta * principal_log(z))
+        diag[0] *= decay
+        decay *= z
+        diag[1] /= decay
+        return diag
+
+    half = cgl._multipliers(params, grid)(tau / 2.0)
+    diag = cubic(linear(to_diagonal(vw), half), tau, params.beta)
+    return from_diagonal(linear(diag, half))
+
+
+@pytest.mark.parametrize("n_points", [64, 512])
+@pytest.mark.parametrize("tau", [0.05, complex(0.04, 0.02), complex(0.03, -0.015)])
+def test_strang_in_place_kernel_is_bit_identical_to_the_allocating_one(params, n_points, tau):
+    grid = SpectralGrid(-100.0, 200.0, n_points)
+    rng = np.random.default_rng(48)
+    state = _state(pulse_pair_profile(grid) + 0.1 * rng.normal(size=n_points),
+                   0.2 * rng.normal(size=n_points))
+    before = state.copy()
+    flow = cgl_strang_flow(params, grid)
+    out = flow(state, tau)
+    np.testing.assert_array_equal(out, _allocating_strang(params, grid, state, tau))
+    np.testing.assert_array_equal(state, before)
+    closure = dict(zip(flow._evaluator.__code__.co_freevars,
+                       (cell.cell_contents for cell in flow._evaluator.__closure__)))
+    assert not any(m.flags.writeable for m in closure["multipliers"](tau / 2.0))
+
+
 def test_strang_reports_the_grid_index_of_a_branch_cut():
     # With c1 = eps = 0, a real field and a real step, the 4-point DFT
     # (twiddles +-1, +-i) keeps the diagonal rows exactly imaginary and

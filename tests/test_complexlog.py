@@ -44,6 +44,20 @@ def test_log_array_reports_offending_index():
     assert excinfo.value.value == -1.0
 
 
+def test_log_array_off_axis_negative_real_parts_do_not_raise():
+    values = np.array([-1.0 + 1e-300j, -2.0 - 0.5j, 3.0, -0.0 + 1j], dtype=complex)
+    expected = np.log(np.abs(values)) + 1j * np.arctan2(values.imag, values.real)
+    np.testing.assert_array_equal(principal_log(values), expected)
+
+
+def test_log_array_reports_the_cut_entry_after_off_axis_negative_ones():
+    values = np.array([-1.0 + 1e-300j, -2.0 - 0.5j, 3.0, -0.0 + 1j, -4.0, -5.0],
+                      dtype=complex)
+    with pytest.raises(SingularityError) as excinfo:
+        principal_log(values)
+    assert (excinfo.value.index, excinfo.value.value) == (4, -4.0)
+
+
 @pytest.mark.parametrize("z", [
     complex(-1.0, 1e-300), complex(-1.0, -1e-300),
     complex(-3.0, 1e-300), complex(-3.0, -1e-300),

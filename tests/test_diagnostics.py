@@ -8,7 +8,7 @@ import pytest
 
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
-    energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
+    ROUNDOFF_FLOOR, energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
     propagate, slope_with_floor, step_count, successive_error, symplecticity_defect,
     taylor_coefficients,
 )
@@ -101,6 +101,32 @@ def test_leading_term_of_a_matrix_series_reads_its_largest_entry():
     c = np.zeros((NODES, 2, 2), dtype=complex)
     c[5] = [[1e-3, -2e-3 + 1e-9j], [0.0, 5e-4]]
     assert leading_term(c, RHO) == (5, -2e-3, 0.0)
+
+
+@pytest.mark.parametrize("pair", [
+    (1.0, -(1.0 + 1e-15)),
+    (1.0 + 1e-15, -1.0),
+    # The Kepler level-3 symplecticity pair differs by 5.2e-9 relative.
+    (1.0, -(1.0 + 5e-9)),
+])
+def test_leading_term_sign_of_a_pm_pair_does_not_follow_roundoff(pair):
+    # An antisymmetric series has entries c and -c; roundoff decides which
+    # has the larger modulus, but the sign comes from the first of the two.
+    c = np.zeros((NODES, 2), dtype=complex)
+    c[3, 0] = 1e-14
+    c[4] = [8.8 * pair[0], 8.8 * pair[1]]
+    degree, coefficient, _ = leading_term(c, RHO)
+    assert degree == 4
+    assert coefficient == pytest.approx(8.8, rel=1e-8)
+
+
+def test_leading_term_sign_of_distinct_entries_is_the_largest_ones():
+    # A leading term just above the floor has noise ratio 0.5; an earlier
+    # entry of a different size still does not set the sign.
+    c = np.zeros((NODES, 2))
+    c[3, 0] = ROUNDOFF_FLOOR
+    c[4] = [-0.6 * 2 * ROUNDOFF_FLOOR, 2 * ROUNDOFF_FLOOR]
+    assert leading_term(c, RHO) == (4, 2 * ROUNDOFF_FLOOR, 0.5)
 
 
 def test_leading_term_scales_the_floor_with_the_radius():
