@@ -9,14 +9,16 @@ real axis; callers hitting the cut get a :class:`SingularityError` rather
 than a silently wrong branch.  Callers rely on this one check and do not
 repeat it.
 
-A Python ``complex`` (``np.complex128`` included) off the cut takes a
-``math``/``cmath`` path, a fraction of the cost of a 0-d numpy call, equal
-to the array formula up to roundoff; where a scalar ``abs`` or ``exp``
-overflows, the numpy formula gives the inf or 0 that an array gets.
+``principal_log`` is one numpy formula for scalars and arrays (the
+Ginzburg-Landau cubic substep takes it on whole grids).  A Python
+``complex`` off the cut (a Kepler kick's ``1/r^3``) skips the log:
+``analytic_inv_r3`` returns ``1 / (z sqrt(z))``, since the principal square
+root has the same cut and ``z sqrt(z) = exp(1.5 log z)``.  Where that
+formula underflows or overflows, the numpy formula gives the 0 or inf that
+an array gets.
 """
 
 import cmath
-import math
 
 import numpy as np
 
@@ -29,11 +31,6 @@ def principal_log(z):
     Raises :class:`SingularityError` on the closed negative real axis
     (including 0); for arrays the first offending flat index is reported.
     """
-    if isinstance(z, complex) and not (z.imag == 0.0 and z.real <= 0.0):
-        try:
-            return complex(math.log(abs(z)), math.atan2(z.imag, z.real))
-        except OverflowError:  # |z| overflows; the array formula gives inf
-            pass
     arr = np.asarray(z, dtype=complex)
     on_cut = arr.real <= 0.0
     if on_cut.any():  # the imaginary test runs only when the real one hits
@@ -56,13 +53,17 @@ def principal_log(z):
 def analytic_inv_r3(z):
     """Analytic continuation of ``z^{-3/2}``, i.e. of 1/r^3 for ``z = r^2``.
 
-    Computed as ``exp(-(3/2) principal_log(z))``; agrees with the real
-    formula for real positive ``z`` and propagates the branch-cut error.
+    ``1 / (z sqrt(z))`` for a Python ``complex`` off the cut, otherwise
+    ``exp(-(3/2) principal_log(z))``; agrees with the real formula for real
+    positive ``z`` and propagates the branch-cut error.
     """
-    w = -1.5 * principal_log(z)
-    if isinstance(w, complex):
+    if type(z) is complex and not (z.imag == 0.0 and z.real <= 0.0):
         try:
-            return cmath.exp(w)
-        except OverflowError:  # numpy's exp gives inf
-            return complex(np.exp(w))
-    return np.exp(w)
+            w = 1.0 / (z * cmath.sqrt(z))
+        except ZeroDivisionError:  # |z|^1.5 underflows to 0
+            pass
+        else:
+            # 0 or not finite: |z|^1.5 or its inverse overflowed
+            if w and cmath.isfinite(w):
+                return w
+    return np.exp(-1.5 * principal_log(z))

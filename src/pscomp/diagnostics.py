@@ -189,7 +189,8 @@ def leading_term(coefficients, rho):
     ``noise`` is the largest term below the degree over the leading one.
     ``coefficient`` is the real part of the largest entry of c_degree, with
     the sign of the first entry (flat order) that equals it or its negative
-    to 1e-8 relative, so roundoff does not pick the sign of a +- pair."""
+    to 1e-6 relative, so roundoff does not pick the sign of a +- pair (the
+    Kepler level-3 symplecticity pair differs by 1e-7 relative)."""
     terms = (np.abs(coefficients).reshape(len(coefficients), -1).max(axis=1)
              * rho ** np.arange(len(coefficients)))
     above = np.flatnonzero(terms > ROUNDOFF_FLOOR)
@@ -200,7 +201,7 @@ def leading_term(coefficients, rho):
     noise = float(terms[:degree].max() / terms[degree]) if degree else 0.0
     largest = entries[np.argmax(np.abs(entries))]
     gap = np.minimum(np.abs(entries - largest), np.abs(entries + largest))
-    first = entries[np.argmax(gap <= 1e-8 * abs(largest))]
+    first = entries[np.argmax(gap <= 1e-6 * abs(largest))]
     return degree, math.copysign(largest.real, first.real), noise
 
 

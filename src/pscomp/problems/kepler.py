@@ -1,13 +1,15 @@
 """Planar two-body (Kepler) problem: H = p.p/2 - 1/r.
 
-The kick stage needs 1/r^3 for complex stage positions, evaluated through
-the principal logarithm so every stage map stays holomorphic off the
-negative real axis of q1^2 + q2^2.  A trajectory crossing that cut raises
-a :class:`SingularityError`; no alternative branch is chosen.
+The kick stage needs 1/r^3 for complex stage positions: the principal
+branch of (q1^2 + q2^2)^{-3/2}, one complex square root per kick
+(:func:`~pscomp.complexlog.analytic_inv_r3`), so every stage map stays
+holomorphic off the negative real axis of q1^2 + q2^2.  A trajectory
+crossing that cut raises a :class:`SingularityError`; no alternative
+branch is chosen.
 
 State vectors are laid out as ``[q1, q2, p1, p2]``; the drift and kick
-step them as Python ``complex`` scalars and return a new array.  The
-Strang base unpacks the state once, runs drift(tau/2), kick(tau) and
+step them as Python ``complex`` scalars and return a new complex array.
+The Strang base unpacks the state once, runs drift(tau/2), kick(tau) and
 drift(tau/2) on the four scalars with the stages' own expressions in
 their order, and builds one array, so it equals
 ``strang(kepler_drift_flow(), kepler_kick_flow())`` bit for bit.
@@ -68,13 +70,13 @@ def kepler_energy(x):
 
 def _drift(x, tau):
     q1, q2, p1, p2 = x.tolist()
-    return np.array([q1 + tau * p1, q2 + tau * p2, p1, p2])
+    return np.array([q1 + tau * p1, q2 + tau * p2, p1, p2], dtype=complex)
 
 
 def _kick(x, tau):
     q1, q2, p1, p2 = x.tolist()
     factor = tau * analytic_inv_r3(q1 * q1 + q2 * q2)
-    return np.array([q1, q2, p1 - factor * q1, p2 - factor * q2])
+    return np.array([q1, q2, p1 - factor * q1, p2 - factor * q2], dtype=complex)
 
 
 def kepler_drift_flow():
@@ -94,6 +96,6 @@ def kepler_strang_flow():
         q1, q2 = q1 + half * p1, q2 + half * p2
         factor = tau * analytic_inv_r3(q1 * q1 + q2 * q2)
         p1, p2 = p1 - factor * q1, p2 - factor * q2
-        return np.array([q1 + half * p1, q2 + half * p2, p1, p2])
+        return np.array([q1 + half * p1, q2 + half * p2, p1, p2], dtype=complex)
 
     return FlowMap(apply, STRANG_META)

@@ -130,6 +130,23 @@ def test_array_log_is_the_log_abs_plus_arctan2_formula(values):
         np.testing.assert_array_equal(principal_log(z), expected)
 
 
+@given(st.floats(min_value=1e-60, max_value=1e60),
+       st.floats(min_value=-math.pi / 2, max_value=math.pi / 2, exclude_min=True,
+                 exclude_max=True))
+def test_inv_r3_of_a_square_is_the_inverse_cube_of_its_root(r, theta):
+    # z = (r e^{i theta})^2 with |theta| < pi/2 has principal root r e^{i theta},
+    # so z^{-3/2} = r^{-3} e^{-3 i theta}; z carries a few ulps of rounding.
+    root = r * cmath.exp(1j * theta)
+    expected = r**-3 * cmath.exp(-3j * theta)
+    assert abs(analytic_inv_r3(root * root) - expected) <= 2e-15 * abs(expected)
+
+
+@given(OFF_CUT)
+def test_inv_r3_of_the_conjugate_is_the_conjugate(z):
+    # Exact, so the mirror branch of a real projection is the exact conjugate.
+    assert analytic_inv_r3(z.conjugate()) == analytic_inv_r3(z).conjugate()
+
+
 @given(ON_CUT)
 def test_scalar_and_array_paths_raise_alike_on_the_cut(z):
     for fn in (principal_log, analytic_inv_r3):
@@ -147,6 +164,15 @@ def test_scalar_overflow_gives_the_array_value(z):
     with np.errstate(over="ignore", invalid="ignore"):
         for fn in (principal_log, analytic_inv_r3):
             np.testing.assert_array_equal(fn(z), fn(np.array([z]))[0])
+
+
+def test_inv_r3_where_the_scalar_product_overflows_is_the_array_subnormal():
+    # |z|^1.5 overflows to inf although z^{-3/2} is a subnormal, not 0.
+    z = 10**205.5 * cmath.exp(2.5j)
+    with np.errstate(under="ignore"):
+        expected = analytic_inv_r3(np.array([z]))[0]
+    assert expected != 0.0
+    assert analytic_inv_r3(z) == expected
 
 
 def test_kepler_kick_overflow_is_non_finite_not_an_error():

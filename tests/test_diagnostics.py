@@ -106,7 +106,8 @@ def test_leading_term_of_a_matrix_series_reads_its_largest_entry():
 @pytest.mark.parametrize("pair", [
     (1.0, -(1.0 + 1e-15)),
     (1.0 + 1e-15, -1.0),
-    # The Kepler level-3 symplecticity pair differs by 5.2e-9 relative.
+    # The Kepler level-3 symplecticity pair differed by 5.2e-9 relative
+    # when the kick's 1/r^3 went through the complex log.
     (1.0, -(1.0 + 5e-9)),
 ])
 def test_leading_term_sign_of_a_pm_pair_does_not_follow_roundoff(pair):
@@ -118,6 +119,14 @@ def test_leading_term_sign_of_a_pm_pair_does_not_follow_roundoff(pair):
     degree, coefficient, _ = leading_term(c, RHO)
     assert degree == 4
     assert coefficient == pytest.approx(8.8, rel=1e-8)
+
+
+def test_leading_term_sign_of_a_pair_a_coefficient_roundoff_apart():
+    # With 1/r^3 = 1/(z sqrt(z)) the Kepler level-3 symplecticity pair at
+    # rho = 0.1 differs by 9.8e-8 relative; it still reads as a +- pair.
+    c = np.zeros((NODES, 2), dtype=complex)
+    c[4] = [8.8, -8.8 * (1.0 + 1e-7)]
+    assert leading_term(c, RHO)[:2] == (4, 8.8 * (1.0 + 1e-7))
 
 
 def test_leading_term_sign_of_distinct_entries_is_the_largest_ones():
