@@ -17,10 +17,7 @@ Building blocks:
 - :mod:`pscomp.bench` -- named experiment presets with CSV/JSON output.
 """
 
-from .coefficients import (
-    gamma_double_jump, gamma_smallest_phase, gamma_triple_jump,
-    order_condition_residuals,
-)
+from .coefficients import gamma_smallest_phase, gamma_triple_jump
 from .composition import (
     RecursiveFamily, coefficient_arguments, compose_schedule, recursive_family,
 )
@@ -36,7 +33,6 @@ __all__ = [
     "INFINITE_ORDER", "MethodMeta", "RecursiveFamily", "STRANG_META",
     "SingularityError", "SpectralGrid", "ValidationError",
     "analytic_inv_r3", "coefficient_arguments", "compose_schedule",
-    "gamma_double_jump", "gamma_smallest_phase", "gamma_triple_jump",
-    "order_condition_residuals", "principal_log", "recursive_family",
-    "write_snapshot",
+    "gamma_smallest_phase", "gamma_triple_jump", "principal_log",
+    "recursive_family", "write_snapshot",
 ]

@@ -49,33 +49,52 @@ ORDER_FIT_FLOORS = {"kepler": 1e-13, "fisher": 1e-13, "cgl": 5e-13}
 TABLE1_RADIUS, TABLE1_NODES = 1.0, 32
 
 
+def _harmonic(params, grid_points):
+    x0 = np.array([params["q0"], params["p0"]], dtype=complex)
+    return None, x0, ho_strang_flow, ho_drift_flow, ho_kick_flow
+
+
+def _kepler(params, grid_points):
+    x0 = kepler_initial_conditions(params["e"]).as_vector()
+    return None, x0, kepler_strang_flow, kepler_drift_flow, kepler_kick_flow
+
+
+def _fisher(params, grid_points):
+    grid = SpectralGrid(0.0, 1.0, grid_points)
+    x0 = np.asarray(np.sin(2.0 * np.pi * grid.nodes), dtype=complex)
+    return (grid, x0, partial(fisher_strang_flow, grid),
+            partial(fisher_diffusion_map, grid), fisher_reaction_map)
+
+
+def _cgl(params, grid_points):
+    cgl_params = CGLParams(**params)
+    grid = SpectralGrid(-100.0, 200.0, grid_points)
+    x0 = np.array([pulse_pair_profile(grid), np.zeros(grid.n_points)], dtype=complex)
+    return (grid, x0, partial(cgl_strang_flow, cgl_params, grid),
+            partial(cgl_linear_map, cgl_params, grid), partial(cgl_nonlinear_map, cgl_params))
+
+
+#: Per problem, ``(params, grid_points) -> (grid, x0, strang, a, b)``: the
+#: grid (None for an ODE), the initial state, and argument-free builders of
+#: the Strang kernel and of the exact flows of the two stages.  A row reads
+#: each constructor by its module-level name when it runs, so a name
+#: patched on this module is the one that builds the flow.
+PROBLEMS = {"harmonic": _harmonic, "kepler": _kepler, "fisher": _fisher, "cgl": _cgl}
+
+#: Per base method, ``(build, max_arg)``: ``build(strang, a, b)`` makes the
+#: base from a problem row's builders, and ``max_arg`` is the largest
+#: argument of the base's own coefficients.
+BASES = {
+    "strang": (lambda strang, a, b: strang(), 0.0),
+    "s4sim": (lambda strang, a, b: s4sim(a(), b()), S4SIM_MAX_ARG),
+}
+
+
 def _problem_setup(config):
     """Base flow map, grid (PDE only), and initial state for a config."""
     params = {**PROBLEM_PARAMS[config.problem], **config.problem_params}
-    if config.problem == "harmonic":
-        x0 = np.array([params["q0"], params["p0"]], dtype=complex)
-        if config.base_method == "strang":
-            return ho_strang_flow(), None, x0
-        return s4sim(ho_drift_flow(), ho_kick_flow()), None, x0
-    if config.problem == "kepler":
-        x0 = kepler_initial_conditions(params["e"]).as_vector()
-        if config.base_method == "strang":
-            return kepler_strang_flow(), None, x0
-        return s4sim(kepler_drift_flow(), kepler_kick_flow()), None, x0
-    if config.problem == "fisher":
-        grid = SpectralGrid(0.0, 1.0, config.grid_points)
-        x0 = np.asarray(np.sin(2.0 * np.pi * grid.nodes), dtype=complex)
-        if config.base_method == "strang":
-            return fisher_strang_flow(grid), grid, x0
-        return s4sim(fisher_diffusion_map(grid), fisher_reaction_map()), grid, x0
-    # cgl
-    cgl_params = CGLParams(**params)
-    grid = SpectralGrid(-100.0, 200.0, config.grid_points)
-    x0 = np.array([pulse_pair_profile(grid), np.zeros(grid.n_points)], dtype=complex)
-    if config.base_method == "strang":
-        return cgl_strang_flow(cgl_params, grid), grid, x0
-    return s4sim(cgl_linear_map(cgl_params, grid),
-                 cgl_nonlinear_map(cgl_params)), grid, x0
+    grid, x0, *builders = PROBLEMS[config.problem](params, config.grid_points)
+    return BASES[config.base_method][0](*builders), grid, x0
 
 
 def _methods(config, base):
@@ -267,13 +286,12 @@ def _run_kepler_energy(name, config, out_base):
 
 def _run_coeff_audit(name, config, out_base):
     table = _new_table(name, config)
-    bases = (
-        ("strang", ho_strang_flow(), 3, 0.0),
-        ("s4sim", s4sim(ho_drift_flow(), ho_kick_flow()), 4, S4SIM_MAX_ARG),
-    )
-    table.metadata["families"] = [{"base_method": b, "levels": n} for b, _, n, _ in bases]
-    for base_name, base, levels, base_arg in bases:
-        family = recursive_family(base, levels)
+    audited = (("strang", 3), ("s4sim", 4))
+    table.metadata["families"] = [{"base_method": b, "levels": n} for b, n in audited]
+    _, _, *builders = PROBLEMS["harmonic"](PROBLEM_PARAMS["harmonic"], None)
+    for base_name, levels in audited:
+        build, base_arg = BASES[base_name]
+        family = recursive_family(build(*builders), levels)
         max_arg, all_positive = coefficient_arguments(family, base_arg)
         table.add_row(problem="harmonic", preset=name, base=base_name,
                       method=f"{base_name}x{levels}",

@@ -25,7 +25,13 @@ from pscomp.composition import recursive_family
 from pscomp.diagnostics import successive_error
 from pscomp.errors import SingularityError, ValidationError
 from pscomp.flowmap import STRANG_META, FlowMap
-from pscomp.problems import fisher_strang_flow, ho_strang_flow
+from pscomp.problems import (
+    CGLParams, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
+    fisher_diffusion_map, fisher_reaction_map, fisher_strang_flow,
+    ho_drift_flow, ho_kick_flow, ho_strang_flow, kepler_drift_flow,
+    kepler_initial_conditions, kepler_kick_flow, kepler_strang_flow,
+    pulse_pair_profile, s4sim,
+)
 from pscomp.spectral import SpectralGrid
 
 
@@ -244,6 +250,52 @@ def test_coeff_audit_sidecar_names_each_family_it_audits(tmp_path):
     assert sidecar["families"] == [{"base_method": base, "levels": levels}
                                    for base, levels in depth.items()]
     assert depth == {"strang": 3, "s4sim": 4}
+
+
+FISHER_GRID = SpectralGrid(0.0, 1.0, 16)
+CGL_GRID = SpectralGrid(-100.0, 200.0, 16)
+CGL = CGLParams(c1=1.0, c3=-2.0, eps=1.0)
+
+#: Per (problem, base_method): the base at the default parameters and
+#: N = 16, built by hand from the constructors.
+EXPLICIT_BASES = {
+    ("harmonic", "strang"): lambda: ho_strang_flow(),
+    ("harmonic", "s4sim"): lambda: s4sim(ho_drift_flow(), ho_kick_flow()),
+    ("kepler", "strang"): lambda: kepler_strang_flow(),
+    ("kepler", "s4sim"): lambda: s4sim(kepler_drift_flow(), kepler_kick_flow()),
+    ("fisher", "strang"): lambda: fisher_strang_flow(FISHER_GRID),
+    ("fisher", "s4sim"): lambda: s4sim(fisher_diffusion_map(FISHER_GRID),
+                                       fisher_reaction_map()),
+    ("cgl", "strang"): lambda: cgl_strang_flow(CGL, CGL_GRID),
+    ("cgl", "s4sim"): lambda: s4sim(cgl_linear_map(CGL, CGL_GRID), cgl_nonlinear_map(CGL)),
+}
+#: Per problem: the grid and the initial state, built by hand.
+EXPLICIT_STARTS = {
+    "harmonic": (None, np.array([2.5, 0.0], dtype=complex)),
+    "kepler": (None, kepler_initial_conditions(0.6).as_vector()),
+    "fisher": (FISHER_GRID, np.sin(2.0 * np.pi * FISHER_GRID.nodes).astype(complex)),
+    "cgl": (CGL_GRID, np.array([pulse_pair_profile(CGL_GRID), np.zeros(16)], dtype=complex)),
+}
+
+
+def test_problem_and_base_tables_cover_the_config_choices():
+    # The CLI validates against config's lists and runs through the tables.
+    assert tuple(bench_run.BASES) == BASE_METHODS
+    assert tuple(bench_run.PROBLEMS) == PROBLEMS
+
+
+@pytest.mark.parametrize("base_method", BASE_METHODS)
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_problem_setup_matches_the_explicit_constructors(problem, base_method):
+    config = ExperimentConfig(problem=problem, base_method=base_method, grid_points=16)
+    base, grid, x0 = bench_run._problem_setup(config)
+    expected_grid, expected_x0 = EXPLICIT_STARTS[problem]
+    expected_base = EXPLICIT_BASES[problem, base_method]()
+    assert grid == expected_grid
+    assert x0.tobytes() == expected_x0.tobytes()
+    tau = 0.05 + 0.02j
+    assert base(x0, tau).tobytes() == expected_base(x0, tau).tobytes()
+    assert base.meta == expected_base.meta
 
 
 def test_order_preset_rows_and_slope(tmp_path):
