@@ -3,12 +3,15 @@ the recursive family of projected conjugate-pair methods.
 
 The central construction: given a symmetric base method of even order 2n,
 compose it at the conjugate steps ``gamma*tau`` and ``conj(gamma)*tau``
-(one extra order) and average the result with its coefficient-conjugated
-mirror.  For a real vector field, step and state the average is simply the
+(one extra order) and average the result with its twin, the same
+composition with conjugated coefficients.  For a self-conjugate inner
+method the twin is the pair with its coefficients swapped, applied to the
+same state; only a base with complex coefficients needs ``conj`` around
+it.  For a real vector field, step and state the average is simply the
 real part of the output, so the projected method costs the same as the
 unprojected one; at complex steps (as inside deeper recursion levels) or
-states both mirror branches are evaluated.  Iterating the construction
-raises the order by two per level until the pseudo-symmetry order caps it.
+states both branches are evaluated.  Iterating the construction raises the
+order by two per level until the pseudo-symmetry order caps it.
 """
 
 import cmath
@@ -49,22 +52,31 @@ def compose_schedule(base, coefficients, meta):
     return FlowMap(apply, meta)
 
 
-def _real_projection(method):
-    """Evaluator averaging ``method`` with its coefficient-conjugated mirror.
+def _conjugated(method):
+    """``conj o method o conj``: ``method`` with conjugated coefficients."""
 
-    For a real vector field the mirror branch at step sigma equals
-    ``conj(method(conj(x), conj(sigma)))``, so no explicit mirror method is
-    needed.  When the step and the state are both exactly real the average
-    is the real part of a single evaluation; any other input evaluates both
-    branches, so the projection is holomorphic in the state at every step.
+    def apply(x, tau):
+        return np.conj(method(np.conj(x), tau.conjugate()))
+
+    return apply
+
+
+def _real_projection(pair, twin):
+    """Evaluator averaging ``pair`` with ``twin``, its coefficient-conjugated
+    mirror.
+
+    For a real vector field the twin at step sigma equals
+    ``conj(pair(conj(x), conj(sigma)))``.  When the step and the state are
+    both exactly real the average is the real part of a single evaluation;
+    any other input evaluates both branches, so the projection is
+    holomorphic in the state at every step.
     """
 
     def project(x, tau):
-        y = method(x, tau)
+        y = pair(x, tau)
         if tau.imag == 0.0 and not np.count_nonzero(x.imag):
             return y.real.astype(complex)
-        mirror = np.conj(method(np.conj(x), tau.conjugate()))
-        return 0.5 * (y + mirror)
+        return 0.5 * (y + twin(x, tau))
 
     return project
 
@@ -76,13 +88,15 @@ def _level_meta(meta):
     method, the pair gains one order and the projection one more, up to
     q: the new order is min(k + 2, q) and the new pseudo-symmetry and
     pseudo-symplecticity orders are capped at 2k + 3.  Once the order is
-    capped (odd, equal to q) further levels keep it.
+    capped (odd, equal to q) further levels keep it.  A projected level is
+    self-conjugate: its twin is itself.
     """
     k, q = meta.order, meta.pseudo_symmetry_order
     return MethodMeta(
         order=int(min(k + 2, q)),
         pseudo_symmetry_order=min(q, 2 * k + 3),
         pseudo_symplecticity_order=min(q, meta.pseudo_symplecticity_order, 2 * k + 3),
+        self_conjugate=True,
     )
 
 
@@ -110,6 +124,13 @@ def recursive_family(base, levels):
     Orders rise by two per level until the pseudo-symmetry order of the
     running method caps them (e.g. 4, 6, 7 from a symmetric order-2 base);
     capped levels are flagged, not rejected.
+
+    Level n is ``0.5 * (pair(x, s) + twin(x, s))`` with ``pair`` the
+    composition of level n-1 at ``(gamma, conj(gamma))`` and ``twin`` that
+    of its conjugate at ``(conj(gamma), gamma)``.  The conjugate of a
+    level, and of a base whose meta declares it self-conjugate, is the
+    method itself; any other base runs as ``conj o base o conj``.  Either
+    way the twin equals ``conj(pair(conj(x), conj(s)))``.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
@@ -126,19 +147,21 @@ def recursive_family(base, levels):
     products = []
     capped_flags = []
     prev = base
+    prev_conj = base if base.meta.self_conjugate else _conjugated(base)
     prev_products = [1.0 + 0.0j]
     for _ in range(levels):
         gamma = gamma_smallest_phase(prev.meta.order)
         meta = _level_meta(prev.meta)
         pair = compose_schedule(prev, (gamma, gamma.conjugate()), meta)
-        level = FlowMap(_real_projection(pair), meta)
+        twin = compose_schedule(prev_conj, (gamma.conjugate(), gamma), meta)
+        level = FlowMap(_real_projection(pair, twin), meta)
         prev_products = [gamma * p for p in prev_products] + [
             gamma.conjugate() * p for p in prev_products
         ]
         family_levels.append(level)
         products.append(list(prev_products))
         capped_flags.append(meta.order < prev.meta.order + 2)
-        prev = level
+        prev = prev_conj = level
 
     return RecursiveFamily(levels=family_levels, coefficient_products=products,
                            capped=capped_flags)

@@ -27,11 +27,18 @@ class MethodMeta:
     pseudo_symplecticity_order
         Largest r such that the Jacobian satisfies the symplecticity
         identity up to O(tau^{r+1}).  ``math.inf`` for symplectic methods.
+    self_conjugate
+        True when the method equals its coefficient-conjugated twin,
+        ``conj(S(conj x, conj tau)) == S(x, tau)``: a real-coefficient
+        splitting of a real vector field, or a projected level.  False
+        (the default) for a base with complex coefficients such as
+        ``s4sim``.
     """
 
     order: int
     pseudo_symmetry_order: float
     pseudo_symplecticity_order: float
+    self_conjugate: bool = False
 
     def __post_init__(self):
         if self.order < 1:
@@ -45,11 +52,11 @@ class MethodMeta:
 #: Meta for an exact flow: symmetric and symplectic to all orders.  No
 #: combinator reads the meta of a stage flow, so the order is nominally 2.
 EXACT_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
-                        pseudo_symplecticity_order=INFINITE_ORDER)
+                        pseudo_symplecticity_order=INFINITE_ORDER, self_conjugate=True)
 
 #: Meta of the symmetric, symplectic second-order (Strang) splittings.
 STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
-                         pseudo_symplecticity_order=INFINITE_ORDER)
+                         pseudo_symplecticity_order=INFINITE_ORDER, self_conjugate=True)
 
 
 class FlowMap:

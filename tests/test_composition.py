@@ -6,7 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pscomp.bench.config import ExperimentConfig
+from pscomp.bench.run import _problem_setup
 from pscomp.coefficients import gamma_smallest_phase
 from pscomp.composition import (
     _real_projection, coefficient_arguments, compose_schedule, recursive_family,
@@ -78,7 +82,7 @@ def test_real_projection_identity_is_exact():
 
 def test_real_projection_idempotent_on_real_states():
     once = recursive_family(ho_strang_flow(), 1).levels[0]
-    twice = FlowMap(_real_projection(once), once.meta)
+    twice = FlowMap(_real_projection(once, once), once.meta)
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.normal(size=2)
@@ -91,6 +95,12 @@ def _kepler_pair():
     return compose_schedule(kepler_strang_flow(), [g, g.conjugate()], PAIR_META)
 
 
+def _kepler_twin():
+    # The Strang base is self-conjugate, so the twin swaps the coefficients.
+    g = gamma_smallest_phase(2)
+    return compose_schedule(kepler_strang_flow(), [g.conjugate(), g], PAIR_META)
+
+
 @pytest.mark.parametrize("imag", [1e-6, 2e-14, 5e-15])
 def test_real_projection_averages_mirror_for_complex_state_at_real_step(imag):
     # Any state that is not exactly real runs both mirror branches, even at
@@ -99,14 +109,15 @@ def test_real_projection_averages_mirror_for_complex_state_at_real_step(imag):
     x = kepler_initial_conditions(0.0).as_vector() + 1j * imag * np.array([0, 1, 1, 0])
     tau = complex(0.05)
     expected = 0.5 * (pair(x, tau) + np.conj(pair(np.conj(x), tau)))
-    np.testing.assert_array_equal(_real_projection(pair)(x, tau), expected)
+    np.testing.assert_array_equal(_real_projection(pair, _kepler_twin())(x, tau), expected)
 
 
 def test_real_projection_takes_real_part_for_real_state_at_real_step():
     pair = _kepler_pair()
     x = kepler_initial_conditions(0.6).as_vector()
     tau = complex(0.05)
-    np.testing.assert_array_equal(_real_projection(pair)(x, tau), pair(x, tau).real)
+    np.testing.assert_array_equal(_real_projection(pair, _kepler_twin())(x, tau),
+                                  pair(x, tau).real)
 
 
 def test_real_projection_output_has_zero_imaginary_part():
@@ -115,6 +126,77 @@ def test_real_projection_output_has_zero_imaginary_part():
     for _ in range(25):
         out = projected(rng.normal(size=2), rng.uniform(0.01, 0.8))
         assert np.all(out.imag == 0.0)
+
+
+def _old_formula_levels(base, levels):
+    """Levels built as ``0.5 * (pair(x, s) + conj(pair(conj x, conj s)))``."""
+    out, prev = [], base
+    for meta in (lvl.meta for lvl in recursive_family(base, levels).levels):
+        g = gamma_smallest_phase(prev.meta.order)
+        pair = compose_schedule(prev, (g, g.conjugate()), meta)
+
+        def level(x, s, pair=pair):
+            return 0.5 * (pair(x, s) + np.conj(pair(np.conj(x), s.conjugate())))
+
+        prev = FlowMap(level, meta)
+        out.append(prev)
+    return out
+
+
+#: (problem, base method, levels, relative tolerance); 0 compares bytes.
+#: The FFT kernels are self-conjugate only to roundoff.
+OLD_FORMULA_CASES = [
+    ("kepler", "strang", 3, 0.0), ("harmonic", "strang", 3, 0.0),
+    ("harmonic", "s4sim", 3, 0.0), ("cgl", "strang", 2, 1e-13),
+    ("fisher", "strang", 2, 1e-13),
+]
+
+
+def _setup(problem, base_method):
+    return _problem_setup(ExperimentConfig(problem=problem, base_method=base_method,
+                                           grid_points=32))
+
+
+@pytest.mark.parametrize("problem, base_method, levels, rtol", OLD_FORMULA_CASES)
+@settings(max_examples=40, deadline=None)
+@given(radius=st.floats(0.005, 0.1), angle=st.floats(-0.4, 0.4),
+       seed=st.integers(0, 2**32 - 1))
+def test_levels_equal_the_old_mirror_formula(problem, base_method, levels, rtol,
+                                             radius, angle, seed):
+    # Complex steps and complex states run both branches at every level.
+    base, _, x0 = _setup(problem, base_method)
+    rng = np.random.default_rng(seed)
+    x = x0 + 0.05 * (rng.normal(size=x0.shape) + 1j * rng.normal(size=x0.shape))
+    sigma = cmath.rect(radius, angle)
+    new = recursive_family(base, levels).levels
+    for n, (level, oracle) in enumerate(zip(new, _old_formula_levels(base, levels)), 1):
+        got, want = level(x, sigma), oracle(x, sigma)
+        if rtol == 0.0:
+            assert got.tobytes() == want.tobytes(), n
+        else:
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), n
+
+
+@pytest.mark.parametrize("base_method", ["strang", "s4sim"])
+@pytest.mark.parametrize("problem, rtol", [
+    ("kepler", 0.0), ("harmonic", 0.0), ("cgl", 1e-15), ("fisher", 1e-15)])
+def test_declared_self_conjugate_bases_equal_their_twin(problem, rtol, base_method):
+    # A base declared self-conjugate runs as its own twin in the family, so
+    # the declaration must hold: conj(S(conj x, conj tau)) == S(x, tau).  A
+    # base with complex coefficients (s4sim) must fail the same check, so
+    # declaring it self-conjugate would fail here, not change its family.
+    base, _, x0 = _setup(problem, base_method)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        x = x0 + 0.05 * (rng.normal(size=x0.shape) + 1j * rng.normal(size=x0.shape))
+        tau = complex(rng.uniform(0.01, 0.1), rng.uniform(-0.05, 0.05))
+        got, twin = base(x, tau), np.conj(base(np.conj(x), tau.conjugate()))
+        if rtol == 0.0:
+            holds = got.tobytes() == twin.tobytes()
+        else:
+            holds = bool(np.max(np.abs(got - twin)) <= rtol * np.max(np.abs(got)))
+        assert holds is base.meta.self_conjugate
+    assert base.meta.self_conjugate is (base_method == "strang")
 
 
 def test_recursive_family_strang_orders():
@@ -272,6 +354,14 @@ def _kepler_level2_inputs(rng):
         (x0 + 0.05 * rng.normal(size=4), rng.uniform(0.01, 0.1)) for _ in range(64)]
 
 
+def _s4sim_complex_step_inputs(rng):
+    # Complex steps run the conj o base o conj twin of the s4sim base.
+    base = s4sim(ho_drift_flow(), ho_kick_flow())
+    return recursive_family(base, 2).levels[1], [
+        (rng.normal(size=2), cmath.rect(rng.uniform(0.01, 0.5), rng.uniform(-0.4, 0.4)))
+        for _ in range(64)]
+
+
 def test_flow_maps_are_thread_safe():
     # One shared method evaluated concurrently must agree with serial runs.
     from concurrent.futures import ThreadPoolExecutor
@@ -280,7 +370,7 @@ def test_flow_maps_are_thread_safe():
     rng = np.random.default_rng(29)
     inputs = [(rng.normal(size=2), rng.uniform(0.01, 0.5)) for _ in range(64)]
     for method, inputs in ((method, inputs), _cgl_level2_inputs(rng),
-                           _kepler_level2_inputs(rng)):
+                           _kepler_level2_inputs(rng), _s4sim_complex_step_inputs(rng)):
         serial = [method(x, tau) for x, tau in inputs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
