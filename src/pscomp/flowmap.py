@@ -5,6 +5,7 @@ complex.  Everything in :mod:`pscomp.composition` builds new flow maps out
 of old ones, so this is the unit the whole package composes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,10 +60,15 @@ STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
                          pseudo_symplecticity_order=INFINITE_ORDER, self_conjugate=True)
 
 
-class FlowMap:
+class FlowMap(functools.partial):
     """A one-step integrator ``(state, step) -> state``.
 
-    A call hands ``evaluator`` the caller's state and step unconverted.
+    A flow map is a ``functools.partial`` of its evaluator with ``meta`` in
+    its instance dict, so a call enters the evaluator from C, with no
+    Python frame of its own.  ``__call__`` is a class attribute (the
+    partial's own slot), so it can be reassigned on the class, as a call
+    counter does, and a subclass may override it.
+    A call hands the evaluator the caller's state and step unconverted.
     The entry points convert once: ``integrate``/``propagate``,
     ``symplecticity_defect`` and :meth:`matrix` pass a complex ndarray, and
     the step is a Python ``complex`` or ``float`` (both have ``.imag`` and
@@ -73,15 +79,17 @@ class FlowMap:
     bounded cache of read-only step constants and shares nothing else, and
     may write in place only into arrays it allocated itself, never into
     its input or a cached constant, so one FlowMap can be applied from
-    several threads at once.  A flow map carries its evaluator and ``meta``.
+    several threads at once.  ``func`` is the evaluator.  A flow map cannot
+    be copied or pickled: the partial's ``__reduce__`` rebuilds it without
+    ``meta``.
     """
 
-    def __init__(self, evaluator, meta):
-        self._evaluator = evaluator
+    def __new__(cls, evaluator, meta):
+        self = super().__new__(cls, evaluator)
         self.meta = meta
+        return self
 
-    def __call__(self, state, tau):
-        return self._evaluator(state, tau)
+    __call__ = functools.partial.__call__
 
     def matrix(self, tau):
         """2x2 matrix of a map on the oscillator's ``(q, p)`` state at step ``tau``.

@@ -2,7 +2,8 @@
 
 States are ``[q, p]``.  The drift (q += tau p) and kick (p -= tau q) are
 the exact flows of the kinetic and potential parts, stepped as Python
-``complex`` scalars like Kepler's.  The Strang base runs drift(tau/2),
+``complex`` scalars like Kepler's; each returns a complex copy of its input
+with only the entry it moves written.  The Strang base runs drift(tau/2),
 kick(tau), drift(tau/2) in one pass over ``q`` and ``p`` with the stages'
 own expressions, so it equals ``strang(ho_drift_flow(), ho_kick_flow())``
 bit for bit.  ``ho_exact``, the rotation matrix of the full flow at a
@@ -22,12 +23,16 @@ def ho_exact(tau):
 
 def _drift(x, tau):
     q, p = x.tolist()
-    return np.array([q + tau * p, p])
+    y = x.astype(complex)
+    y[0] = q + tau * p
+    return y
 
 
 def _kick(x, tau):
     q, p = x.tolist()
-    return np.array([q, p - tau * q])
+    y = x.astype(complex)
+    y[1] = p - tau * q
+    return y
 
 
 def ho_exact_flow():
@@ -50,7 +55,7 @@ def ho_strang_flow():
         q, p = x.tolist()
         q = q + half * p
         p = p - tau * q
-        return np.array([q + half * p, p])
+        return np.array([q + half * p, p], dtype=complex)
 
     return FlowMap(apply, STRANG_META)
 

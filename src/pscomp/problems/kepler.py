@@ -8,7 +8,8 @@ crossing that cut raises a :class:`SingularityError`; no alternative
 branch is chosen.
 
 State vectors are laid out as ``[q1, q2, p1, p2]``; the drift and kick
-step them as Python ``complex`` scalars and return a new complex array.
+step them as Python ``complex`` scalars and return a complex copy of the
+input with only the entries they move written (the positions, the momenta).
 The Strang base unpacks the state once, runs drift(tau/2), kick(tau) and
 drift(tau/2) on the four scalars with the stages' own expressions in
 their order, and builds one array, so it equals
@@ -70,13 +71,19 @@ def kepler_energy(x):
 
 def _drift(x, tau):
     q1, q2, p1, p2 = x.tolist()
-    return np.array([q1 + tau * p1, q2 + tau * p2, p1, p2], dtype=complex)
+    y = x.astype(complex)
+    y[0] = q1 + tau * p1
+    y[1] = q2 + tau * p2
+    return y
 
 
 def _kick(x, tau):
     q1, q2, p1, p2 = x.tolist()
     factor = tau * analytic_inv_r3(q1 * q1 + q2 * q2)
-    return np.array([q1, q2, p1 - factor * q1, p2 - factor * q2], dtype=complex)
+    y = x.astype(complex)
+    y[2] = p1 - factor * q1
+    y[3] = p2 - factor * q2
+    return y
 
 
 def kepler_drift_flow():

@@ -160,8 +160,8 @@ def test_linear_step_repeats_bit_identically_from_read_only_multipliers(params, 
     dv = np.fft.ifft(gain * np.exp(-tau * params.alpha * k2) * np.fft.fft(diag[0]))
     dw = np.fft.ifft(gain * np.exp(-tau * np.conj(params.alpha) * k2) * np.fft.fft(diag[1]))
     np.testing.assert_array_equal(expected, np.array([1j * dv + dw, dv + 1j * dw]))
-    closure = dict(zip(linear._evaluator.__code__.co_freevars,
-                       (cell.cell_contents for cell in linear._evaluator.__closure__)))
+    closure = dict(zip(linear.func.__code__.co_freevars,
+                       (cell.cell_contents for cell in linear.func.__closure__)))
     multipliers = closure["multipliers"]
     assert multipliers.cache_info().hits >= 1
     for multiplier in multipliers(tau):
@@ -235,8 +235,8 @@ def test_strang_in_place_kernel_is_bit_identical_to_the_allocating_one(params, n
     out = flow(state, tau)
     np.testing.assert_array_equal(out, _allocating_strang(params, grid, state, tau))
     np.testing.assert_array_equal(state, before)
-    closure = dict(zip(flow._evaluator.__code__.co_freevars,
-                       (cell.cell_contents for cell in flow._evaluator.__closure__)))
+    closure = dict(zip(flow.func.__code__.co_freevars,
+                       (cell.cell_contents for cell in flow.func.__closure__)))
     assert not any(m.flags.writeable for m in closure["multipliers"](tau / 2.0))
 
 

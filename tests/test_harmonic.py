@@ -71,8 +71,9 @@ def test_strang_flow_matches_matrix():
 
 @pytest.mark.parametrize("tau", [0.1, -0.37, 0.0, GAMMA * 0.1, GAMMA.conjugate() * 0.1])
 @pytest.mark.parametrize("x", [np.array([2.5, 0.0], dtype=complex),
-                               np.array([0.3 - 1.2j, -0.7 + 0.4j])],
-                         ids=["real_state", "complex_state"])
+                               np.array([0.3 - 1.2j, -0.7 + 0.4j]),
+                               np.array([2.5, -0.5])],
+                         ids=["real_state", "complex_state", "float_state"])
 def test_one_pass_strang_equals_the_staged_strang_bit_for_bit(x, tau):
     fused = ho_strang_flow()(x, tau)
     staged = staged_strang(ho_drift_flow(), ho_kick_flow())(x, tau)

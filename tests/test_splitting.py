@@ -6,12 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pscomp.complexlog import analytic_inv_r3
 from pscomp.diagnostics import power_law_fit
+from pscomp.errors import SingularityError
 from pscomp.flowmap import INFINITE_ORDER, STRANG_META
 from pscomp.problems import (
     S4SIM_A, S4SIM_B, S4SIM_MAX_ARG, ho_drift_flow, ho_exact, ho_kick_flow,
-    s4sim, strang,
+    kepler_drift_flow, kepler_kick_flow, s4sim, strang,
 )
 from pscomp.problems.splitting import S4SIM_A_FRACTIONS, S4SIM_B_FRACTIONS
 
@@ -75,3 +79,69 @@ def test_fourth_order_on_oscillator():
         errors.append(np.max(np.abs(mat - ho_exact(1.0))))
     exponent = power_law_fit(taus, errors)[0]
     assert abs(exponent - 4.0) < 0.15
+
+
+# The stage formulas as they stood when each stage built its whole output
+# from a list; the oscillator's list takes the complex dtype it had on every
+# complex state.
+def _listed_ho_drift(x, tau):
+    q, p = x.tolist()
+    return np.array([q + tau * p, p], dtype=complex)
+
+
+def _listed_ho_kick(x, tau):
+    q, p = x.tolist()
+    return np.array([q, p - tau * q], dtype=complex)
+
+
+def _listed_kepler_drift(x, tau):
+    q1, q2, p1, p2 = x.tolist()
+    return np.array([q1 + tau * p1, q2 + tau * p2, p1, p2], dtype=complex)
+
+
+def _listed_kepler_kick(x, tau):
+    q1, q2, p1, p2 = x.tolist()
+    factor = tau * analytic_inv_r3(q1 * q1 + q2 * q2)
+    return np.array([q1, q2, p1 - factor * q1, p2 - factor * q2], dtype=complex)
+
+
+_FINITE = st.floats(-4.0, 4.0)
+_COMPLEX = st.builds(complex, _FINITE, _FINITE)
+
+
+@st.composite
+def _stage_states(draw, size):
+    """A complex array, a float array, or a strided column of a complex matrix."""
+    kind = draw(st.sampled_from(["complex", "float", "column"]))
+    if kind == "float":
+        return np.array(draw(st.lists(_FINITE, min_size=size, max_size=size)))
+    values = draw(st.lists(_COMPLEX, min_size=size, max_size=size))
+    if kind == "complex":
+        return np.array(values, dtype=complex)
+    column = draw(st.integers(0, size - 1))
+    matrix = np.eye(size, dtype=complex)
+    matrix[:, column] = values
+    return matrix[:, column]
+
+
+@pytest.mark.parametrize("stage, listed, size", [
+    (ho_drift_flow, _listed_ho_drift, 2), (ho_kick_flow, _listed_ho_kick, 2),
+    (kepler_drift_flow, _listed_kepler_drift, 4),
+    (kepler_kick_flow, _listed_kepler_kick, 4),
+], ids=["ho_drift", "ho_kick", "kepler_drift", "kepler_kick"])
+@given(data=st.data())
+def test_ode_stages_equal_the_listed_formulas_bit_for_bit(stage, listed, size, data):
+    x = data.draw(_stage_states(size))
+    tau = data.draw(st.one_of(_FINITE, _COMPLEX))
+    before = x.copy()
+    try:
+        expected = listed(x, tau)
+    except (SingularityError, RuntimeWarning) as err:  # 1/r^3 at or near r = 0
+        with pytest.raises(type(err)):
+            stage()(x, tau)
+        return
+    y = stage()(x, tau)
+    assert y.dtype == np.dtype(complex) and y.shape == x.shape
+    assert y.tobytes() == expected.tobytes()
+    assert not np.shares_memory(y, x)
+    assert x.dtype == before.dtype and x.tobytes() == before.tobytes()
