@@ -1,6 +1,6 @@
-from .config import PRESETS, ExperimentConfig, apply_overrides, parse_config, preset_config
+from .config import ExperimentConfig, apply_overrides
 from .emit import ResultTable, emit
-from .run import available_presets, run_preset
+from .run import PRESETS, available_presets, parse_config, preset_config, run_preset
 
 __all__ = [
     "ExperimentConfig", "PRESETS", "ResultTable", "apply_overrides",

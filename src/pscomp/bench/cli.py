@@ -12,18 +12,7 @@ import argparse
 import sys
 
 from ..errors import ValidationError
-from .config import parse_config
-from .run import available_presets, run_preset
-
-_DESCRIPTIONS = {
-    "ho-table1": "harmonic oscillator truncation/defect coefficient table",
-    "ho-energy": "harmonic oscillator long-run energy error and secular growth",
-    "kepler-order": "Kepler final-time energy-error convergence orders",
-    "kepler-energy": "Kepler energy-error evolution at fixed step",
-    "fisher-order": "reaction-diffusion successive-error convergence orders",
-    "cgl-order": "Ginzburg-Landau successive-error convergence orders",
-    "coeff-audit": "coefficient-argument audit of the recursive families",
-}
+from .run import PRESET_TABLE, available_presets, parse_config, run_preset
 
 
 def _build_parser():
@@ -54,8 +43,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
 
     if args.command == "list":
-        for name in available_presets():
-            print(f"{name:14s} {_DESCRIPTIONS[name]}")
+        for name, preset in PRESET_TABLE.items():
+            print(f"{name:14s} {preset.description}")
         return 0
 
     try:

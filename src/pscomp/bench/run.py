@@ -1,4 +1,4 @@
-"""Named experiment presets.
+"""Named experiment presets, one row each in :data:`PRESET_TABLE`.
 
 Every preset produces one :class:`ResultTable` with the shared schema
 
@@ -11,9 +11,10 @@ problems, a final-field snapshot per the deepest method).  A
 is marked failed (see :func:`_measure`) instead of aborting the preset.
 """
 
+import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -24,7 +25,7 @@ from ..diagnostics import (
     energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
     propagate, slope_with_floor, step_count, successive_error, taylor_coefficients,
 )
-from ..errors import NonFiniteError, SingularityError
+from ..errors import NonFiniteError, SingularityError, ValidationError
 from ..problems import (
     CGLParams, S4SIM_MAX_ARG, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
     fisher_diffusion_map, fisher_reaction_map, fisher_strang_flow,
@@ -33,7 +34,7 @@ from ..problems import (
     kepler_kick_flow, kepler_strang_flow, pulse_pair_profile, s4sim,
 )
 from ..spectral import SpectralGrid, write_snapshot
-from .config import PROBLEM_PARAMS, apply_overrides, check_runnable, preset_config
+from .config import CONFIG_KEYS, PROBLEM_PARAMS, ExperimentConfig, apply_overrides
 from .emit import ResultTable, emit
 
 SCHEMA = [
@@ -113,14 +114,7 @@ def _new_table(name, config):
         "version": __version__,
         "precision": "f64",
         "schema": SCHEMA,
-        "row_semantics": (
-            "the quantity column names what the value column holds "
-            "(successive_error/energy_error rows carry E_tau per step size; "
-            "*_fit rows carry slope/coefficient/residual of the power-law fit)"
-            if name != "ho-table1" else "one row per (level, series): slope, "
-            "coefficient and residual hold the leading degree, its coefficient "
-            "and the noise ratio of the Taylor coefficients on a circle of complex steps"
-        ),
+        "row_semantics": PRESET_TABLE[name].row_semantics,
         "failures": [],
     }
     return table
@@ -308,12 +302,132 @@ def _run_coeff_audit(name, config, out_base):
     return table, []
 
 
-_RUNNERS = {
-    "ho-table1": _run_ho_table1, "ho-energy": _run_ho_energy,
-    "kepler-order": _run_order, "kepler-energy": _run_kepler_energy,
-    "fisher-order": _run_order, "cgl-order": _run_order,
-    "coeff-audit": _run_coeff_audit,
+def _dyadic(tau0, count):
+    return tuple(tau0 * 0.5**j for j in range(count))
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A preset's default config, the config fields its runner reads, the
+    runner ``(name, config, out_base) -> (table, extra paths)``, its
+    ``pscomp-bench list`` line and its sidecar's ``row_semantics``."""
+    config: ExperimentConfig
+    reads: tuple
+    runner: object
+    description: str
+    row_semantics: str
+
+
+_ORDER_ROWS = ("the quantity column names what the value column holds "
+               "(successive_error/energy_error rows carry E_tau per step size; "
+               "*_fit rows carry slope/coefficient/residual of the power-law fit)")
+
+#: Every preset, by name.  Values follow the standard protocol of each
+#: experiment (see README for the desk-scale deviations); a field left out
+#: keeps the ``ExperimentConfig`` default (the Strang base, three levels).
+PRESET_TABLE = {
+    "ho-table1": Preset(
+        ExperimentConfig(problem="harmonic", problem_params={"q0": 2.5, "p0": 0.0}),
+        ("base_method", "levels"), _run_ho_table1,
+        "harmonic oscillator truncation/defect coefficient table",
+        "one row per (level, series): slope, coefficient and residual hold the "
+        "leading degree, its coefficient and the noise ratio of the Taylor "
+        "coefficients on a circle of complex steps"),
+    "ho-energy": Preset(
+        ExperimentConfig(problem="harmonic", levels=1, tau_list=(0.2, 0.1, 0.05),
+                         t_final=1000.0, problem_params={"q0": 2.5, "p0": 0.0}),
+        ("base_method", "levels", "tau_list", "t_final", "problem_params"), _run_ho_energy,
+        "harmonic oscillator long-run energy error and secular growth",
+        "per step size, energy_plateau and energy_envelope rows carry the largest "
+        "relative energy error over the first and the last 5% of the run, and "
+        "secular_growth rows their difference; the secular_order row carries "
+        "slope/coefficient/residual of the power-law fit of the positive growths "
+        "against the step size"),
+    "kepler-order": Preset(
+        ExperimentConfig(problem="kepler", tau_list=_dyadic(20.0 / 250.0, 6),
+                         t_final=20.0, problem_params={"e": 0.6}),
+        ("base_method", "levels", "tau_list", "t_final", "problem_params"), _run_order,
+        "Kepler final-time energy-error convergence orders", _ORDER_ROWS),
+    "kepler-energy": Preset(
+        ExperimentConfig(problem="kepler", levels=2, tau_list=(0.05,), t_final=200.0,
+                         problem_params={"e": 0.6}),
+        ("base_method", "levels", "tau_list", "t_final", "problem_params"),
+        _run_kepler_energy, "Kepler energy-error evolution at fixed step",
+        "one energy_error row per (method, tau, time): value holds |H - H0| / |H0| "
+        "at the time in the time column, at about 500 evenly spaced times per run"),
+    "fisher-order": Preset(
+        ExperimentConfig(problem="fisher", levels=2, tau_list=_dyadic(0.05, 5),
+                         t_final=1.0, grid_points=128),
+        ("base_method", "levels", "tau_list", "t_final", "grid_points"), _run_order,
+        "reaction-diffusion successive-error convergence orders", _ORDER_ROWS),
+    "cgl-order": Preset(
+        ExperimentConfig(problem="cgl", levels=2, tau_list=_dyadic(0.05, 5), t_final=1.0,
+                         grid_points=512, problem_params={"c1": 1.0, "c3": -2.0, "eps": 1.0}),
+        ("base_method", "levels", "tau_list", "t_final", "grid_points", "problem_params"),
+        _run_order, "Ginzburg-Landau successive-error convergence orders", _ORDER_ROWS),
+    "coeff-audit": Preset(
+        ExperimentConfig(problem="harmonic"), (), _run_coeff_audit,
+        "coefficient-argument audit of the recursive families",
+        "a max_coefficient_argument row per family: value holds the largest "
+        "|argument| of its step coefficients, coefficient that over pi/2, status "
+        "whether all have a positive real part; a declared_order row per level: "
+        "value holds its order, status capped when it grew by less than 2"),
 }
+#: Default config per preset.
+PRESETS = {name: preset.config for name, preset in PRESET_TABLE.items()}
+
+
+def preset_config(name):
+    if not isinstance(name, str) or name not in PRESET_TABLE:
+        raise ValidationError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESET_TABLE))}"
+        )
+    return PRESET_TABLE[name].config
+
+
+def check_runnable(name, config):
+    """Reject a config that preset ``name`` would not run as given: each
+    field its row reads must be set (``t_final > 0``, a non-empty
+    ``tau_list``, a ``grid_points``), and every other field, ``problem``
+    included, must keep the preset's own value, as the runner ignores it."""
+    preset, reads = preset_config(name), PRESET_TABLE[name].reads
+    for key in CONFIG_KEYS:
+        value, own = getattr(config, key), getattr(preset, key)
+        if key not in reads and value != own:
+            raise ValidationError(f"preset {name} does not read {key}: it must be "
+                                  f"{own!r}, got {value!r}")
+    if "t_final" in reads and config.t_final <= 0:
+        raise ValidationError(f"t_final must be positive for preset {name}, "
+                              f"got {config.t_final!r}")
+    if "tau_list" in reads and not config.tau_list:
+        raise ValidationError(f"tau_list must not be empty for preset {name}")
+    if "grid_points" in reads and config.grid_points is None:
+        raise ValidationError(f"grid_points must be set for preset {name}")
+
+
+def parse_config(text, preset=None):
+    """Parse a JSON config document, filling defaults from a preset.
+
+    ``preset`` may come from the caller or from the document's own
+    ``preset`` key (they must agree when both are given).
+    """
+    try:
+        document = json.loads(text) if text.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ValidationError("config must be a JSON object")
+    doc_preset = document.pop("preset", None)
+    if doc_preset is not None and preset is not None and doc_preset != preset:
+        raise ValidationError(
+            f"config names preset {doc_preset!r} but {preset!r} was requested"
+        )
+    preset = preset or doc_preset
+    if preset is None:
+        raise ValidationError("no preset named (pass one or add a 'preset' key)")
+    config = apply_overrides(preset_config(preset), document)
+    check_runnable(preset, config)
+    return config
 
 
 def run_preset(name, overrides=None, out_dir=".", config=None):
@@ -330,11 +444,11 @@ def run_preset(name, overrides=None, out_dir=".", config=None):
     check_runnable(name, config)
     os.makedirs(out_dir, exist_ok=True)
     out_base = os.path.join(out_dir, name)
-    table, extra_paths = _RUNNERS[name](name, config, out_base)
+    table, extra_paths = PRESET_TABLE[name].runner(name, config, out_base)
     table.metadata.setdefault("all_rows_failed", False)
     csv_path, json_path = emit(table, out_base)
     return table, [csv_path, json_path, *extra_paths]
 
 
 def available_presets():
-    return list(_RUNNERS)
+    return list(PRESET_TABLE)

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 import pscomp.bench.run as bench_run
 from pscomp.bench import (
-    PRESETS, ExperimentConfig, ResultTable, apply_overrides, emit,
+    PRESETS, ExperimentConfig, ResultTable, apply_overrides, available_presets, emit,
     parse_config, preset_config, run_preset,
 )
 from pscomp.bench.cli import main
-from pscomp.bench.config import BASE_METHODS, MAX_STEPS, PRESET_READS, PROBLEMS
+from pscomp.bench.config import BASE_METHODS, MAX_STEPS, PROBLEMS
+from pscomp.bench.run import PRESET_TABLE
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import successive_error
 from pscomp.errors import SingularityError, ValidationError
@@ -175,9 +176,10 @@ def test_run_preset_unknown_name():
 
 def test_cli_list(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "kepler-order" in out
-    assert "coeff-audit" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert available_presets() == list(PRESETS)
+    assert lines == [f"{name:14s} {PRESET_TABLE[name].description}"
+                     for name in available_presets()]
 
 
 def test_cli_run_coeff_audit(tmp_path, capsys):
@@ -250,6 +252,26 @@ def test_coeff_audit_sidecar_names_each_family_it_audits(tmp_path):
     assert sidecar["families"] == [{"base_method": base, "levels": levels}
                                    for base, levels in depth.items()]
     assert depth == {"strang": 3, "s4sim": 4}
+
+
+#: Per preset with its own row sentence: a small run and the CSV columns,
+#: besides the quantities, that the sentence must name.
+ROW_SEMANTICS_RUNS = {
+    "ho-energy": ({"tau_list": [0.2, 0.1, 0.05], "t_final": 10.0}, ()),
+    "kepler-energy": ({"tau_list": [0.1], "t_final": 1.0, "levels": 1}, ("time",)),
+    "coeff-audit": ({}, ()),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(ROW_SEMANTICS_RUNS))
+def test_sidecar_row_semantics_names_every_quantity(tmp_path, preset):
+    overrides, columns = ROW_SEMANTICS_RUNS[preset]
+    run_preset(preset, overrides=overrides, out_dir=str(tmp_path))
+    sentence = json.loads((tmp_path / f"{preset}.json").read_text())["row_semantics"]
+    with open(tmp_path / f"{preset}.csv", newline="") as fh:
+        quantities = {row["quantity"] for row in csv.DictReader(fh)}
+    for word in (*quantities, *columns):
+        assert re.search(rf"\b{word}\b", sentence), word
 
 
 FISHER_GRID = SpectralGrid(0.0, 1.0, 16)
@@ -431,7 +453,7 @@ def _run_csv(tmp_path, preset, document):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_accepts_only_the_fields_it_reads(tmp_path, capsys, preset):
     small, changes = SMALL_RUNS[preset]
-    assert set(changes) == PRESET_READS[preset]
+    assert set(changes) == set(PRESET_TABLE[preset].reads)
     code, reference = _run_csv(tmp_path, preset, small)
     assert code == 0
     for key, value in changes.items():
@@ -444,7 +466,7 @@ def test_preset_accepts_only_the_fields_it_reads(tmp_path, capsys, preset):
               "problem_params": {"q0": 1.0}}
     capsys.readouterr()
     for key in (f.name for f in fields(ExperimentConfig)):
-        if key in PRESET_READS[preset]:
+        if key in PRESET_TABLE[preset].reads:
             continue
         code, written = _run_csv(tmp_path, preset, {**small, key: others[key]})
         err = capsys.readouterr().err
@@ -661,7 +683,7 @@ _FEW_STEPS = {"tau_list": [0.1, 0.05], "t_final": 0.1}
 @given(document=_RUN_DOCUMENTS, preset=st.sampled_from(sorted(PRESETS)))
 def test_cli_run_exits_cleanly(document, preset):
     document = {**{key: value for key, value in _FEW_STEPS.items()
-                   if key in PRESET_READS[preset]}, **document}
+                   if key in PRESET_TABLE[preset].reads}, **document}
     with tempfile.TemporaryDirectory() as tmp:
         config_path = Path(tmp) / "cfg.json"
         config_path.write_text(json.dumps(document))

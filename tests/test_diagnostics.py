@@ -247,13 +247,13 @@ def _symmetry_series(method):
     return _matrix_series(lambda t: method.matrix(t) @ method.matrix(-t) - np.eye(2))
 
 
-def test_symmetry_defect_symmetric_method_below_floor():
+def test_symmetry_series_of_symmetric_method_below_floor():
     c = _symmetry_series(ho_strang_flow())
     assert np.max(np.abs(c)) < 1e-14
     assert leading_term(c, RHO) is None
 
 
-def test_symmetry_defect_point_mode_matches_matrix_mode():
+def test_round_trip_series_matches_symmetry_series():
     method = recursive_family(ho_strang_flow(), 1).levels[0]
     x0 = np.array([1.0, 0.0], dtype=complex)
     point_mode = taylor_coefficients(
@@ -265,7 +265,7 @@ def test_symmetry_defect_point_mode_matches_matrix_mode():
     assert leading_term(point_mode, RHO)[0] == 8
 
 
-def test_symplecticity_defect_exact_rotation():
+def test_determinant_defect_of_exact_rotation_below_floor():
     c = _matrix_series(lambda t: np.linalg.det(ho_exact_flow().matrix(t)) - 1.0)
     assert np.max(np.abs(c)) < 1e-14
     assert leading_term(c, RHO) is None
@@ -308,7 +308,7 @@ def _truncation_terms(matrix):
     return [[leading_term(c[:, i, j], RHO) for j in range(2)] for i in range(2)]
 
 
-def test_truncation_matrix_fit_synthetic():
+def test_leading_term_reads_synthetic_truncation():
     def matrix(tau):
         defect = np.zeros((2, 2), dtype=complex)
         defect[0, 0] = 2e-3 * tau**5
@@ -323,7 +323,7 @@ def test_truncation_matrix_fit_synthetic():
     assert terms[1][1] is None
 
 
-def test_truncation_matrix_fit_sign():
+def test_leading_term_keeps_truncation_sign():
     def matrix(tau):
         defect = np.zeros((2, 2), dtype=complex)
         defect[1, 0] = -4e-3 * tau**3
