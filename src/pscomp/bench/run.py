@@ -1,4 +1,5 @@
-"""Named experiment presets, one row each in :data:`PRESET_TABLE`.
+"""Named experiment presets, one row each in :data:`PRESET_TABLE`, and the
+:class:`ExperimentConfig` they run, checked against its problem and base rows.
 
 Every preset produces one :class:`ResultTable` with the shared schema
 
@@ -6,15 +7,15 @@ Every preset produces one :class:`ResultTable` with the shared schema
     value, slope, coefficient, residual, status
 
 and writes ``<name>.csv`` plus a JSON metadata sidecar (and, for the PDE
-problems, a final-field snapshot per the deepest method).  A
-(method, tau) cell that hits a singularity or yields a non-finite value
-is marked failed (see :func:`_measure`) instead of aborting the preset.
+problems, a final-field snapshot per method).  A (method, tau) cell that
+hits a singularity or yields a non-finite value is marked failed (see
+:func:`_measure`) instead of aborting the preset.
 """
 
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -34,7 +35,6 @@ from ..problems import (
     kepler_kick_flow, kepler_strang_flow, pulse_pair_profile, s4sim,
 )
 from ..spectral import SpectralGrid, write_snapshot
-from .config import CONFIG_KEYS, PROBLEM_PARAMS, ExperimentConfig, apply_overrides
 from .emit import ResultTable, emit
 
 SCHEMA = [
@@ -42,9 +42,8 @@ SCHEMA = [
     "tau", "time", "value", "slope", "coefficient", "residual", "status",
 ]
 
-#: Error floors below which order-fit samples count as roundoff; the CGL
-#: runs accumulate more FFT roundoff per step than the others.
-ORDER_FIT_FLOORS = {"kepler": 1e-13, "fisher": 1e-13, "cgl": 5e-13}
+#: Most steps one (tau, t_final) run may take: 50 times the largest default.
+MAX_STEPS = 10**6
 
 #: Radius and node count of ``ho-table1``'s circle of complex steps.
 TABLE1_RADIUS, TABLE1_NODES = 1.0, 32
@@ -75,12 +74,46 @@ def _cgl(params, grid_points):
             partial(cgl_linear_map, cgl_params, grid), partial(cgl_nonlinear_map, cgl_params))
 
 
-#: Per problem, ``(params, grid_points) -> (grid, x0, strang, a, b)``: the
-#: grid (None for an ODE), the initial state, and argument-free builders of
-#: the Strang kernel and of the exact flows of the two stages.  A row reads
-#: each constructor by its module-level name when it runs, so a name
-#: patched on this module is the one that builds the flow.
-PROBLEMS = {"harmonic": _harmonic, "kepler": _kepler, "fisher": _fisher, "cgl": _cgl}
+def _check_harmonic(params):
+    q0, p0 = float(params["q0"]), float(params["p0"])
+    if not 0.0 < 0.5 * (q0 * q0 + p0 * p0) < math.inf:
+        raise ValidationError(f"problem_params q0={q0!r}, p0={p0!r}: the energy "
+                              "0.5*(q0^2 + p0^2) must be positive and finite")
+
+
+def _check_kepler(params):
+    if not 0.0 <= params["e"] < 1.0:
+        raise ValidationError(f"problem_params.e must lie in [0, 1), got {params['e']!r}")
+
+
+@dataclass(frozen=True)
+class Problem:
+    """A problem's ``problem_params`` defaults, a ``check`` of the merged
+    params (or None), its ``setup(params, grid_points) -> (grid, x0, strang,
+    a, b)``, the order-fit ``floor``, the conserved ``energy`` an order run
+    fits (else the successive error) and the ``field`` of a state that a
+    snapshot writes.  ``setup`` gives the grid (None for an ODE), x0 and
+    argument-free builders of the Strang kernel and the exact stage flows; it
+    reads each by its module-level name, so a name patched here builds the flow."""
+    params: dict
+    check: object
+    setup: object
+    floor: float = None
+    energy: object = None
+    field: object = None
+
+
+#: Every problem, by name.  The CGL runs accumulate more FFT roundoff per
+#: step than the others, hence their higher floor.
+PROBLEMS = {
+    "harmonic": Problem({"q0": 2.5, "p0": 0.0}, _check_harmonic, _harmonic,
+                        energy=ho_energy),
+    "kepler": Problem({"e": 0.6}, _check_kepler, _kepler, floor=1e-13,
+                      energy=kepler_energy),
+    "fisher": Problem({}, None, _fisher, floor=1e-13, field=lambda u: u),
+    "cgl": Problem({"c1": 1.0, "c3": -2.0, "eps": 1.0}, None, _cgl, floor=5e-13,
+                   field=lambda vw: vw[0] + 1j * vw[1]),
+}
 
 #: Per base method, ``(build, max_arg)``: ``build(strang, a, b)`` makes the
 #: base from a problem row's builders, and ``max_arg`` is the largest
@@ -91,10 +124,111 @@ BASES = {
 }
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    problem: str
+    base_method: str = "strang"
+    levels: int = 3
+    tau_list: tuple = ()
+    t_final: float = 0.0
+    grid_points: int = None
+    problem_params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_choice("problem", self.problem, PROBLEMS)
+        _check_choice("base_method", self.base_method, BASES)
+        if not _is_int(self.levels) or not 1 <= self.levels <= 4:
+            raise ValidationError(f"levels must be an integer in 1..4, got {self.levels!r}")
+        if not isinstance(self.tau_list, (list, tuple)):
+            raise ValidationError(f"tau_list must be a list of numbers, got {self.tau_list!r}")
+        taus = tuple(_finite("tau_list entry", t) for t in self.tau_list)
+        if any(t <= 0 for t in taus):
+            raise ValidationError("tau_list entries must be positive")
+        if any(a <= b for a, b in zip(taus, taus[1:])):
+            raise ValidationError("tau_list must be strictly decreasing")
+        if _finite("t_final", self.t_final) < 0:
+            raise ValidationError(f"t_final must not be negative, got {self.t_final!r}")
+        if self.t_final > 0:
+            for tau in taus:
+                if step_count(self.t_final, tau) > MAX_STEPS:
+                    raise ValidationError(
+                        f"t_final={self.t_final} takes over {MAX_STEPS} steps of tau={tau}")
+        if self.grid_points is not None:
+            n = self.grid_points
+            if not _is_int(n) or not 2 <= n <= 65536 or (n & (n - 1)) != 0:
+                raise ValidationError(
+                    f"grid_points must be a power of two in 2..65536, got {n!r}"
+                )
+        _check_problem_params(self.problem, self.problem_params)
+        object.__setattr__(self, "tau_list", taus)
+        object.__setattr__(self, "problem_params", dict(self.problem_params))
+
+
+def _check_choice(name, value, table):
+    # A string test first: ``in`` on a dict hashes its operand.
+    if not isinstance(value, str) or value not in table:
+        raise ValidationError(f"{name} must be one of {tuple(table)}, got {value!r}")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(name, value):
+    """``value`` as a float; anything but a finite number names ``name``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_problem_params(problem, params):
+    if not isinstance(params, dict):
+        raise ValidationError(f"problem_params must be an object, got {params!r}")
+    row = PROBLEMS[problem]
+    unknown = sorted(map(str, set(params) - set(row.params)))
+    if unknown:
+        raise ValidationError(
+            f"unknown problem_params keys for {problem}: {', '.join(unknown)} "
+            f"(allowed: {', '.join(row.params) or 'none'})"
+        )
+    for key, value in params.items():
+        _finite(f"problem_params.{key}", value)
+    if row.check is not None:
+        row.check({**row.params, **params})
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+
+def apply_overrides(base, overrides):
+    """Merge a partial config mapping over ``base`` and re-validate.
+
+    ``problem_params`` merges key by key over the defaults of the same
+    problem; every other field replaces the default wholesale.  Unknown
+    keys are listed in the error.
+    """
+    overrides = dict(overrides)
+    unknown = sorted(map(str, set(overrides) - set(CONFIG_KEYS)))
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+    params = overrides.get("problem_params", {})
+    if not isinstance(params, dict):
+        raise ValidationError("problem_params must be an object")
+    if overrides.get("problem", base.problem) == base.problem:
+        params = {**base.problem_params, **params}
+    overrides["problem_params"] = params
+    return replace(base, **overrides)
+
+
 def _problem_setup(config):
     """Base flow map, grid (PDE only), and initial state for a config."""
-    params = {**PROBLEM_PARAMS[config.problem], **config.problem_params}
-    grid, x0, *builders = PROBLEMS[config.problem](params, config.grid_points)
+    problem = PROBLEMS[config.problem]
+    params = {**problem.params, **config.problem_params}
+    grid, x0, *builders = problem.setup(params, config.grid_points)
     return BASES[config.base_method][0](*builders), grid, x0
 
 
@@ -121,10 +255,8 @@ def _new_table(name, config):
 
 
 def _common(name, config, **extra):
-    cells = {"problem": config.problem, "preset": name,
-             "base": config.base_method}
-    cells.update(extra)
-    return cells
+    return {"problem": config.problem, "preset": name,
+            "base": config.base_method, **extra}
 
 
 def _fit_cells(fit, n_ok, needed=3):
@@ -168,15 +300,16 @@ def _measure(table, method_name, tau, compute):
 def _run_order(name, config, out_base):
     base, grid, x0 = _problem_setup(config)
     table = _new_table(name, config)
+    problem = PROBLEMS[config.problem]
     quantity = "successive_error"
-    if config.problem == "kepler":
-        quantity, h0 = "energy_error", kepler_energy(x0)
+    if problem.energy is not None:
+        quantity, h0 = "energy_error", problem.energy(x0)
 
     def measure(method, tau, coarse):
         if quantity == "successive_error":
             return successive_error(method, x0, tau, config.t_final, coarse)
         final = propagate(method, x0, tau, step_count(config.t_final, tau))
-        return abs(kepler_energy(final) - h0) / abs(h0), final
+        return abs(problem.energy(final) - h0) / abs(h0), final
 
     snapshots = []
     for method_name, level, method in _methods(config, base):
@@ -195,15 +328,13 @@ def _run_order(name, config, out_base):
             table.add_row(**_common(name, config, method=method_name,
                                     level=level, quantity=quantity, tau=tau,
                                     value=value, status=status))
-        slope = slope_with_floor(taus, errors, floor=ORDER_FIT_FLOORS[config.problem])
+        slope = slope_with_floor(taus, errors, floor=problem.floor)
         table.add_row(**_common(name, config, method=method_name, level=level,
                                 quantity="order_fit"),
                       **_fit_cells(slope, len(taus), needed=2))
-        if grid is not None and last_field is not None:
+        if problem.field is not None and last_field is not None:
             path = f"{out_base}_{method_name}_field.txt"
-            if config.problem == "cgl":
-                last_field = last_field[0] + 1j * last_field[1]
-            write_snapshot(grid, last_field, path)
+            write_snapshot(grid, problem.field(last_field), path)
             snapshots.append(path)
     return table, snapshots
 
@@ -237,12 +368,13 @@ def _run_ho_table1(name, config, out_base):
 def _run_ho_energy(name, config, out_base):
     base, _, x0 = _problem_setup(config)
     table = _new_table(name, config)
+    energy = PROBLEMS[config.problem].energy
     method_name, level, method = _methods(config, base)[-1]
     positive = []
     for tau in config.tau_list:
         n = step_count(config.t_final, tau)
         values, status = _measure(table, method_name, tau, lambda: envelope_growth(
-            energy_error_series(integrate(method, x0, tau, n), ho_energy)))
+            energy_error_series(integrate(method, x0, tau, n), energy)))
         if values is not None and values[2] > 0:
             positive.append((tau, values[2]))
         for quantity, value in zip(("energy_plateau", "energy_envelope",
@@ -263,11 +395,12 @@ def _run_kepler_energy(name, config, out_base):
     """Energy error against time per method and tau, at about 500 points each."""
     base, _, x0 = _problem_setup(config)
     table = _new_table(name, config)
+    energy = PROBLEMS[config.problem].energy
     for method_name, level, method in _methods(config, base):
         for tau in config.tau_list:
             n = step_count(config.t_final, tau)
             values, status = _measure(table, method_name, tau, lambda: (
-                energy_error_series(integrate(method, x0, tau, n), kepler_energy),))
+                energy_error_series(integrate(method, x0, tau, n), energy),))
             points = [(None, math.nan)] if values is None else [
                 (tau * idx, float(values[0][idx]))
                 for idx in range(0, n + 1, max(1, n // 500))]
@@ -282,23 +415,22 @@ def _run_coeff_audit(name, config, out_base):
     table = _new_table(name, config)
     audited = (("strang", 3), ("s4sim", 4))
     table.metadata["families"] = [{"base_method": b, "levels": n} for b, n in audited]
-    _, _, *builders = PROBLEMS["harmonic"](PROBLEM_PARAMS["harmonic"], None)
     for base_name, levels in audited:
-        build, base_arg = BASES[base_name]
-        family = recursive_family(build(*builders), levels)
-        max_arg, all_positive = coefficient_arguments(family, base_arg)
-        table.add_row(problem="harmonic", preset=name, base=base_name,
-                      method=f"{base_name}x{levels}",
-                      quantity="max_coefficient_argument",
-                      value=max_arg, coefficient=max_arg / (math.pi / 2.0),
-                      status="all_positive_real" if all_positive
-                      else "nonpositive_real_present")
+        base, _, _ = _problem_setup(replace(config, base_method=base_name))
+        family = recursive_family(base, levels)
+        max_arg, all_positive = coefficient_arguments(family, BASES[base_name][1])
+        table.add_row(**_common(name, config, base=base_name,
+                                method=f"{base_name}x{levels}",
+                                quantity="max_coefficient_argument",
+                                value=max_arg, coefficient=max_arg / (math.pi / 2.0),
+                                status="all_positive_real" if all_positive
+                                else "nonpositive_real_present"))
         for level, flow in enumerate(family.levels, start=1):
-            table.add_row(problem="harmonic", preset=name, base=base_name,
-                          method=f"level{level}", level=level,
-                          quantity="declared_order",
-                          value=float(flow.meta.order),
-                          status="capped" if family.capped[level - 1] else "ok")
+            table.add_row(**_common(name, config, base=base_name,
+                                    method=f"level{level}", level=level,
+                                    quantity="declared_order",
+                                    value=float(flow.meta.order),
+                                    status="capped" if family.capped[level - 1] else "ok"))
     return table, []
 
 
@@ -319,8 +451,9 @@ class Preset:
 
 
 _ORDER_ROWS = ("the quantity column names what the value column holds "
-               "(successive_error/energy_error rows carry E_tau per step size; "
-               "*_fit rows carry slope/coefficient/residual of the power-law fit)")
+               "(successive_error/energy_error rows carry E_tau per step size; order_fit "
+               "rows carry in slope the least-squares log-log slope over the samples above "
+               "the problem's floor, or the two-point slope when only two are left)")
 
 #: Every preset, by name.  Values follow the standard protocol of each
 #: experiment (see README for the desk-scale deviations); a field left out

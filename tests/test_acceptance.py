@@ -25,7 +25,7 @@ from pscomp.problems import (
 )
 from pscomp.problems.splitting import S4SIM_A_FRACTIONS, S4SIM_B_FRACTIONS
 from pscomp.bench import run_preset
-from pscomp.bench.run import ORDER_FIT_FLOORS, TABLE1_NODES, TABLE1_RADIUS
+from pscomp.bench.run import PROBLEMS, TABLE1_NODES, TABLE1_RADIUS
 
 
 def _halving(tau0, count):
@@ -46,7 +46,7 @@ def _preset_rows(tmp_path, preset, floor=None, **protocol):
     table, _ = run_preset(preset, out_dir=str(tmp_path))
     assert table.metadata["config"] == protocol
     if floor is not None:
-        assert ORDER_FIT_FLOORS[protocol["problem"]] == floor
+        assert PROBLEMS[protocol["problem"]].floor == floor
     return [dict(zip(table.schema, row)) for row in table.rows]
 
 

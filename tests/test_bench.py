@@ -20,8 +20,7 @@ from pscomp.bench import (
     parse_config, preset_config, run_preset,
 )
 from pscomp.bench.cli import main
-from pscomp.bench.config import BASE_METHODS, MAX_STEPS, PROBLEMS
-from pscomp.bench.run import PRESET_TABLE
+from pscomp.bench.run import BASES, MAX_STEPS, PRESET_TABLE, PROBLEMS
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import successive_error
 from pscomp.errors import SingularityError, ValidationError
@@ -260,7 +259,15 @@ ROW_SEMANTICS_RUNS = {
     "ho-energy": ({"tau_list": [0.2, 0.1, 0.05], "t_final": 10.0}, ()),
     "kepler-energy": ({"tau_list": [0.1], "t_final": 1.0, "levels": 1}, ("time",)),
     "coeff-audit": ({}, ()),
+    "kepler-order": ({"tau_list": [0.1, 0.05, 0.025], "t_final": 0.5, "levels": 1},
+                     ("slope",)),
+    "fisher-order": ({"tau_list": [0.1, 0.05, 0.025], "t_final": 0.2,
+                      "grid_points": 16, "levels": 1}, ("slope",)),
+    "cgl-order": ({"tau_list": [0.1, 0.05, 0.025], "t_final": 0.1,
+                   "grid_points": 16, "levels": 1}, ("slope",)),
 }
+#: Columns a fit row may fill.
+FIT_COLUMNS = ("slope", "coefficient", "residual")
 
 
 @pytest.mark.parametrize("preset", sorted(ROW_SEMANTICS_RUNS))
@@ -269,9 +276,13 @@ def test_sidecar_row_semantics_names_every_quantity(tmp_path, preset):
     run_preset(preset, overrides=overrides, out_dir=str(tmp_path))
     sentence = json.loads((tmp_path / f"{preset}.json").read_text())["row_semantics"]
     with open(tmp_path / f"{preset}.csv", newline="") as fh:
-        quantities = {row["quantity"] for row in csv.DictReader(fh)}
-    for word in (*quantities, *columns):
+        rows = list(csv.DictReader(fh))
+    for word in ({row["quantity"] for row in rows} | set(columns)):
         assert re.search(rf"\b{word}\b", sentence), word
+    # Nor may it promise a fit column that every row leaves empty.
+    for column in FIT_COLUMNS:
+        if not any(row[column] for row in rows):
+            assert not re.search(rf"\b{column}\b", sentence), column
 
 
 FISHER_GRID = SpectralGrid(0.0, 1.0, 16)
@@ -300,14 +311,8 @@ EXPLICIT_STARTS = {
 }
 
 
-def test_problem_and_base_tables_cover_the_config_choices():
-    # The CLI validates against config's lists and runs through the tables.
-    assert tuple(bench_run.BASES) == BASE_METHODS
-    assert tuple(bench_run.PROBLEMS) == PROBLEMS
-
-
-@pytest.mark.parametrize("base_method", BASE_METHODS)
-@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("base_method", list(BASES))
+@pytest.mark.parametrize("problem", list(PROBLEMS))
 def test_problem_setup_matches_the_explicit_constructors(problem, base_method):
     config = ExperimentConfig(problem=problem, base_method=base_method, grid_points=16)
     base, grid, x0 = bench_run._problem_setup(config)
@@ -368,6 +373,10 @@ BAD_CONFIGS = [
     ("fisher-order", {"grid_points": None}, "grid_points"),
     ("ho-energy", {"tau_list": [1.0], "t_final": 1e300}, "t_final"),
     ("kepler-energy", {"tau_list": [1.0], "t_final": 1e300}, "t_final"),
+    ("kepler-order", {"base_method": "rk4"}, "base_method"),
+    # Choices are looked up in the problem and base rows: no hashing of a list.
+    ("kepler-order", {"base_method": []}, "base_method"),
+    ("kepler-order", {"problem": []}, "problem"),
 ]
 
 
@@ -576,6 +585,27 @@ def test_fit_rows_say_why_they_have_no_fit(tmp_path, preset, overrides, expected
     assert statuses == {method: {status} for method, status in expected.items()}
 
 
+@pytest.mark.parametrize("preset", ["fisher-order", "cgl-order"])
+def test_order_run_writes_each_method_final_field(tmp_path, preset):
+    taus, t_final = [0.1, 0.05], 0.2
+    _, paths = run_preset(preset, out_dir=str(tmp_path), overrides={
+        "tau_list": taus, "t_final": t_final, "grid_points": 16, "levels": 1})
+    config = PRESETS[preset]
+    base, grid, x0 = bench_run._problem_setup(
+        apply_overrides(config, {"grid_points": 16, "levels": 1}))
+    methods = {"strang": base, "level1": recursive_family(base, 1).levels[0]}
+    assert sorted(p for p in paths if p.endswith("_field.txt")) == sorted(
+        str(tmp_path / f"{preset}_{name}_field.txt") for name in methods)
+    for name, method in methods.items():
+        # The snapshot is the tau/2 run of the last cell: for CGL, v + i w.
+        _, fine = successive_error(method, x0, taus[-1], t_final)
+        expected = fine[0] + 1j * fine[1] if preset == "cgl-order" else fine
+        written = np.loadtxt(tmp_path / f"{preset}_{name}_field.txt")
+        np.testing.assert_array_equal(written[:, 0], grid.nodes)
+        # Seventeen significant digits read back every bit.
+        np.testing.assert_array_equal(written[:, 1] + 1j * written[:, 2], expected)
+
+
 def test_ho_table1_builds_each_matrix_once(tmp_path, monkeypatch):
     calls = []
     strang = ho_strang_flow()
@@ -643,8 +673,8 @@ _JSON = st.recursive(
 _NUMBER = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400)])
 _FIELDS = {
     "preset": st.sampled_from(sorted(PRESETS)),
-    "problem": st.sampled_from(PROBLEMS),
-    "base_method": st.sampled_from(BASE_METHODS),
+    "problem": st.sampled_from(tuple(PROBLEMS)),
+    "base_method": st.sampled_from(tuple(BASES)),
     "levels": st.integers(-1, 6),
     "tau_list": st.lists(_NUMBER | st.sampled_from([0.1, 0.05, 0.025]), max_size=4),
     "t_final": _NUMBER | st.sampled_from([0.0, 0.1, 1.0]),

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pscomp.bench.config import ExperimentConfig
-from pscomp.bench.run import _problem_setup
+from pscomp.bench.run import ExperimentConfig, _problem_setup
 from pscomp.coefficients import gamma_smallest_phase
 from pscomp.composition import (
     _real_projection, coefficient_arguments, compose_schedule, recursive_family,
