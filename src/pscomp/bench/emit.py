@@ -15,8 +15,11 @@ class ResultTable:
     schema: list
     rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    #: Cells of every row that does not give its own.
+    shared: dict = field(default_factory=dict)
 
     def add_row(self, **cells):
+        cells = {**self.shared, **cells}
         unknown = set(cells) - set(self.schema)
         if unknown:
             raise KeyError(f"cells outside schema: {sorted(unknown)}")

@@ -1,15 +1,16 @@
 """Named experiment presets, one row each in :data:`PRESET_TABLE`, and the
 :class:`ExperimentConfig` they run, checked against its problem and base rows.
 
-Every preset produces one :class:`ResultTable` with the shared schema
+:func:`run_preset` opens one :class:`ResultTable` per run, with the schema
 
     problem, preset, base, method, level, quantity, entry, tau, time,
     value, slope, coefficient, residual, status
 
-and writes ``<name>.csv`` plus a JSON metadata sidecar (and, for the PDE
-problems, a final-field snapshot per method).  A (method, tau) cell that
-hits a singularity or yields a non-finite value is marked failed (see
-:func:`_measure`) instead of aborting the preset.
+and the run's ``problem``, ``preset`` and ``base`` as cells every row shares.
+The preset's runner adds the rows; ``<name>.csv``, a JSON metadata sidecar
+and, for the PDE problems, a final-field snapshot per method are written.  A
+(method, tau) cell that hits a singularity or yields a non-finite value is
+marked failed (see :func:`_measure`) instead of aborting the preset.
 """
 
 import json
@@ -161,7 +162,8 @@ class ExperimentConfig:
                 )
         _check_problem_params(self.problem, self.problem_params)
         object.__setattr__(self, "tau_list", taus)
-        object.__setattr__(self, "problem_params", dict(self.problem_params))
+        object.__setattr__(self, "problem_params",
+                           {**PROBLEMS[self.problem].params, **self.problem_params})
 
 
 def _check_choice(name, value, table):
@@ -226,9 +228,8 @@ def apply_overrides(base, overrides):
 
 def _problem_setup(config):
     """Base flow map, grid (PDE only), and initial state for a config."""
-    problem = PROBLEMS[config.problem]
-    params = {**problem.params, **config.problem_params}
-    grid, x0, *builders = problem.setup(params, config.grid_points)
+    grid, x0, *builders = PROBLEMS[config.problem].setup(config.problem_params,
+                                                         config.grid_points)
     return BASES[config.base_method][0](*builders), grid, x0
 
 
@@ -237,26 +238,6 @@ def _methods(config, base):
     levels = recursive_family(base, config.levels).levels
     return [(config.base_method, 0, base)] + [
         (f"level{i}", i, level) for i, level in enumerate(levels, start=1)]
-
-
-def _new_table(name, config):
-    table = ResultTable(schema=SCHEMA)
-    table.metadata = {
-        "preset": name,
-        "config": asdict(config),
-        "artifact": "pscomp",
-        "version": __version__,
-        "precision": "f64",
-        "schema": SCHEMA,
-        "row_semantics": PRESET_TABLE[name].row_semantics,
-        "failures": [],
-    }
-    return table
-
-
-def _common(name, config, **extra):
-    return {"problem": config.problem, "preset": name,
-            "base": config.base_method, **extra}
 
 
 def _fit_cells(fit, n_ok, needed=3):
@@ -297,9 +278,8 @@ def _measure(table, method_name, tau, compute):
     return None, f"{kind}: {error}"
 
 
-def _run_order(name, config, out_base):
+def _run_order(config, table, out_base):
     base, grid, x0 = _problem_setup(config)
-    table = _new_table(name, config)
     problem = PROBLEMS[config.problem]
     quantity = "successive_error"
     if problem.energy is not None:
@@ -325,26 +305,23 @@ def _run_order(name, config, out_base):
                 fine_tau = tau / 2.0
                 taus.append(tau)
                 errors.append(value)
-            table.add_row(**_common(name, config, method=method_name,
-                                    level=level, quantity=quantity, tau=tau,
-                                    value=value, status=status))
+            table.add_row(method=method_name, level=level, quantity=quantity,
+                          tau=tau, value=value, status=status)
         slope = slope_with_floor(taus, errors, floor=problem.floor)
-        table.add_row(**_common(name, config, method=method_name, level=level,
-                                quantity="order_fit"),
+        table.add_row(method=method_name, level=level, quantity="order_fit",
                       **_fit_cells(slope, len(taus), needed=2))
         if problem.field is not None and last_field is not None:
             path = f"{out_base}_{method_name}_field.txt"
             write_snapshot(grid, problem.field(last_field), path)
             snapshots.append(path)
-    return table, snapshots
+    return snapshots
 
 
-def _run_ho_table1(name, config, out_base):
+def _run_ho_table1(config, table, out_base):
     """Per level, the leading terms of the truncation ho_exact - M, the
     symmetry defect M(tau)M(-tau) - I and det M - 1 on a circle of complex
     steps, with M built once per node (M(-tau) is M at the opposite node)."""
     base, _, _ = _problem_setup(config)
-    table = _new_table(name, config)
     n = TABLE1_NODES
 
     def series(method, taus):
@@ -359,15 +336,13 @@ def _run_ho_table1(name, config, out_base):
         readings = [("truncation", f"{k // 2}{k % 2}", c[:, k]) for k in range(4)] + [
             ("symmetry_defect", None, c[:, 4:8]), ("determinant_defect", None, c[:, 8])]
         for quantity, entry, coefficients in readings:
-            table.add_row(**_common(name, config, method=method_name, level=level,
-                                    quantity=quantity, entry=entry),
+            table.add_row(method=method_name, level=level, quantity=quantity, entry=entry,
                           **_fit_cells(leading_term(coefficients, TABLE1_RADIUS), n))
-    return table, []
+    return []
 
 
-def _run_ho_energy(name, config, out_base):
+def _run_ho_energy(config, table, out_base):
     base, _, x0 = _problem_setup(config)
-    table = _new_table(name, config)
     energy = PROBLEMS[config.problem].energy
     method_name, level, method = _methods(config, base)[-1]
     positive = []
@@ -379,22 +354,19 @@ def _run_ho_energy(name, config, out_base):
             positive.append((tau, values[2]))
         for quantity, value in zip(("energy_plateau", "energy_envelope",
                                     "secular_growth"), values or (math.nan,) * 3):
-            table.add_row(**_common(name, config, method=method_name,
-                                    level=level, quantity=quantity,
-                                    tau=tau, value=value, status=status))
+            table.add_row(method=method_name, level=level, quantity=quantity,
+                          tau=tau, value=value, status=status)
     # Growth at or under zero is roundoff: zero is this fit's floor.
     fit = power_law_fit(*zip(*positive)) if len(positive) >= 3 else None
     n_ok = len(config.tau_list) - len(table.metadata["failures"])
-    table.add_row(**_common(name, config, method=method_name,
-                            level=level, quantity="secular_order"),
+    table.add_row(method=method_name, level=level, quantity="secular_order",
                   **_fit_cells(fit, n_ok))
-    return table, []
+    return []
 
 
-def _run_kepler_energy(name, config, out_base):
+def _run_kepler_energy(config, table, out_base):
     """Energy error against time per method and tau, at about 500 points each."""
     base, _, x0 = _problem_setup(config)
-    table = _new_table(name, config)
     energy = PROBLEMS[config.problem].energy
     for method_name, level, method in _methods(config, base):
         for tau in config.tau_list:
@@ -405,33 +377,27 @@ def _run_kepler_energy(name, config, out_base):
                 (tau * idx, float(values[0][idx]))
                 for idx in range(0, n + 1, max(1, n // 500))]
             for time, value in points:
-                table.add_row(**_common(name, config, method=method_name, level=level,
-                                        quantity="energy_error", tau=tau, time=time,
-                                        value=value, status=status))
-    return table, []
+                table.add_row(method=method_name, level=level, quantity="energy_error",
+                              tau=tau, time=time, value=value, status=status)
+    return []
 
 
-def _run_coeff_audit(name, config, out_base):
-    table = _new_table(name, config)
+def _run_coeff_audit(config, table, out_base):
     audited = (("strang", 3), ("s4sim", 4))
     table.metadata["families"] = [{"base_method": b, "levels": n} for b, n in audited]
     for base_name, levels in audited:
         base, _, _ = _problem_setup(replace(config, base_method=base_name))
         family = recursive_family(base, levels)
         max_arg, all_positive = coefficient_arguments(family, BASES[base_name][1])
-        table.add_row(**_common(name, config, base=base_name,
-                                method=f"{base_name}x{levels}",
-                                quantity="max_coefficient_argument",
-                                value=max_arg, coefficient=max_arg / (math.pi / 2.0),
-                                status="all_positive_real" if all_positive
-                                else "nonpositive_real_present"))
+        status = "all_positive_real" if all_positive else "nonpositive_real_present"
+        table.add_row(base=base_name, method=f"{base_name}x{levels}",
+                      quantity="max_coefficient_argument", value=max_arg,
+                      coefficient=max_arg / (math.pi / 2.0), status=status)
         for level, flow in enumerate(family.levels, start=1):
-            table.add_row(**_common(name, config, base=base_name,
-                                    method=f"level{level}", level=level,
-                                    quantity="declared_order",
-                                    value=float(flow.meta.order),
-                                    status="capped" if family.capped[level - 1] else "ok"))
-    return table, []
+            table.add_row(base=base_name, method=f"level{level}", level=level,
+                          quantity="declared_order", value=float(flow.meta.order),
+                          status="capped" if family.capped[level - 1] else "ok")
+    return []
 
 
 def _dyadic(tau0, count):
@@ -441,8 +407,8 @@ def _dyadic(tau0, count):
 @dataclass(frozen=True)
 class Preset:
     """A preset's default config, the config fields its runner reads, the
-    runner ``(name, config, out_base) -> (table, extra paths)``, its
-    ``pscomp-bench list`` line and its sidecar's ``row_semantics``."""
+    runner ``(config, table, out_base) -> extra paths`` that adds the run's
+    rows, its ``pscomp-bench list`` line and its sidecar's ``row_semantics``."""
     config: ExperimentConfig
     reads: tuple
     runner: object
@@ -460,7 +426,7 @@ _ORDER_ROWS = ("the quantity column names what the value column holds "
 #: keeps the ``ExperimentConfig`` default (the Strang base, three levels).
 PRESET_TABLE = {
     "ho-table1": Preset(
-        ExperimentConfig(problem="harmonic", problem_params={"q0": 2.5, "p0": 0.0}),
+        ExperimentConfig(problem="harmonic"),
         ("base_method", "levels"), _run_ho_table1,
         "harmonic oscillator truncation/defect coefficient table",
         "one row per (level, series): slope, coefficient and residual hold the "
@@ -468,7 +434,7 @@ PRESET_TABLE = {
         "coefficients on a circle of complex steps"),
     "ho-energy": Preset(
         ExperimentConfig(problem="harmonic", levels=1, tau_list=(0.2, 0.1, 0.05),
-                         t_final=1000.0, problem_params={"q0": 2.5, "p0": 0.0}),
+                         t_final=1000.0),
         ("base_method", "levels", "tau_list", "t_final", "problem_params"), _run_ho_energy,
         "harmonic oscillator long-run energy error and secular growth",
         "per step size, energy_plateau and energy_envelope rows carry the largest "
@@ -477,13 +443,11 @@ PRESET_TABLE = {
         "slope/coefficient/residual of the power-law fit of the positive growths "
         "against the step size"),
     "kepler-order": Preset(
-        ExperimentConfig(problem="kepler", tau_list=_dyadic(20.0 / 250.0, 6),
-                         t_final=20.0, problem_params={"e": 0.6}),
+        ExperimentConfig(problem="kepler", tau_list=_dyadic(20.0 / 250.0, 6), t_final=20.0),
         ("base_method", "levels", "tau_list", "t_final", "problem_params"), _run_order,
         "Kepler final-time energy-error convergence orders", _ORDER_ROWS),
     "kepler-energy": Preset(
-        ExperimentConfig(problem="kepler", levels=2, tau_list=(0.05,), t_final=200.0,
-                         problem_params={"e": 0.6}),
+        ExperimentConfig(problem="kepler", levels=2, tau_list=(0.05,), t_final=200.0),
         ("base_method", "levels", "tau_list", "t_final", "problem_params"),
         _run_kepler_energy, "Kepler energy-error evolution at fixed step",
         "one energy_error row per (method, tau, time): value holds |H - H0| / |H0| "
@@ -495,7 +459,7 @@ PRESET_TABLE = {
         "reaction-diffusion successive-error convergence orders", _ORDER_ROWS),
     "cgl-order": Preset(
         ExperimentConfig(problem="cgl", levels=2, tau_list=_dyadic(0.05, 5), t_final=1.0,
-                         grid_points=512, problem_params={"c1": 1.0, "c3": -2.0, "eps": 1.0}),
+                         grid_points=512),
         ("base_method", "levels", "tau_list", "t_final", "grid_points", "problem_params"),
         _run_order, "Ginzburg-Landau successive-error convergence orders", _ORDER_ROWS),
     "coeff-audit": Preset(
@@ -577,7 +541,17 @@ def run_preset(name, overrides=None, out_dir=".", config=None):
     check_runnable(name, config)
     os.makedirs(out_dir, exist_ok=True)
     out_base = os.path.join(out_dir, name)
-    table, extra_paths = PRESET_TABLE[name].runner(name, config, out_base)
+    table = ResultTable(schema=SCHEMA, metadata={
+        "preset": name,
+        "config": asdict(config),
+        "artifact": "pscomp",
+        "version": __version__,
+        "precision": "f64",
+        "schema": SCHEMA,
+        "row_semantics": PRESET_TABLE[name].row_semantics,
+        "failures": [],
+    }, shared={"problem": config.problem, "preset": name, "base": config.base_method})
+    extra_paths = PRESET_TABLE[name].runner(config, table, out_base)
     table.metadata.setdefault("all_rows_failed", False)
     csv_path, json_path = emit(table, out_base)
     return table, [csv_path, json_path, *extra_paths]

@@ -164,7 +164,7 @@ def test_criterion_05_coefficient_argument_audit(tmp_path):
     # The Strang family to level 3 and the s4sim family to level 4.
     rows = _preset_rows(tmp_path, "coeff-audit", problem="harmonic",
                         base_method="strang", levels=3, tau_list=(), t_final=0.0,
-                        grid_points=None, problem_params={})
+                        grid_points=None, problem_params={"q0": 2.5, "p0": 0.0})
     audit = {r["method"]: (r["value"], r["status"] == "all_positive_real")
              for r in rows if r["quantity"] == "max_coefficient_argument"}
     max_arg, all_positive = audit["strangx3"]

@@ -144,6 +144,18 @@ def test_emit_17_significant_digits(tmp_path):
     assert cell == "3.3333333333333331e-01"
 
 
+def test_shared_cells_fill_every_row_that_gives_none_of_its_own():
+    table = ResultTable(schema=["a", "b", "c"], shared={"a": 1, "b": 2})
+    table.add_row(c=3)
+    table.add_row(b=5)
+    assert table.rows == [(1, 2, 3), (1, 5, None)]
+    # A shared cell outside the schema is caught when a row is added.
+    table = ResultTable(schema=["a"], shared={"z": 0})
+    with pytest.raises(KeyError, match="z"):
+        table.add_row(a=1)
+    assert table.rows == []
+
+
 def test_rerun_is_byte_identical(tmp_path):
     first = tmp_path / "one"
     second = tmp_path / "two"
@@ -483,6 +495,29 @@ def test_preset_accepts_only_the_fields_it_reads(tmp_path, capsys, preset):
         assert re.search(rf"\b{key}\b", err) and "Traceback" not in err, err
     # A field the preset does not read may still be set to its own value.
     assert _run_csv(tmp_path, preset, {**small, "problem": own.problem})[0] == 0
+    # A problem default set explicitly is that default (Fisher has none).
+    defaults = PROBLEMS[own.problem].params
+    if defaults:
+        key = next(iter(defaults))
+        document = {**small, "problem_params": {key: defaults[key]}}
+        assert _run_csv(tmp_path, preset, document) == (0, reference)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_row_names_the_run_problem_preset_and_base(tmp_path, preset):
+    config = apply_overrides(PRESETS[preset], SMALL_RUNS[preset][0])
+    run_preset(preset, config=config, out_dir=str(tmp_path))
+    with open(tmp_path / f"{preset}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    base = config.base_method
+    for row in rows:
+        if preset == "coeff-audit":
+            # A family's rows follow its "<base>x<levels>" argument row.
+            if row["quantity"] == "max_coefficient_argument":
+                base = row["method"].rsplit("x", 1)[0]
+            assert base in BASES
+        assert (row["problem"], row["preset"], row["base"]) == (config.problem, preset, base)
 
 
 def test_kepler_energy_runs_every_tau(tmp_path):
