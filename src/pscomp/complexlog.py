@@ -29,7 +29,9 @@ def principal_log(z):
     """Principal logarithm of a scalar or array, imaginary part in (-pi, pi).
 
     Raises :class:`SingularityError` on the closed negative real axis
-    (including 0); for arrays the first offending flat index is reported.
+    (including 0); for arrays it reports the first offending entry in C
+    order, with its index along the last axis: the grid index, also in a
+    stack of grid rows.
     """
     arr = np.asarray(z, dtype=complex)
     on_cut = arr.real <= 0.0
@@ -40,7 +42,7 @@ def principal_log(z):
             value = complex(arr.ravel()[idx])
             raise SingularityError(
                 f"principal logarithm undefined on the negative real axis: z={value}",
-                index=idx, value=value,
+                index=idx % arr.shape[-1] if arr.ndim else idx, value=value,
             )
     result = np.empty_like(arr)
     np.log(np.abs(arr), out=result.real)

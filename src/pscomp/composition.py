@@ -81,6 +81,27 @@ def _real_projection(pair, twin):
     return project
 
 
+def _stacked_projection(pair, base, gamma):
+    """Evaluator of the projection on a batched base that is its own twin.
+
+    At a real step and state it is the real part of one ``pair``
+    evaluation, as in :func:`_real_projection`.  Any other input runs the
+    pair and the twin as rows 0 and 1 of one stack: ``base`` at the steps
+    ``(conj(gamma) s, gamma s)``, then ``(gamma s, conj(gamma) s)``, each
+    row with the bits of its own branch.
+    """
+    gamma_bar = gamma.conjugate()
+
+    def project(x, tau):
+        if tau.imag == 0.0 and not np.count_nonzero(x.imag):
+            return pair(x, tau).real.astype(complex)
+        first, second = gamma_bar * tau, gamma * tau
+        y = base(base(np.array((x, x)), (first, second)), (second, first))
+        return 0.5 * (y[0] + y[1])
+
+    return project
+
+
 def _level_meta(meta):
     """Declared orders of the projected conjugate pair built on ``meta``.
 
@@ -130,7 +151,10 @@ def recursive_family(base, levels):
     of its conjugate at ``(conj(gamma), gamma)``.  The conjugate of a
     level, and of a base whose meta declares it self-conjugate, is the
     method itself; any other base runs as ``conj o base o conj``.  Either
-    way the twin equals ``conj(pair(conj(x), conj(s)))``.
+    way the twin equals ``conj(pair(conj(x), conj(s)))``.  On a
+    self-conjugate base whose meta declares ``batched`` the first level
+    evaluates the pair and the twin as one stack (``_stacked_projection``);
+    levels never declare it, so deeper levels run them one after the other.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
@@ -153,8 +177,12 @@ def recursive_family(base, levels):
         gamma = gamma_smallest_phase(prev.meta.order)
         meta = _level_meta(prev.meta)
         pair = compose_schedule(prev, (gamma, gamma.conjugate()), meta)
-        twin = compose_schedule(prev_conj, (gamma.conjugate(), gamma), meta)
-        level = FlowMap(_real_projection(pair, twin), meta)
+        if prev.meta.batched and prev is prev_conj:
+            project = _stacked_projection(pair, prev, gamma)
+        else:
+            twin = compose_schedule(prev_conj, (gamma.conjugate(), gamma), meta)
+            project = _real_projection(pair, twin)
+        level = FlowMap(project, meta)
         prev_products = [gamma * p for p in prev_products] + [
             gamma.conjugate() * p for p in prev_products
         ]

@@ -34,12 +34,20 @@ class MethodMeta:
         splitting of a real vector field, or a projected level.  False
         (the default) for a base with complex coefficients such as
         ``s4sim``.
+    batched
+        True when the evaluator also takes a stack: a ``(B, ...)`` state
+        with a tuple of B steps, one per state, returning the B results
+        stacked, each with the bits of a single call at its step.  Only
+        the Ginzburg-Landau Strang kernel declares it; a projected level
+        built on a batched self-conjugate method runs its pair and twin as
+        one stack.  False (the default) for every other method.
     """
 
     order: int
     pseudo_symmetry_order: float
     pseudo_symplecticity_order: float
     self_conjugate: bool = False
+    batched: bool = False
 
     def __post_init__(self):
         if self.order < 1:
@@ -75,6 +83,8 @@ class FlowMap(functools.partial):
     ``.conjugate()``).  An object-dtype (mpmath) state is not supported: it
     runs at f64, reads as exactly real, and the real projection keeps its
     imaginary part, silently.
+    A ``(B, ...)`` stack of states with a tuple of B steps is passed only
+    to a flow map whose meta declares ``batched``.
     The evaluator returns a new state of the same shape.  It may keep a
     bounded cache of read-only step constants and shares nothing else, and
     may write in place only into arrays it allocated itself, never into

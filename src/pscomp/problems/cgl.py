@@ -24,9 +24,13 @@ each evaluation: the Strang step changes basis once each way and runs its
 three substeps in place on one array: every FFT and every substep
 operation writes into an array the evaluation allocated, with the operands
 in the order of the allocating formulas, so the results are the same bits.
+
+The Strang kernel also takes a (B, 2, N) stack with a tuple of B steps:
+its diagonal array is then (2, B, N), each FFT runs over the B rows of one
+component, and every row gets the bits of a single call at its step.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,23 +57,34 @@ class CGLParams:
 
 
 def _to_diagonal(vw):
-    v, w = vw
-    diag = np.empty(np.shape(vw), complex)
-    diag[0] = 0.5 * (-1j * v + w)
-    diag[1] = 0.5 * (v - 1j * w)
+    """Diagonal rows (vt, wt) of a (2, N) state, or (2, B, N) of a (B, 2, N) stack."""
+    v, w = vw[..., 0, :], vw[..., 1, :]
+    diag = np.empty((2, *v.shape), complex)
+    dv, dw = diag
+    np.multiply(-1j, v, out=dv)  # 0.5 * (-1j * v + w)
+    np.add(dv, w, out=dv)
+    np.multiply(0.5, dv, out=dv)
+    np.multiply(1j, w, out=dw)  # 0.5 * (v - 1j * w)
+    np.subtract(v, dw, out=dw)
+    np.multiply(0.5, dw, out=dw)
     return diag
 
 
 def _from_diagonal(diag):
+    """Inverse of :func:`_to_diagonal`."""
     dv, dw = diag
-    vw = np.empty_like(diag)
-    vw[0] = 1j * dv + dw
-    vw[1] = dv + 1j * dw
+    vw = np.empty((*dv.shape[:-1], 2, dv.shape[-1]), complex)
+    v, w = vw[..., 0, :], vw[..., 1, :]
+    np.multiply(1j, dv, out=v)  # 1j * dv + dw
+    np.add(v, dw, out=v)
+    np.multiply(1j, dw, out=w)  # dv + 1j * dw
+    np.add(dv, w, out=w)
     return vw
 
 
 def _linear(diag, multipliers):
-    """Linear substep in place on the diagonal rows.
+    """Linear substep in place on the diagonal rows, one FFT pair per
+    component (over all rows of a stack, each with its own multiplier row).
 
     The multiplier stays the first operand: for complex arrays ``m * a``
     and ``a * m`` can differ in the last bit.
@@ -82,7 +97,8 @@ def _linear(diag, multipliers):
 
 
 def _cubic(diag, tau, beta):
-    """Cubic substep in place on the diagonal rows."""
+    """Cubic substep in place on the diagonal rows; for a stack ``tau`` is
+    the (B, 1) column of its steps."""
     z = np.multiply(4j, diag[0])  # 1.0 + 2.0 * tau * (4j * diag[0] * diag[1])
     np.multiply(z, diag[1], out=z)
     np.multiply(2.0 * tau, z, out=z)
@@ -97,14 +113,23 @@ def _cubic(diag, tau, beta):
 
 
 def _multipliers(params, grid):
-    """Step-cached Fourier multipliers of the linear flow, one per diagonal row."""
+    """Step-cached Fourier multipliers of the linear flow, one per diagonal
+    row; for a tuple of steps each row stacks the rows of its steps."""
     alpha, eps = params.alpha, params.eps
     k2 = grid.wavenumbers() ** 2
 
-    @step_cache
-    def multipliers(tau):
+    def rows(tau):
         gain = np.exp(eps * tau)
         return gain * np.exp(-tau * alpha * k2), gain * np.exp(-tau * np.conj(alpha) * k2)
+
+    @step_cache
+    def multipliers(tau):
+        # The stacked rows come from ``rows``, not from this cache: a cache
+        # that calls itself is a reference cycle, which keeps every
+        # discarded flow's arrays alive until a full garbage collection.
+        if type(tau) is tuple:
+            return tuple(np.stack(stack) for stack in zip(*map(rows, tau)))
+        return rows(tau)
 
     return multipliers
 
@@ -127,17 +152,26 @@ def cgl_linear_map(params, grid):
     return FlowMap(apply, EXACT_META)
 
 
+#: Strang meta of the Ginzburg-Landau kernel, which also evaluates stacks.
+CGL_STRANG_META = replace(STRANG_META, batched=True)
+
+
 def cgl_strang_flow(params, grid):
-    """Splitting linear(tau/2), cubic(tau), linear(tau/2) on (v, w) arrays."""
+    """Splitting linear(tau/2), cubic(tau), linear(tau/2) on (v, w) arrays,
+    or on a (B, 2, N) stack with a tuple of B steps."""
     beta = params.beta
     multipliers = _multipliers(params, grid)
 
     def apply(vw, tau):
-        half = multipliers(tau / 2.0)
+        if type(tau) is tuple:  # a stack: one step per state
+            half = multipliers(tuple(t / 2.0 for t in tau))
+            tau = np.array(tau)[:, None]
+        else:
+            half = multipliers(tau / 2.0)
         diag = _cubic(_linear(_to_diagonal(vw), half), tau, beta)
         return _from_diagonal(_linear(diag, half))
 
-    return FlowMap(apply, STRANG_META)
+    return FlowMap(apply, CGL_STRANG_META)
 
 
 def pulse_pair_profile(grid):

@@ -53,7 +53,8 @@ class SpectralGrid:
 
 def step_cache(multipliers):
     """Memoise ``multipliers(tau) -> tuple of arrays`` for the last 16 steps
-    (family level L uses 2^L); calls share the arrays, so they are read-only."""
+    or step tuples (family level L uses 2^L of either); calls share the
+    arrays, so they are read-only."""
     @functools.lru_cache(maxsize=16)
     def cached(tau):
         arrays = multipliers(tau)

@@ -1,5 +1,8 @@
 """Ginzburg-Landau split flows: closed forms, branch cuts, diagonalization."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +254,55 @@ def test_strang_reports_the_grid_index_of_a_branch_cut():
         flow(_state([0.5, 0.5, 0.5, 3.0], np.zeros(4)), -0.2)
     assert excinfo.value.index == 3
     assert excinfo.value.value.real < 0.0
+
+
+def test_stacked_strang_reports_the_grid_index_within_the_row():
+    # The state of the test above as row 1 of a stack; row 0 stays off the cut.
+    params = CGLParams(c1=0.0, c3=-2.0, eps=0.0)
+    flow = cgl_strang_flow(params, SpectralGrid(-100.0, 200.0, 4))
+    stack = np.array([_state(np.full(4, 0.5), np.zeros(4)),
+                      _state([0.5, 0.5, 0.5, 3.0], np.zeros(4))])
+    flow(stack[0], -0.2)
+    with pytest.raises(SingularityError) as excinfo:
+        flow(stack, (-0.2, -0.2))
+    assert excinfo.value.index == 3
+    assert excinfo.value.value.real < 0.0
+
+
+@pytest.mark.parametrize("n_points", [32, 512])
+def test_stacked_strang_rows_equal_single_calls_bit_for_bit(params, n_points):
+    grid = SpectralGrid(-100.0, 200.0, n_points)
+    flow = cgl_strang_flow(params, grid)
+    assert flow.meta.batched and flow.meta.self_conjugate
+    rng = np.random.default_rng(49)
+    states = [_state(pulse_pair_profile(grid) + 0.1 * rng.normal(size=n_points),
+                     0.2 * rng.normal(size=n_points) + 0.05j * rng.normal(size=n_points))
+              for _ in range(3)]
+    steps = (0.05, complex(0.04, 0.02), complex(0.03, -0.015))
+    stack = np.array(states)
+    before = stack.copy()
+    out = flow(stack, steps)
+    assert out.shape == stack.shape
+    for row, state, tau in zip(out, states, steps):
+        assert row.tobytes() == flow(state, tau).tobytes()
+    np.testing.assert_array_equal(stack, before)
+
+
+def test_a_discarded_strang_flow_frees_its_stacked_multipliers(params, grid):
+    # Reference counting alone must free the cache: a cycle would keep the
+    # arrays of every discarded flow until a full collection.
+    flow = cgl_strang_flow(params, grid)
+    state = _state(pulse_pair_profile(grid), np.zeros(64))
+    flow(np.array([state, state]), (0.05, complex(0.04, 0.02)))
+    closure = dict(zip(flow.func.__code__.co_freevars,
+                       (cell.cell_contents for cell in flow.func.__closure__)))
+    cache = weakref.ref(closure["multipliers"])
+    del flow, closure
+    gc.disable()
+    try:
+        assert cache() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=50, deadline=None)

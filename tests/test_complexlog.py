@@ -44,6 +44,13 @@ def test_log_array_reports_offending_index():
     assert excinfo.value.value == -1.0
 
 
+def test_log_stack_reports_the_index_within_its_row():
+    values = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, -1.0, 4.0]], dtype=complex)
+    with pytest.raises(SingularityError) as excinfo:
+        principal_log(values)
+    assert (excinfo.value.index, excinfo.value.value) == (2, -1.0)
+
+
 def test_log_array_off_axis_negative_real_parts_do_not_raise():
     values = np.array([-1.0 + 1e-300j, -2.0 - 0.5j, 3.0, -0.0 + 1j], dtype=complex)
     expected = np.log(np.abs(values)) + 1j * np.arctan2(values.imag, values.real)

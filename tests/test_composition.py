@@ -16,7 +16,7 @@ from pscomp.composition import (
 )
 from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
-from pscomp.flowmap import EXACT_META, FlowMap, MethodMeta
+from pscomp.flowmap import EXACT_META, STRANG_META, FlowMap, MethodMeta
 from pscomp.problems import (
     CGLParams, cgl_strang_flow, ho_drift_flow, ho_exact, ho_kick_flow,
     S4SIM_MAX_ARG, ho_strang_flow, kepler_initial_conditions, kepler_strang_flow,
@@ -174,6 +174,29 @@ def test_levels_equal_the_old_mirror_formula(problem, base_method, levels, rtol,
             assert got.tobytes() == want.tobytes(), n
         else:
             assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), n
+
+
+@pytest.mark.parametrize("grid_points", [32, 512])
+@settings(max_examples=25, deadline=None)
+@given(step=st.one_of(st.floats(0.005, 0.1),
+                      st.builds(cmath.rect, st.floats(0.005, 0.1), st.floats(-0.4, 0.4))),
+       perturbed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_cgl_levels_equal_the_unbatched_family_bit_for_bit(grid_points, step,
+                                                                   perturbed, seed):
+    # The same kernel under a meta without ``batched`` runs every pair and
+    # twin one after the other; a real step on a real state takes the
+    # pair's real part at level 1 and stacks the level-1 calls of levels 2-3.
+    base, _, x0 = _problem_setup(ExperimentConfig(problem="cgl", base_method="strang",
+                                                  grid_points=grid_points))
+    assert base.meta.batched
+    x = np.asarray(x0, complex)
+    if perturbed:
+        rng = np.random.default_rng(seed)
+        x = x + 0.05 * (rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape))
+    stacked = recursive_family(base, 3).levels
+    unbatched = recursive_family(FlowMap(base.func, STRANG_META), 3).levels
+    for n, (level, oracle) in enumerate(zip(stacked, unbatched), 1):
+        assert level(x, step).tobytes() == oracle(x, step).tobytes(), n
 
 
 @pytest.mark.parametrize("base_method", ["strang", "s4sim"])
