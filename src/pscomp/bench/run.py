@@ -35,7 +35,7 @@ from ..problems import (
     kepler_drift_flow, kepler_energy, kepler_initial_conditions,
     kepler_kick_flow, kepler_strang_flow, pulse_pair_profile, s4sim,
 )
-from ..spectral import SpectralGrid, write_snapshot
+from ..spectral import SpectralGrid, _is_power_of_two, write_snapshot
 from .emit import ResultTable, emit
 
 SCHEMA = [
@@ -156,7 +156,7 @@ class ExperimentConfig:
                         f"t_final={self.t_final} takes over {MAX_STEPS} steps of tau={tau}")
         if self.grid_points is not None:
             n = self.grid_points
-            if not _is_int(n) or not 2 <= n <= 65536 or (n & (n - 1)) != 0:
+            if not _is_int(n) or n > 65536 or not _is_power_of_two(n):
                 raise ValidationError(
                     f"grid_points must be a power of two in 2..65536, got {n!r}"
                 )

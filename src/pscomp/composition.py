@@ -52,54 +52,42 @@ def compose_schedule(base, coefficients, meta):
     return FlowMap(apply, meta)
 
 
-def _conjugated(method):
-    """``conj o method o conj``: ``method`` with conjugated coefficients."""
+def _projected_level(prev, gamma):
+    """Level built on ``prev``: its conjugate pair at ``(gamma, conj(gamma))``
+    averaged with the twin, the same composition with conjugated
+    coefficients.
 
-    def apply(x, tau):
-        return np.conj(method(np.conj(x), tau.conjugate()))
-
-    return apply
-
-
-def _real_projection(pair, twin):
-    """Evaluator averaging ``pair`` with ``twin``, its coefficient-conjugated
-    mirror.
-
-    For a real vector field the twin at step sigma equals
-    ``conj(pair(conj(x), conj(sigma)))``.  When the step and the state are
-    both exactly real the average is the real part of a single evaluation;
-    any other input evaluates both branches, so the projection is
-    holomorphic in the state at every step.
+    The twin is read off ``prev.meta``: a self-conjugate ``prev`` (a real
+    splitting or a level) is its own twin, so the twin is ``prev`` composed
+    at ``(conj(gamma), gamma)``; any other ``prev`` runs inside ``conj``.
+    Either way the twin at step s equals ``conj(pair(conj(x), conj(s)))``.
+    When the step and the state are both exactly real the average is the
+    real part of a single ``pair`` evaluation; any other input evaluates
+    both branches, so the level is holomorphic in the state at every step.
+    On a batched self-conjugate ``prev`` the two branches run as rows 0
+    and 1 of one stack, each row with the bits of its own branch.
     """
-
-    def project(x, tau):
-        y = pair(x, tau)
-        if tau.imag == 0.0 and not np.count_nonzero(x.imag):
-            return y.real.astype(complex)
-        return 0.5 * (y + twin(x, tau))
-
-    return project
-
-
-def _stacked_projection(pair, base, gamma):
-    """Evaluator of the projection on a batched base that is its own twin.
-
-    At a real step and state it is the real part of one ``pair``
-    evaluation, as in :func:`_real_projection`.  Any other input runs the
-    pair and the twin as rows 0 and 1 of one stack: ``base`` at the steps
-    ``(conj(gamma) s, gamma s)``, then ``(gamma s, conj(gamma) s)``, each
-    row with the bits of its own branch.
-    """
+    meta = _level_meta(prev.meta)
     gamma_bar = gamma.conjugate()
+    pair = compose_schedule(prev, (gamma, gamma_bar), meta)
+    stacked = prev.meta.batched and prev.meta.self_conjugate
+    if prev.meta.self_conjugate:
+        twin = compose_schedule(prev, (gamma_bar, gamma), meta)
+    else:
+        def twin(x, tau):
+            return np.conj(pair(np.conj(x), tau.conjugate()))
 
     def project(x, tau):
         if tau.imag == 0.0 and not np.count_nonzero(x.imag):
             return pair(x, tau).real.astype(complex)
-        first, second = gamma_bar * tau, gamma * tau
-        y = base(base(np.array((x, x)), (first, second)), (second, first))
-        return 0.5 * (y[0] + y[1])
+        if stacked:
+            first, second = gamma_bar * tau, gamma * tau
+            y, y_twin = prev(prev(np.array((x, x)), (first, second)), (second, first))
+        else:
+            y, y_twin = pair(x, tau), twin(x, tau)
+        return 0.5 * (y + y_twin)
 
-    return project
+    return FlowMap(project, meta)
 
 
 def _level_meta(meta):
@@ -110,7 +98,7 @@ def _level_meta(meta):
     q: the new order is min(k + 2, q) and the new pseudo-symmetry and
     pseudo-symplecticity orders are capped at 2k + 3.  Once the order is
     capped (odd, equal to q) further levels keep it.  A projected level is
-    self-conjugate: its twin is itself.
+    self-conjugate, so the next level takes it as its own twin.
     """
     k, q = meta.order, meta.pseudo_symmetry_order
     return MethodMeta(
@@ -146,15 +134,12 @@ def recursive_family(base, levels):
     running method caps them (e.g. 4, 6, 7 from a symmetric order-2 base);
     capped levels are flagged, not rejected.
 
-    Level n is ``0.5 * (pair(x, s) + twin(x, s))`` with ``pair`` the
-    composition of level n-1 at ``(gamma, conj(gamma))`` and ``twin`` that
-    of its conjugate at ``(conj(gamma), gamma)``.  The conjugate of a
-    level, and of a base whose meta declares it self-conjugate, is the
-    method itself; any other base runs as ``conj o base o conj``.  Either
-    way the twin equals ``conj(pair(conj(x), conj(s)))``.  On a
-    self-conjugate base whose meta declares ``batched`` the first level
-    evaluates the pair and the twin as one stack (``_stacked_projection``);
-    levels never declare it, so deeper levels run them one after the other.
+    Level n is :func:`_projected_level` on level n-1 (the base for n = 1):
+    ``0.5 * (pair(x, s) + twin(x, s))`` with ``pair`` the composition of
+    level n-1 at ``(gamma, conj(gamma))`` and ``twin`` its
+    coefficient-conjugated mirror.  Levels declare themselves
+    self-conjugate and never ``batched``, so a stacked pair and twin can
+    only run in the first level, on a batched self-conjugate base.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
@@ -171,25 +156,17 @@ def recursive_family(base, levels):
     products = []
     capped_flags = []
     prev = base
-    prev_conj = base if base.meta.self_conjugate else _conjugated(base)
     prev_products = [1.0 + 0.0j]
     for _ in range(levels):
         gamma = gamma_smallest_phase(prev.meta.order)
-        meta = _level_meta(prev.meta)
-        pair = compose_schedule(prev, (gamma, gamma.conjugate()), meta)
-        if prev.meta.batched and prev is prev_conj:
-            project = _stacked_projection(pair, prev, gamma)
-        else:
-            twin = compose_schedule(prev_conj, (gamma.conjugate(), gamma), meta)
-            project = _real_projection(pair, twin)
-        level = FlowMap(project, meta)
+        level = _projected_level(prev, gamma)
         prev_products = [gamma * p for p in prev_products] + [
             gamma.conjugate() * p for p in prev_products
         ]
         family_levels.append(level)
         products.append(list(prev_products))
-        capped_flags.append(meta.order < prev.meta.order + 2)
-        prev = prev_conj = level
+        capped_flags.append(level.meta.order < prev.meta.order + 2)
+        prev = level
 
     return RecursiveFamily(levels=family_levels, coefficient_products=products,
                            capped=capped_flags)

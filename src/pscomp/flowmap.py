@@ -33,7 +33,9 @@ class MethodMeta:
         ``conj(S(conj x, conj tau)) == S(x, tau)``: a real-coefficient
         splitting of a real vector field, or a projected level.  False
         (the default) for a base with complex coefficients such as
-        ``s4sim``.
+        ``s4sim``.  The next level reads it, on the base and on every
+        level alike: a self-conjugate method is composed as its own twin,
+        and any other runs inside ``conj``.
     batched
         True when the evaluator also takes a stack: a ``(B, ...)`` state
         with a tuple of B steps, one per state, returning the B results

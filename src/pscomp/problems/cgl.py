@@ -60,13 +60,8 @@ def _to_diagonal(vw):
     """Diagonal rows (vt, wt) of a (2, N) state, or (2, B, N) of a (B, 2, N) stack."""
     v, w = vw[..., 0, :], vw[..., 1, :]
     diag = np.empty((2, *v.shape), complex)
-    dv, dw = diag
-    np.multiply(-1j, v, out=dv)  # 0.5 * (-1j * v + w)
-    np.add(dv, w, out=dv)
-    np.multiply(0.5, dv, out=dv)
-    np.multiply(1j, w, out=dw)  # 0.5 * (v - 1j * w)
-    np.subtract(v, dw, out=dw)
-    np.multiply(0.5, dw, out=dw)
+    diag[0] = 0.5 * (-1j * v + w)
+    diag[1] = 0.5 * (v - 1j * w)
     return diag
 
 
@@ -74,11 +69,8 @@ def _from_diagonal(diag):
     """Inverse of :func:`_to_diagonal`."""
     dv, dw = diag
     vw = np.empty((*dv.shape[:-1], 2, dv.shape[-1]), complex)
-    v, w = vw[..., 0, :], vw[..., 1, :]
-    np.multiply(1j, dv, out=v)  # 1j * dv + dw
-    np.add(v, dw, out=v)
-    np.multiply(1j, dw, out=w)  # dv + 1j * dw
-    np.add(dv, w, out=w)
+    vw[..., 0, :] = 1j * dv + dw
+    vw[..., 1, :] = dv + 1j * dw
     return vw
 
 

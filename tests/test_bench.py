@@ -591,6 +591,20 @@ def test_singular_cell_records_its_step(tmp_path, monkeypatch):
     assert table.metadata["all_rows_failed"]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_value_without_an_error_fails_its_cell(bad):
+    # A compute that returns a nan or inf raises nothing itself; the cell
+    # still fails, with no step to name.
+    table = ResultTable(schema=["status"], metadata={"failures": []})
+    values, status = bench_run._measure(
+        table, "level1", 0.1, lambda: (1.0, np.array([0.5, bad])))
+    assert values is None
+    assert status == "non_finite: result has nan or inf"
+    assert table.metadata["failures"] == [
+        {"method": "level1", "tau": 0.1, "error": "result has nan or inf", "step": None}]
+    assert table.metadata["all_rows_failed"]
+
+
 #: (preset, config document, status of each method's fit rows).
 FIT_STATUS_CONFIGS = [
     # A secular-order fit needs three step sizes.

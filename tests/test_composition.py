@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from pscomp.bench.run import ExperimentConfig, _problem_setup
 from pscomp.coefficients import gamma_smallest_phase
-from pscomp.composition import (
-    _real_projection, coefficient_arguments, compose_schedule, recursive_family,
-)
+from pscomp.composition import coefficient_arguments, compose_schedule, recursive_family
 from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
 from pscomp.flowmap import EXACT_META, STRANG_META, FlowMap, MethodMeta
@@ -80,13 +78,15 @@ def test_real_projection_identity_is_exact():
 
 
 def test_real_projection_idempotent_on_real_states():
+    # Projecting a level once more (the mirror average of the level and its
+    # conjugate) leaves it unchanged.
     once = recursive_family(ho_strang_flow(), 1).levels[0]
-    twice = FlowMap(_real_projection(once, once), once.meta)
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.normal(size=2)
         tau = rng.uniform(0.01, 0.5)
-        np.testing.assert_array_equal(once(x, tau), twice(x, tau))
+        twice = 0.5 * (once(x, tau) + np.conj(once(np.conj(x), tau)))
+        np.testing.assert_array_equal(once(x, tau), twice)
 
 
 def _kepler_pair():
@@ -94,10 +94,8 @@ def _kepler_pair():
     return compose_schedule(kepler_strang_flow(), [g, g.conjugate()], PAIR_META)
 
 
-def _kepler_twin():
-    # The Strang base is self-conjugate, so the twin swaps the coefficients.
-    g = gamma_smallest_phase(2)
-    return compose_schedule(kepler_strang_flow(), [g.conjugate(), g], PAIR_META)
+def _kepler_level1():
+    return recursive_family(kepler_strang_flow(), 1).levels[0]
 
 
 @pytest.mark.parametrize("imag", [1e-6, 2e-14, 5e-15])
@@ -108,15 +106,14 @@ def test_real_projection_averages_mirror_for_complex_state_at_real_step(imag):
     x = kepler_initial_conditions(0.0).as_vector() + 1j * imag * np.array([0, 1, 1, 0])
     tau = complex(0.05)
     expected = 0.5 * (pair(x, tau) + np.conj(pair(np.conj(x), tau)))
-    np.testing.assert_array_equal(_real_projection(pair, _kepler_twin())(x, tau), expected)
+    np.testing.assert_array_equal(_kepler_level1()(x, tau), expected)
 
 
 def test_real_projection_takes_real_part_for_real_state_at_real_step():
     pair = _kepler_pair()
     x = kepler_initial_conditions(0.6).as_vector()
     tau = complex(0.05)
-    np.testing.assert_array_equal(_real_projection(pair, _kepler_twin())(x, tau),
-                                  pair(x, tau).real)
+    np.testing.assert_array_equal(_kepler_level1()(x, tau), pair(x, tau).real)
 
 
 def test_real_projection_output_has_zero_imaginary_part():
@@ -199,26 +196,38 @@ def test_stacked_cgl_levels_equal_the_unbatched_family_bit_for_bit(grid_points, 
         assert level(x, step).tobytes() == oracle(x, step).tobytes(), n
 
 
-@pytest.mark.parametrize("base_method", ["strang", "s4sim"])
+@pytest.mark.parametrize("base_method, level", [
+    pytest.param(base_method, level, id=base_method + (f"-level{level}" if level else ""))
+    for base_method in ("strang", "s4sim") for level in (0, 1, 2)])
 @pytest.mark.parametrize("problem, rtol", [
     ("kepler", 0.0), ("harmonic", 0.0), ("cgl", 1e-15), ("fisher", 1e-15)])
-def test_declared_self_conjugate_bases_equal_their_twin(problem, rtol, base_method):
-    # A base declared self-conjugate runs as its own twin in the family, so
-    # the declaration must hold: conj(S(conj x, conj tau)) == S(x, tau).  A
-    # base with complex coefficients (s4sim) must fail the same check, so
-    # declaring it self-conjugate would fail here, not change its family.
+def test_declared_self_conjugate_bases_equal_their_twin(problem, rtol, base_method, level):
+    # A method declared self-conjugate runs as its own twin in the next
+    # level, so the declaration must hold: conj(S(conj x, conj tau)) ==
+    # S(x, tau).  A base with complex coefficients (s4sim) must fail the
+    # same check, so declaring it self-conjugate would fail here, not change
+    # its family.  Every level declares it, on either base.  A level runs
+    # its base at steps turned by up to 0.8 rad more than its own, and past
+    # pi/2 the PDEs' diffusion runs backward and amplifies roundoff, so a
+    # level's steps keep |arg| <= 0.4; its roundoff grows with the 2^level
+    # base calls in sequence along one branch.
     base, _, x0 = _setup(problem, base_method)
+    method = recursive_family(base, level).levels[-1] if level else base
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = x0 + 0.05 * (rng.normal(size=x0.shape) + 1j * rng.normal(size=x0.shape))
-        tau = complex(rng.uniform(0.01, 0.1), rng.uniform(-0.05, 0.05))
-        got, twin = base(x, tau), np.conj(base(np.conj(x), tau.conjugate()))
+        if level:
+            tau = cmath.rect(rng.uniform(0.01, 0.1), rng.uniform(-0.4, 0.4))
+        else:
+            tau = complex(rng.uniform(0.01, 0.1), rng.uniform(-0.05, 0.05))
+        got, twin = method(x, tau), np.conj(method(np.conj(x), tau.conjugate()))
         if rtol == 0.0:
             holds = got.tobytes() == twin.tobytes()
         else:
-            holds = bool(np.max(np.abs(got - twin)) <= rtol * np.max(np.abs(got)))
-        assert holds is base.meta.self_conjugate
-    assert base.meta.self_conjugate is (base_method == "strang")
+            bound = rtol * 2**level * np.max(np.abs(got))
+            holds = bool(np.max(np.abs(got - twin)) <= bound)
+        assert holds is method.meta.self_conjugate
+    assert method.meta.self_conjugate is (base_method == "strang" or level > 0)
 
 
 def test_recursive_family_strang_orders():
