@@ -10,7 +10,8 @@ and the run's ``problem``, ``preset`` and ``base`` as cells every row shares.
 The preset's runner adds the rows; ``<name>.csv``, a JSON metadata sidecar
 and, for the PDE problems, a final-field snapshot per method are written.  A
 (method, tau) cell that hits a singularity or yields a non-finite value is
-marked failed (see :func:`_measure`) instead of aborting the preset.
+marked failed (see :func:`_measure`) instead of aborting the preset.  The
+order presets' successive error is computed in :func:`_run_order` only.
 """
 
 import json
@@ -25,7 +26,7 @@ from .. import __version__
 from ..composition import coefficient_arguments, recursive_family
 from ..diagnostics import (
     energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
-    propagate, slope_with_floor, step_count, successive_error, taylor_coefficients,
+    propagate, slope_with_floor, step_count, taylor_coefficients,
 )
 from ..errors import NonFiniteError, SingularityError, ValidationError
 from ..problems import (
@@ -92,10 +93,11 @@ class Problem:
     """A problem's ``problem_params`` defaults, a ``check`` of the merged
     params (or None), its ``setup(params, grid_points) -> (grid, x0, strang,
     a, b)``, the order-fit ``floor``, the conserved ``energy`` an order run
-    fits (else the successive error) and the ``field`` of a state that a
-    snapshot writes.  ``setup`` gives the grid (None for an ODE), x0 and
-    argument-free builders of the Strang kernel and the exact stage flows; it
-    reads each by its module-level name, so a name patched here builds the flow."""
+    fits (else the successive error, computed in :func:`_run_order`) and the
+    ``field`` of a state that a snapshot writes.  ``setup`` gives the grid
+    (None for an ODE), x0 and argument-free builders of the Strang kernel and
+    the exact stage flows; it reads each by its module-level name, so a name
+    patched here builds the flow."""
     params: dict
     check: object
     setup: object
@@ -279,40 +281,44 @@ def _measure(table, method_name, tau, compute):
 
 
 def _run_order(config, table, out_base):
+    """Per method, one error cell per tau and the order fit.  ``final(tau)``
+    runs each distinct step once, keeping a final state by its exact step (a
+    run that raises is not kept); a successive-error cell is the sup-norm
+    distance between the final states at tau and tau/2, the tau run first."""
     base, grid, x0 = _problem_setup(config)
     problem = PROBLEMS[config.problem]
     quantity = "successive_error"
     if problem.energy is not None:
         quantity, h0 = "energy_error", problem.energy(x0)
 
-    def measure(method, tau, coarse):
-        if quantity == "successive_error":
-            return successive_error(method, x0, tau, config.t_final, coarse)
-        final = propagate(method, x0, tau, step_count(config.t_final, tau))
-        return abs(problem.energy(final) - h0) / abs(h0), final
-
     snapshots = []
     for method_name, level, method in _methods(config, base):
-        taus, errors, last_field, fine_tau = [], [], None, None
-        # An ok cell's tau/2 run is the tau run of a next cell at exactly tau/2.
+        finals = {}
+
+        def final(tau):
+            if tau not in finals:
+                finals[tau] = propagate(method, x0, tau, step_count(config.t_final, tau))
+            return finals[tau]
+
+        def measure(tau):
+            if quantity == "successive_error":
+                return (float(np.max(np.abs(final(tau) - final(tau / 2.0)))),)
+            return (abs(problem.energy(final(tau)) - h0) / abs(h0),)
+
+        taus, errors = [], []
         for tau in config.tau_list:
-            coarse = last_field if tau == fine_tau else None
-            result, status = _measure(table, method_name, tau,
-                                      lambda: measure(method, tau, coarse))
-            value, fine_tau = math.nan, None
+            result, status = _measure(table, method_name, tau, lambda: measure(tau))
             if result is not None:
-                value, last_field = result
-                fine_tau = tau / 2.0
                 taus.append(tau)
-                errors.append(value)
-            table.add_row(method=method_name, level=level, quantity=quantity,
-                          tau=tau, value=value, status=status)
+                errors.append(result[0])
+            table.add_row(method=method_name, level=level, quantity=quantity, tau=tau,
+                          value=math.nan if result is None else result[0], status=status)
         slope = slope_with_floor(taus, errors, floor=problem.floor)
         table.add_row(method=method_name, level=level, quantity="order_fit",
                       **_fit_cells(slope, len(taus), needed=2))
-        if problem.field is not None and last_field is not None:
+        if problem.field is not None and taus:
             path = f"{out_base}_{method_name}_field.txt"
-            write_snapshot(grid, problem.field(last_field), path)
+            write_snapshot(grid, problem.field(finals[taus[-1] / 2.0]), path)
             snapshots.append(path)
     return snapshots
 
@@ -510,7 +516,7 @@ def parse_config(text, preset=None):
     """
     try:
         document = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValidationError("config must be a JSON object")

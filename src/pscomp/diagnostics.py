@@ -1,6 +1,6 @@
 """Measurement harness: trajectory integration, energy-error series,
-successive-error convergence estimates, one-step symplecticity defects,
-and Taylor coefficients of a one-step series on a circle of complex steps.
+one-step symplecticity defects, and Taylor coefficients of a one-step
+series on a circle of complex steps.
 
 Each measurement is one (method, tau) cell; the caller fits the series.
 :func:`power_law_fit` is the free log-log least-squares slope; when that
@@ -83,20 +83,6 @@ def step_count(t_final, tau):
         raise ValidationError(
             f"t_final={t_final} is not a positive integer multiple of tau={tau}")
     return n
-
-
-def successive_error(method, x0, tau, t_final, coarse=None):
-    """Sup-norm distance at ``t_final`` between the tau and tau/2 runs.
-
-    The standard self-referencing convergence indicator: no exact solution
-    is needed, and the distance scales like tau^p for an order-p method.
-    Returns ``(distance, fine)`` with ``fine`` the final state of the
-    tau/2 run; a caller that has the tau run's final state passes it as
-    ``coarse`` (on a halving step list, the previous ``fine``)."""
-    n = step_count(t_final, tau)
-    coarse = propagate(method, x0, tau, n) if coarse is None else coarse
-    fine = propagate(method, x0, tau / 2.0, 2 * n)
-    return float(np.max(np.abs(coarse - fine))), fine
 
 
 def _loglog_lsq(taus, errors):

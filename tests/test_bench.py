@@ -22,7 +22,7 @@ from pscomp.bench import (
 from pscomp.bench.cli import main
 from pscomp.bench.run import BASES, MAX_STEPS, PRESET_TABLE, PROBLEMS
 from pscomp.composition import recursive_family
-from pscomp.diagnostics import successive_error
+from pscomp.diagnostics import propagate, step_count
 from pscomp.errors import SingularityError, ValidationError
 from pscomp.flowmap import STRANG_META, FlowMap
 from pscomp.problems import (
@@ -92,6 +92,12 @@ def test_config_levels_range():
         ExperimentConfig(problem="kepler", levels=5)
     with pytest.raises(ValidationError):
         ExperimentConfig(problem="nosuch")
+
+
+def test_config_rejects_problem_params_that_are_not_an_object():
+    # apply_overrides checks first; only a direct construction reaches this.
+    with pytest.raises(ValidationError, match=r"problem_params must be an object, got \[\]"):
+        ExperimentConfig(problem="kepler", problem_params=[])
 
 
 def test_config_step_bound():
@@ -417,6 +423,9 @@ NOT_AN_OBJECT = [
     ("[1]", "JSON object"),
     ('"x"', "JSON object"),
     ("3", "JSON object"),
+    # Nested deeper than the parser's recursion limit.
+    pytest.param('{"preset": "kepler-order", "tau_list": ' + "[" * 10**5 + "]" * 10**5 + "}",
+                 "not valid JSON", id="tau_list-nested-100000-deep"),
 ]
 
 
@@ -647,7 +656,7 @@ def test_order_run_writes_each_method_final_field(tmp_path, preset):
         str(tmp_path / f"{preset}_{name}_field.txt") for name in methods)
     for name, method in methods.items():
         # The snapshot is the tau/2 run of the last cell: for CGL, v + i w.
-        _, fine = successive_error(method, x0, taus[-1], t_final)
+        _, fine = _successive_error(method, x0, taus[-1], t_final)
         expected = fine[0] + 1j * fine[1] if preset == "cgl-order" else fine
         written = np.loadtxt(tmp_path / f"{preset}_{name}_field.txt")
         np.testing.assert_array_equal(written[:, 0], grid.nodes)
@@ -673,13 +682,23 @@ def test_ho_table1_builds_each_matrix_once(tmp_path, monkeypatch):
     assert all(tau.imag != 0.0 for tau in calls)
 
 
+def _successive_error(method, x0, tau, t_final):
+    """``(distance, final state of the tau/2 run)`` from fresh tau and tau/2
+    runs, computed apart from the order runner."""
+    n = step_count(t_final, tau)
+    coarse = propagate(method, x0, tau, n)
+    fine = propagate(method, x0, tau / 2.0, 2 * n)
+    return float(np.max(np.abs(coarse - fine))), fine
+
+
 def _successive_errors(table):
     idx = {c: i for i, c in enumerate(table.schema)}
     return {(r[idx["method"]], r[idx["tau"]]): r[idx["value"]] for r in table.rows
             if r[idx["quantity"]] == "successive_error"}
 
 
-def test_order_run_reuses_each_tau_half_run(tmp_path, monkeypatch):
+def _fisher_order_base_calls(tmp_path, monkeypatch, taus, t_final):
+    """Base evaluations of a level-1 ``fisher-order`` run at 16 points."""
     calls = []
     strang = fisher_strang_flow(SpectralGrid(0.0, 1.0, 16))
 
@@ -690,17 +709,29 @@ def test_order_run_reuses_each_tau_half_run(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_run, "fisher_strang_flow",
                         lambda grid: FlowMap(counted, STRANG_META))
     run_preset("fisher-order", out_dir=str(tmp_path), overrides={
-        "tau_list": [0.1, 0.05, 0.025], "t_final": 0.2, "grid_points": 16,
-        "levels": 1})
+        "tau_list": taus, "t_final": t_final, "grid_points": 16, "levels": 1})
+    return len(calls)
+
+
+def test_order_run_reuses_each_tau_half_run(tmp_path, monkeypatch):
     # n = 2, 4, 8 steps: each tau/2 run is the next cell's tau run, so a
     # method takes n0 + 2 * sum(n) = 30 steps, not 3 * sum(n) = 42.  A
     # Strang step is one base evaluation and a level-1 step two.
-    assert len(calls) == (1 + 2) * 30
+    assert _fisher_order_base_calls(
+        tmp_path, monkeypatch, [0.1, 0.05, 0.025], 0.2) == (1 + 2) * 30
+
+
+def test_order_run_runs_each_distinct_step_once(tmp_path, monkeypatch):
+    # The cells need steps 0.1, 0.05, 0.06, 0.03, 0.05, 0.025, 0.03, 0.015;
+    # the six distinct ones take 3 + 6 + 5 + 10 + 12 + 20 = 56 steps per
+    # method, not the 72 of a tau and a tau/2 run per cell.
+    assert _fisher_order_base_calls(
+        tmp_path, monkeypatch, [0.1, 0.06, 0.05, 0.03], 0.3) == (1 + 2) * 56
 
 
 def test_order_run_off_a_halving_list_matches_independent_cells(tmp_path):
-    # 0.06 is not 0.1 / 2, so that cell computes its own tau run; 0.03 is
-    # 0.06 / 2 and reuses one.  Both must equal a fresh computation.
+    # 0.06 is not 0.1 / 2, so that cell runs its own tau; the 0.03 cell reads
+    # the 0.06 cell's tau/2 run.  Both must equal a fresh computation.
     taus, t_final = [0.1, 0.06, 0.03], 0.3
     table, _ = run_preset("fisher-order", out_dir=str(tmp_path), overrides={
         "tau_list": taus, "t_final": t_final, "grid_points": 16, "levels": 1})
@@ -708,7 +739,7 @@ def test_order_run_off_a_halving_list_matches_independent_cells(tmp_path):
     x0 = np.asarray(np.sin(2.0 * np.pi * grid.nodes), dtype=complex)
     base = fisher_strang_flow(grid)
     methods = {"strang": base, "level1": recursive_family(base, 1).levels[0]}
-    expected = {(name, tau): successive_error(method, x0, tau, t_final)[0]
+    expected = {(name, tau): _successive_error(method, x0, tau, t_final)[0]
                 for name, method in methods.items() for tau in taus}
     assert _successive_errors(table) == expected
 

@@ -44,6 +44,11 @@ def test_smallest_phase_rejects_bad_k():
         gamma_smallest_phase(0)
 
 
+def test_triple_jump_rejects_bad_k():
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        gamma_triple_jump(0)
+
+
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_triple_jump_residual(k):
     g1, g2 = gamma_triple_jump(k)

@@ -9,7 +9,7 @@ import pytest
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
     ROUNDOFF_FLOOR, energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
-    propagate, slope_with_floor, step_count, successive_error, symplecticity_defect,
+    propagate, slope_with_floor, step_count, symplecticity_defect,
     taylor_coefficients,
 )
 from pscomp.errors import DomainError, NonFiniteError, SingularityError, ValidationError
@@ -211,30 +211,11 @@ def test_integrate_rejects_zero_steps():
             run(ho_strang_flow(), np.array([1.0, 0.0]), 0.1, -3)
 
 
-def test_successive_error_exact_flow_vanishes():
-    value, fine = successive_error(ho_exact_flow(), np.array([1.0, 0.5]), 0.1, 1.0)
-    assert value < 1e-13
-    np.testing.assert_allclose(fine, ho_exact(1.0) @ [1.0, 0.5], atol=1e-13)
-
-
-def test_successive_error_order_two_halving():
-    method = ho_strang_flow()
-    x0 = np.array([1.0, 0.3])
-    e1, _ = successive_error(method, x0, 0.05, 1.0)
-    e2, _ = successive_error(method, x0, 0.025, 1.0)
-    assert e1 / e2 == pytest.approx(4.0, rel=0.15)
-
-
-def test_successive_error_rejects_non_multiple():
-    with pytest.raises(ValidationError):
-        successive_error(ho_exact_flow(), np.array([1.0, 0.0]), 0.3, 1.0)
-
-
 def test_step_count_allows_rounding_only():
     assert step_count(1.0, 0.1) == 10
     assert step_count(0.9, 0.3) == 3
     with pytest.raises(ValidationError, match="integer multiple"):
-        successive_error(ho_exact_flow(), np.array([1.0, 0.0]), 0.1, 1.0 + 5e-10)
+        step_count(1.0 + 5e-10, 0.1)
 
 
 def _matrix_series(matrix):

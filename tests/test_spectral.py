@@ -20,6 +20,12 @@ def test_grid_rejects_non_power_of_two():
         SpectralGrid(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0])
+def test_grid_rejects_non_positive_length(length):
+    with pytest.raises(ValidationError, match="domain length must be positive"):
+        SpectralGrid(0.0, length, 64)
+
+
 def test_grid_nodes_uniform(unit_grid):
     nodes = unit_grid.nodes
     assert nodes[0] == 0.0
