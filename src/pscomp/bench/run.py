@@ -17,6 +17,8 @@ order presets' successive error is computed in :func:`_run_order` only.
 import json
 import math
 import os
+import reprlib
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -79,13 +81,13 @@ def _cgl(params, grid_points):
 def _check_harmonic(params):
     q0, p0 = float(params["q0"]), float(params["p0"])
     if not 0.0 < 0.5 * (q0 * q0 + p0 * p0) < math.inf:
-        raise ValidationError(f"problem_params q0={q0!r}, p0={p0!r}: the energy "
+        raise ValidationError(f"problem_params q0={_shown(q0)}, p0={_shown(p0)}: the energy "
                               "0.5*(q0^2 + p0^2) must be positive and finite")
 
 
 def _check_kepler(params):
     if not 0.0 <= params["e"] < 1.0:
-        raise ValidationError(f"problem_params.e must lie in [0, 1), got {params['e']!r}")
+        raise ValidationError(f"problem_params.e must lie in [0, 1), got {_shown(params['e'])}")
 
 
 @dataclass(frozen=True)
@@ -141,16 +143,17 @@ class ExperimentConfig:
         _check_choice("problem", self.problem, PROBLEMS)
         _check_choice("base_method", self.base_method, BASES)
         if not _is_int(self.levels) or not 1 <= self.levels <= 4:
-            raise ValidationError(f"levels must be an integer in 1..4, got {self.levels!r}")
+            raise ValidationError(f"levels must be an integer in 1..4, got {_shown(self.levels)}")
         if not isinstance(self.tau_list, (list, tuple)):
-            raise ValidationError(f"tau_list must be a list of numbers, got {self.tau_list!r}")
+            raise ValidationError(
+                f"tau_list must be a list of numbers, got {_shown(self.tau_list)}")
         taus = tuple(_finite("tau_list entry", t) for t in self.tau_list)
         if any(t <= 0 for t in taus):
             raise ValidationError("tau_list entries must be positive")
         if any(a <= b for a, b in zip(taus, taus[1:])):
             raise ValidationError("tau_list must be strictly decreasing")
         if _finite("t_final", self.t_final) < 0:
-            raise ValidationError(f"t_final must not be negative, got {self.t_final!r}")
+            raise ValidationError(f"t_final must not be negative, got {_shown(self.t_final)}")
         if self.t_final > 0:
             for tau in taus:
                 if step_count(self.t_final, tau) > MAX_STEPS:
@@ -160,7 +163,7 @@ class ExperimentConfig:
             n = self.grid_points
             if not _is_int(n) or n > 65536 or not _is_power_of_two(n):
                 raise ValidationError(
-                    f"grid_points must be a power of two in 2..65536, got {n!r}"
+                    f"grid_points must be a power of two in 2..65536, got {_shown(n)}"
                 )
         _check_problem_params(self.problem, self.problem_params)
         object.__setattr__(self, "tau_list", taus)
@@ -168,10 +171,27 @@ class ExperimentConfig:
                            {**PROBLEMS[self.problem].params, **self.problem_params})
 
 
+class _MessageRepr(reprlib.Repr):
+    """``repr`` of a config value for a message: containers nested past ``maxlevel``
+    print as ``[...]`` (a deep one would exhaust the stack); nothing else is cut or reordered."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel = 10
+        self.maxtuple = self.maxlist = self.maxstring = self.maxlong = sys.maxsize
+
+    def repr_dict(self, x, level):
+        items = (f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in x.items())
+        return "{...}" if x and level <= 0 else "{" + ", ".join(items) + "}"
+
+
+_shown = _MessageRepr().repr
+
+
 def _check_choice(name, value, table):
     # A string test first: ``in`` on a dict hashes its operand.
     if not isinstance(value, str) or value not in table:
-        raise ValidationError(f"{name} must be one of {tuple(table)}, got {value!r}")
+        raise ValidationError(f"{name} must be one of {tuple(table)}, got {_shown(value)}")
 
 
 def _is_int(value):
@@ -186,12 +206,12 @@ def _finite(name, value):
                 return float(value)
         except OverflowError:
             pass
-    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    raise ValidationError(f"{name} must be a finite number, got {_shown(value)}")
 
 
 def _check_problem_params(problem, params):
     if not isinstance(params, dict):
-        raise ValidationError(f"problem_params must be an object, got {params!r}")
+        raise ValidationError(f"problem_params must be an object, got {_shown(params)}")
     row = PROBLEMS[problem]
     unknown = sorted(map(str, set(params) - set(row.params)))
     if unknown:
@@ -483,7 +503,7 @@ PRESETS = {name: preset.config for name, preset in PRESET_TABLE.items()}
 def preset_config(name):
     if not isinstance(name, str) or name not in PRESET_TABLE:
         raise ValidationError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESET_TABLE))}"
+            f"unknown preset {_shown(name)}; available: {', '.join(sorted(PRESET_TABLE))}"
         )
     return PRESET_TABLE[name].config
 
@@ -498,10 +518,10 @@ def check_runnable(name, config):
         value, own = getattr(config, key), getattr(preset, key)
         if key not in reads and value != own:
             raise ValidationError(f"preset {name} does not read {key}: it must be "
-                                  f"{own!r}, got {value!r}")
+                                  f"{_shown(own)}, got {_shown(value)}")
     if "t_final" in reads and config.t_final <= 0:
         raise ValidationError(f"t_final must be positive for preset {name}, "
-                              f"got {config.t_final!r}")
+                              f"got {_shown(config.t_final)}")
     if "tau_list" in reads and not config.tau_list:
         raise ValidationError(f"tau_list must not be empty for preset {name}")
     if "grid_points" in reads and config.grid_points is None:
@@ -516,14 +536,14 @@ def parse_config(text, preset=None):
     """
     try:
         document = json.loads(text) if text.strip() else {}
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int of 4301+ digits
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValidationError("config must be a JSON object")
     doc_preset = document.pop("preset", None)
     if doc_preset is not None and preset is not None and doc_preset != preset:
         raise ValidationError(
-            f"config names preset {doc_preset!r} but {preset!r} was requested"
+            f"config names preset {_shown(doc_preset)} but {_shown(preset)} was requested"
         )
     preset = preset or doc_preset
     if preset is None:

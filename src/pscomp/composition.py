@@ -4,14 +4,14 @@ the recursive family of projected conjugate-pair methods.
 The central construction: given a symmetric base method of even order 2n,
 compose it at the conjugate steps ``gamma*tau`` and ``conj(gamma)*tau``
 (one extra order) and average the result with its twin, the same
-composition with conjugated coefficients.  For a self-conjugate inner
-method the twin is the pair with its coefficients swapped, applied to the
-same state; only a base with complex coefficients needs ``conj`` around
-it.  For a real vector field, step and state the average is simply the
-real part of the output, so the projected method costs the same as the
-unprojected one; at complex steps (as inside deeper recursion levels) or
-states both branches are evaluated.  Iterating the construction raises the
-order by two per level until the pseudo-symmetry order caps it.
+composition with conjugated coefficients: for a self-conjugate inner
+method, that method at the pair's two steps in swapped order; only a base
+with complex coefficients needs ``conj`` around it.  For a real vector
+field, step and state the average is the real part of the output, so the
+projected method costs the same as the unprojected one; at complex steps
+(inside deeper levels) or states both branches are evaluated.  Iterating
+the construction raises the order by two per level until the
+pseudo-symmetry order caps it.
 """
 
 import cmath
@@ -55,36 +55,30 @@ def compose_schedule(base, coefficients, meta):
 def _projected_level(prev, gamma):
     """Level built on ``prev``: its conjugate pair at ``(gamma, conj(gamma))``
     averaged with the twin, the same composition with conjugated
-    coefficients.
-
-    The twin is read off ``prev.meta``: a self-conjugate ``prev`` (a real
-    splitting or a level) is its own twin, so the twin is ``prev`` composed
-    at ``(conj(gamma), gamma)``; any other ``prev`` runs inside ``conj``.
-    Either way the twin at step s equals ``conj(pair(conj(x), conj(s)))``.
-    When the step and the state are both exactly real the average is the
-    real part of a single ``pair`` evaluation; any other input evaluates
-    both branches, so the level is holomorphic in the state at every step.
-    On a batched self-conjugate ``prev`` the two branches run as rows 0
-    and 1 of one stack, each row with the bits of its own branch.
-    """
+    coefficients.  A real step on a real state returns the real part of one
+    ``pair`` call; any other input evaluates both branches, so the level is
+    holomorphic in the state at every step.  A self-conjugate ``prev`` (a
+    real splitting or a level) is its own twin: with ``s1, s2 = conj(gamma)
+    s, gamma s`` the level calls ``prev(prev(x, s1), s2)`` and, as the twin,
+    ``prev(prev(x, s2), s1)``, the bits of the pair and of its mirror
+    composed, as rows 0 and 1 of one stack on a batched ``prev``.  Any other
+    ``prev`` runs the twin as ``conj(pair(conj(x), conj(s)))``."""
     meta = _level_meta(prev.meta)
     gamma_bar = gamma.conjugate()
     pair = compose_schedule(prev, (gamma, gamma_bar), meta)
-    stacked = prev.meta.batched and prev.meta.self_conjugate
-    if prev.meta.self_conjugate:
-        twin = compose_schedule(prev, (gamma_bar, gamma), meta)
-    else:
-        def twin(x, tau):
-            return np.conj(pair(np.conj(x), tau.conjugate()))
+    self_conjugate = prev.meta.self_conjugate
+    stacked = self_conjugate and prev.meta.batched
 
     def project(x, tau):
         if tau.imag == 0.0 and not np.count_nonzero(x.imag):
             return pair(x, tau).real.astype(complex)
+        first, second = gamma_bar * tau, gamma * tau
         if stacked:
-            first, second = gamma_bar * tau, gamma * tau
             y, y_twin = prev(prev(np.array((x, x)), (first, second)), (second, first))
+        elif self_conjugate:
+            y, y_twin = prev(prev(x, first), second), prev(prev(x, second), first)
         else:
-            y, y_twin = pair(x, tau), twin(x, tau)
+            y, y_twin = pair(x, tau), np.conj(pair(np.conj(x), tau.conjugate()))
         return 0.5 * (y + y_twin)
 
     return FlowMap(project, meta)
@@ -138,8 +132,9 @@ def recursive_family(base, levels):
     ``0.5 * (pair(x, s) + twin(x, s))`` with ``pair`` the composition of
     level n-1 at ``(gamma, conj(gamma))`` and ``twin`` its
     coefficient-conjugated mirror.  Levels declare themselves
-    self-conjugate and never ``batched``, so a stacked pair and twin can
-    only run in the first level, on a batched self-conjugate base.
+    self-conjugate and never ``batched``: level n >= 2 calls level n-1 at
+    the pair's steps and at the swapped ones, and only level 1 can stack
+    its pair and twin, on a batched self-conjugate base.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
@@ -152,24 +147,17 @@ def recursive_family(base, levels):
             f"{order + 2}, got {base.meta.pseudo_symmetry_order}"
         )
 
-    family_levels = []
-    products = []
-    capped_flags = []
-    prev = base
-    prev_products = [1.0 + 0.0j]
+    family_levels, products, capped_flags = [], [], []
+    prev, prev_products = base, [1.0 + 0.0j]
     for _ in range(levels):
         gamma = gamma_smallest_phase(prev.meta.order)
         level = _projected_level(prev, gamma)
-        prev_products = [gamma * p for p in prev_products] + [
-            gamma.conjugate() * p for p in prev_products
-        ]
+        prev_products = [c * p for c in (gamma, gamma.conjugate()) for p in prev_products]
         family_levels.append(level)
-        products.append(list(prev_products))
+        products.append(prev_products)
         capped_flags.append(level.meta.order < prev.meta.order + 2)
         prev = level
-
-    return RecursiveFamily(levels=family_levels, coefficient_products=products,
-                           capped=capped_flags)
+    return RecursiveFamily(family_levels, products, capped_flags)
 
 
 def coefficient_arguments(family, base_arg):

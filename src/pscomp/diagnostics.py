@@ -43,16 +43,17 @@ def _steps(method, x, tau, n_steps):
 def integrate(method, x0, tau, n_steps):
     """Real parts of the ``n_steps + 1`` states of ``method`` at fixed real
     step ``tau``, the start included, as one array (state k sits at time
-    ``tau * k``; methods fed here are expected to project to real states).
+    ``tau * k``; methods fed here are expected to project to real states),
+    read once after the last step off one complex buffer of the raw states.
     A singularity raised by any stage is re-raised with the step index; a
     nan or inf state, found in one pass after the last step, raises
-    :class:`NonFiniteError` with the step that produced it.
-    """
+    :class:`NonFiniteError` with the step that produced it."""
     x = _start(x0, n_steps)
-    states = np.empty((n_steps + 1,) + x.shape, dtype=float)
-    states[0] = x.real
+    states = np.empty((n_steps + 1,) + x.shape, dtype=complex)
+    states[0] = x
     for i, x in enumerate(_steps(method, x, tau, n_steps), start=1):
-        states[i] = np.asarray(x).real
+        states[i] = x
+    states = states.real
     finite = np.isfinite(states).reshape(n_steps + 1, -1).all(axis=1)
     if not finite.all():
         raise NonFiniteError(step=int(np.argmin(finite)) - 1)
@@ -192,12 +193,12 @@ def leading_term(coefficients, rho):
 
 
 def energy_error_series(states, energy):
-    """Relative energy error per recorded state, |H(x_k) - H(x_0)| / |H(x_0)|."""
-    reference = energy(states[0])
-    if reference == 0.0:
+    """Relative energy error per recorded state, |H(x_k) - H(x_0)| / |H(x_0)|,
+    from one call of ``energy`` on the whole ``(n + 1, d)`` stack."""
+    values = energy(states)
+    if values[0] == 0.0:
         raise DomainError("reference energy is zero; use an absolute error")
-    values = np.array([energy(s) for s in states])
-    return np.abs(values - reference) / abs(reference)
+    return np.abs(values - values[0]) / abs(values[0])
 
 
 def envelope_growth(series):

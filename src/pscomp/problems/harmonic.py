@@ -61,5 +61,7 @@ def ho_strang_flow():
 
 
 def ho_energy(state):
-    q, p = complex(state[0]), complex(state[1])
-    return 0.5 * (q.real**2 + p.real**2)
+    """Energy of the real part of one state or of a stack along the last axis;
+    ``float_power`` keeps the bits of ``q**2`` (libm ``pow``), not ``q * q``."""
+    x = np.asarray(state).real
+    return 0.5 * (np.float_power(x[..., 0], 2.0) + np.float_power(x[..., 1], 2.0))

@@ -60,13 +60,14 @@ def kepler_initial_conditions(e):
 
 
 def kepler_energy(x):
-    """Hamiltonian value of the real part of a state vector; r = 0 raises."""
+    """Hamiltonian value of the real part of one state or of a stack along the
+    last axis; r = 0 raises, with ``index`` the first such state (0 for one).
+    ``vecdot`` keeps the bits of ``p @ p`` (a fused BLAS dot)."""
     x = np.asarray(x).real
-    q, p = x[:2], x[2:]
-    r = float(np.hypot(q[0], q[1]))
-    if r == 0.0:
-        raise SingularityError("collision: r = 0", value=0.0)
-    return float(0.5 * (p @ p) - 1.0 / r)
+    r = np.hypot(x[..., 0], x[..., 1])
+    if not r.all():
+        raise SingularityError("collision: r = 0", index=int(np.argmin(r != 0.0)), value=0.0)
+    return 0.5 * np.vecdot(x[..., 2:], x[..., 2:]) - 1.0 / r
 
 
 def _drift(x, tau):

@@ -426,6 +426,9 @@ NOT_AN_OBJECT = [
     # Nested deeper than the parser's recursion limit.
     pytest.param('{"preset": "kepler-order", "tau_list": ' + "[" * 10**5 + "]" * 10**5 + "}",
                  "not valid JSON", id="tau_list-nested-100000-deep"),
+    # An integer literal longer than Python's int-conversion limit (4300 digits).
+    pytest.param('{"preset": "kepler-order", "t_final": ' + "1" * 5000 + "}",
+                 "not valid JSON", id="t_final-of-5000-digits"),
 ]
 
 
@@ -443,6 +446,54 @@ def test_cli_rejects_config_that_is_not_a_json_object(tmp_path, capsys, command,
     assert message in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("field, head, tail", [
+    ("tau_list", '"tau_list": ', ""),
+    ("problem_params.e", '"problem_params": {"e": ', "}"),
+])
+def test_cli_rejects_values_nested_up_to_the_parser_limit(tmp_path, capsys, command, field,
+                                                          head, tail):
+    # A value nested just under the JSON parser's recursion limit parses, so
+    # its message must print it without recursing as deep again.  The depth
+    # that parses moves with the caller's stack, so a band of depths is swept.
+    config_path = tmp_path / "cfg.json"
+    preset = '"preset": "kepler-order", ' if command == "validate" else ""
+    argv = (["run", "kepler-order", "--config", str(config_path), "--out", str(tmp_path / "out")]
+            if command == "run" else ["validate", str(config_path)])
+    for depth in range(900, 1001):
+        config_path.write_text("{" + preset + head + "[" * depth + "]" * depth + tail + "}")
+        assert main(argv) == 2, depth
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert field in err or "not valid JSON" in err, depth
+        assert len(err) < 300, depth
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def _depth(value):
+    """Nesting depth of the non-empty containers in ``value``."""
+    if isinstance(value, (dict, list, tuple)) and value:
+        return 1 + max(map(_depth, value.values() if isinstance(value, dict) else value))
+    return 0
+
+
+_MESSAGE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_MESSAGE_VALUES)
+def test_a_message_prints_a_value_as_repr_does_up_to_ten_levels(value):
+    # Nothing is cut or reordered (a dict keeps its key order); only a
+    # container nested deeper than ten levels prints as [...].
+    shown = bench_run._shown(value)
+    assert (shown == repr(value)) is (_depth(value) <= 10)
 
 
 #: Per preset: a small run, and a changed value for each field it reads.

@@ -173,6 +173,37 @@ def test_levels_equal_the_old_mirror_formula(problem, base_method, levels, rtol,
             assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), n
 
 
+def _explicit_average(prev, meta, x, s):
+    """``0.5 * (pair(x, s) + twin(x, s))`` of the level built on ``prev``,
+    with ``pair`` and ``twin`` both ``compose_schedule`` compositions: the
+    twin at the conjugated coefficients, on ``prev`` itself when it is
+    self-conjugate and else on its mirror ``conj(prev(conj x, conj s))``."""
+    g = gamma_smallest_phase(prev.meta.order)
+    mirror = prev if prev.meta.self_conjugate else FlowMap(
+        lambda y, t: np.conj(prev(np.conj(y), t.conjugate())), prev.meta)
+    pair = compose_schedule(prev, (g, g.conjugate()), meta)
+    twin = compose_schedule(mirror, (g.conjugate(), g), meta)
+    return 0.5 * (pair(x, s) + twin(x, s))
+
+
+@pytest.mark.parametrize("problem, base_method, levels", [
+    ("kepler", "strang", 3), ("harmonic", "strang", 3), ("harmonic", "s4sim", 2)])
+def test_levels_at_complex_steps_equal_their_composed_pair_and_twin(problem, base_method,
+                                                                    levels):
+    # A level on a self-conjugate method calls it at the swapped steps
+    # instead of composing a twin; s4sim's level 1 takes the conj branch.
+    base, _, x0 = _setup(problem, base_method)
+    family = recursive_family(base, levels).levels
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        sigma = cmath.rect(rng.uniform(0.01, 0.1), rng.uniform(-0.4, 0.4))
+        x = x0 + 0.05 * (rng.normal(size=x0.shape) + 1j * rng.normal(size=x0.shape))
+        for state in (np.asarray(x0, complex), x):
+            for n, (prev, level) in enumerate(zip([base] + family, family), 1):
+                want = _explicit_average(prev, level.meta, state, sigma)
+                assert level(state, sigma).tobytes() == want.tobytes(), n
+
+
 @pytest.mark.parametrize("grid_points", [32, 512])
 @settings(max_examples=25, deadline=None)
 @given(step=st.one_of(st.floats(0.005, 0.1),

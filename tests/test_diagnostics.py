@@ -16,7 +16,7 @@ from pscomp.errors import DomainError, NonFiniteError, SingularityError, Validat
 from pscomp.flowmap import EXACT_META, FlowMap
 from pscomp.problems import (
     ho_drift_flow, ho_energy, ho_exact, ho_exact_flow, ho_kick_flow, ho_strang_flow,
-    kepler_initial_conditions, kepler_strang_flow, s4sim,
+    kepler_energy, kepler_initial_conditions, kepler_strang_flow, s4sim,
 )
 
 
@@ -324,6 +324,65 @@ def test_energy_error_series_exact_flow():
 def test_energy_error_series_zero_reference():
     with pytest.raises(DomainError):
         energy_error_series(np.zeros((2, 2)), ho_energy)
+
+
+def test_energy_error_series_calls_energy_once_on_the_whole_stack():
+    states = integrate(ho_strang_flow(), np.array([2.5, 0.0]), 0.1, 200)
+    shapes = []
+
+    def energy(x):
+        shapes.append(np.shape(x))
+        return ho_energy(x)
+
+    series = energy_error_series(states, energy)
+    assert shapes == [states.shape]
+    h = np.array([0.5 * (q**2 + p**2) for q, p in states.tolist()])
+    assert series.tobytes() == (np.abs(h - h[0]) / abs(h[0])).tobytes()
+
+
+def _as_integrate_returns(rows):
+    """``rows`` as the real part of a complex buffer, the strided view that
+    :func:`integrate` returns."""
+    buffer = np.empty(rows.shape, dtype=complex)
+    buffer.real, buffer.imag = rows, 0.5
+    return buffer.real
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_stacked_ho_energy_equals_the_per_state_formula_bit_for_bit(strided):
+    rng = np.random.default_rng(311)
+    values = rng.uniform(-3.0, 3.0, size=20000)
+    # Values whose libm square pow(q, 2.0), Python's q**2, is not the
+    # correctly rounded q * q: ho_energy computing q * q fails on them.
+    ties = [q for q in values.tolist() if q**2 != q * q]
+    assert ties
+    stack = np.concatenate([values[:2000], ties, ties[::-1]]).reshape(-1, 2)
+    want = np.array([0.5 * (q**2 + p**2) for q, p in stack.tolist()])
+    assert np.any(0.5 * (stack[:, 0] * stack[:, 0] + stack[:, 1] * stack[:, 1]) != want)
+    got = ho_energy(_as_integrate_returns(stack) if strided else stack)
+    assert got.tobytes() == want.tobytes()
+    assert [ho_energy(state) for state in stack[:20]] == want[:20].tolist()
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_stacked_kepler_energy_equals_the_per_state_formula_bit_for_bit(strided):
+    # ``p @ p`` runs BLAS's dot, which fuses its products on some builds,
+    # so the stacked energy must use the same dot, not p1*p1 + p2*p2.
+    rng = np.random.default_rng(312)
+    stack = rng.uniform(-2.0, 2.0, size=(5000, 4))
+    want = np.array([0.5 * (row[2:] @ row[2:]) - 1.0 / float(np.hypot(row[0], row[1]))
+                     for row in stack])
+    got = kepler_energy(_as_integrate_returns(stack) if strided else stack)
+    assert got.tobytes() == want.tobytes()
+    assert [kepler_energy(state) for state in stack[:20]] == want[:20].tolist()
+
+
+def test_stacked_kepler_energy_names_the_first_collision():
+    stack = np.tile([1.0, 0.5, 0.2, 0.3], (6, 1))
+    stack[[3, 5], :2] = 0.0
+    with pytest.raises(SingularityError) as info:
+        kepler_energy(stack)
+    assert info.value.index == 3
 
 
 def test_envelope_growth():
