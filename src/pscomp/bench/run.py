@@ -14,6 +14,7 @@ marked failed (see :func:`_measure`) instead of aborting the preset.  The
 order presets' successive error is computed in :func:`_run_order` only.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .. import __version__
 from ..composition import coefficient_arguments, recursive_family
 from ..diagnostics import (
     energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
-    propagate, slope_with_floor, step_count, taylor_coefficients,
+    propagate, propagate_stacked, slope_with_floor, step_count, taylor_coefficients,
 )
 from ..errors import NonFiniteError, SingularityError, ValidationError
 from ..problems import (
@@ -304,20 +305,33 @@ def _run_order(config, table, out_base):
     """Per method, one error cell per tau and the order fit.  ``final(tau)``
     runs each distinct step once, keeping a final state by its exact step (a
     run that raises is not kept); a successive-error cell is the sup-norm
-    distance between the final states at tau and tau/2, the tau run first."""
+    distance between the final states at tau and tau/2, the tau run first.
+    A batched method runs its distinct steps as one lazy stack, pulled as
+    far as each ``final`` needs; once the stack raises, every step it has
+    not given runs through ``propagate``, which names the failing step."""
     base, grid, x0 = _problem_setup(config)
     problem = PROBLEMS[config.problem]
     quantity = "successive_error"
     if problem.energy is not None:
         quantity, h0 = "energy_error", problem.energy(x0)
+    runs = {tau: step_count(config.t_final, tau) for cell in config.tau_list
+            for tau in ((cell, cell / 2.0) if quantity == "successive_error" else (cell,))}
 
     snapshots = []
     for method_name, level, method in _methods(config, base):
         finals = {}
+        stack = propagate_stacked(method, x0, runs.items()) if method.meta.batched else ()
 
         def final(tau):
             if tau not in finals:
-                finals[tau] = propagate(method, x0, tau, step_count(config.t_final, tau))
+                # A stack that raised is closed: it yields nothing more.
+                with contextlib.suppress(SingularityError, NonFiniteError):
+                    for done, state in stack:
+                        finals[done] = state
+                        if done == tau:
+                            break
+            if tau not in finals:
+                finals[tau] = propagate(method, x0, tau, runs[tau])
             return finals[tau]
 
         def measure(tau):

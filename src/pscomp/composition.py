@@ -11,7 +11,9 @@ field, step and state the average is the real part of the output, so the
 projected method costs the same as the unprojected one; at complex steps
 (inside deeper levels) or states both branches are evaluated.  Iterating
 the construction raises the order by two per level until the
-pseudo-symmetry order caps it.
+pseudo-symmetry order caps it.  On a base that evaluates stacks of states
+(``MethodMeta.batched``) every level takes a stack too and forwards it
+down, twice as wide wherever it evaluates both branches.
 """
 
 import cmath
@@ -61,27 +63,45 @@ def _projected_level(prev, gamma):
     real splitting or a level) is its own twin: with ``s1, s2 = conj(gamma)
     s, gamma s`` the level calls ``prev(prev(x, s1), s2)`` and, as the twin,
     ``prev(prev(x, s2), s1)``, the bits of the pair and of its mirror
-    composed, as rows 0 and 1 of one stack on a batched ``prev``.  Any other
-    ``prev`` runs the twin as ``conj(pair(conj(x), conj(s)))``."""
+    composed.  Any other ``prev`` runs the twin as
+    ``conj(pair(conj(x), conj(s)))``.
+
+    On a batched self-conjugate ``prev`` the level is batched and its
+    evaluator takes a ``(B, ...)`` stack with a tuple of B steps (a single
+    call is a stack of one).  When every step and state is real it calls
+    ``prev`` on the stack at each row's pair steps; otherwise it runs the
+    pair and twin of all rows as one ``(2B, ...)`` stack, so widths multiply
+    down the levels.  A real row of a stack that is not all real takes the
+    twin branch; every other row has the bits of a single call."""
     meta = _level_meta(prev.meta)
     gamma_bar = gamma.conjugate()
     pair = compose_schedule(prev, (gamma, gamma_bar), meta)
     self_conjugate = prev.meta.self_conjugate
-    stacked = self_conjugate and prev.meta.batched
 
     def project(x, tau):
         if tau.imag == 0.0 and not np.count_nonzero(x.imag):
             return pair(x, tau).real.astype(complex)
         first, second = gamma_bar * tau, gamma * tau
-        if stacked:
-            y, y_twin = prev(prev(np.array((x, x)), (first, second)), (second, first))
-        elif self_conjugate:
-            y, y_twin = prev(prev(x, first), second), prev(prev(x, second), first)
-        else:
-            y, y_twin = pair(x, tau), np.conj(pair(np.conj(x), tau.conjugate()))
-        return 0.5 * (y + y_twin)
+        if self_conjugate:
+            return 0.5 * (prev(prev(x, first), second) + prev(prev(x, second), first))
+        return 0.5 * (pair(x, tau) + np.conj(pair(np.conj(x), tau.conjugate())))
 
-    return FlowMap(project, meta)
+    def project_stack(x, tau):
+        # Not a recursive call: a closure that refers to itself is a cycle,
+        # which keeps a discarded family alive until a full collection.
+        single = type(tau) is not tuple
+        if single:
+            x, tau = x[None], (tau,)
+        first = tuple(gamma_bar * t for t in tau)
+        second = tuple(gamma * t for t in tau)
+        if not any(t.imag for t in tau) and not np.count_nonzero(x.imag):
+            y = prev(prev(x, first), second).real.astype(complex)
+        else:
+            y = prev(prev(np.concatenate((x, x)), first + second), second + first)
+            y = 0.5 * (y[:len(tau)] + y[len(tau):])
+        return y[0] if single else y
+
+    return FlowMap(project_stack if meta.batched else project, meta)
 
 
 def _level_meta(meta):
@@ -92,7 +112,8 @@ def _level_meta(meta):
     q: the new order is min(k + 2, q) and the new pseudo-symmetry and
     pseudo-symplecticity orders are capped at 2k + 3.  Once the order is
     capped (odd, equal to q) further levels keep it.  A projected level is
-    self-conjugate, so the next level takes it as its own twin.
+    self-conjugate, so the next level takes it as its own twin, and it is
+    batched when ``meta`` is both batched and self-conjugate.
     """
     k, q = meta.order, meta.pseudo_symmetry_order
     return MethodMeta(
@@ -100,6 +121,7 @@ def _level_meta(meta):
         pseudo_symmetry_order=min(q, 2 * k + 3),
         pseudo_symplecticity_order=min(q, meta.pseudo_symplecticity_order, 2 * k + 3),
         self_conjugate=True,
+        batched=meta.batched and meta.self_conjugate,
     )
 
 
@@ -132,9 +154,9 @@ def recursive_family(base, levels):
     ``0.5 * (pair(x, s) + twin(x, s))`` with ``pair`` the composition of
     level n-1 at ``(gamma, conj(gamma))`` and ``twin`` its
     coefficient-conjugated mirror.  Levels declare themselves
-    self-conjugate and never ``batched``: level n >= 2 calls level n-1 at
-    the pair's steps and at the swapped ones, and only level 1 can stack
-    its pair and twin, on a batched self-conjugate base.
+    self-conjugate, and ``batched`` on a batched self-conjugate base: then
+    every level takes a stack, and a level-n call on B rows at complex
+    steps reaches the base as stacks of 2^n B rows.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")

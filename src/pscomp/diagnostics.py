@@ -75,6 +75,29 @@ def propagate(method, x0, tau, n_steps):
     return x
 
 
+def propagate_stacked(method, x0, runs):
+    """Yield ``(tau, final state)`` of each ``(tau, n_steps)`` run of a
+    batched ``method`` from ``x0`` as that run finishes, all runs stepping
+    as the rows of one stack: rows go by decreasing step count, so the
+    running rows are a prefix and each iteration makes one stacked call.
+    The generator is lazy: it steps only when the caller asks for the next
+    state.  A singularity propagates without a step index, and a row that
+    finishes with a nan or inf raises :class:`NonFiniteError` without one;
+    :func:`propagate` on that run finds the step."""
+    runs = sorted(runs, key=lambda run: -run[1])
+    taus, counts = tuple(tau for tau, _ in runs), [n for _, n in runs]
+    x = np.repeat(_start(x0, min(counts))[None], len(runs), axis=0)
+    live = len(runs)
+    for i in range(1, counts[0] + 1):
+        x = method(x, taus[:live])
+        while live and counts[live - 1] == i:
+            live -= 1
+            if not np.isfinite(x[live]).all():
+                raise NonFiniteError()
+            yield taus[live], x[live]
+        x = x[:live]
+
+
 def step_count(t_final, tau):
     """Steps of ``tau`` that reach ``t_final``, a positive whole multiple of
     ``tau`` up to rounding (relative 1e-12); anything else raises."""

@@ -39,10 +39,13 @@ class MethodMeta:
     batched
         True when the evaluator also takes a stack: a ``(B, ...)`` state
         with a tuple of B steps, one per state, returning the B results
-        stacked, each with the bits of a single call at its step.  Only
-        the Ginzburg-Landau Strang kernel declares it; a projected level
-        built on a batched self-conjugate method runs its pair and twin as
-        one stack.  False (the default) for every other method.
+        stacked, each with the bits of a single call at its step.  The
+        Ginzburg-Landau Strang kernel declares it, and so does every
+        projected level built on a batched self-conjugate method: such a
+        level forwards a stack to the method below it, running the pair
+        and the twin of all its rows as one stack of twice the width.  An
+        order run steps the distinct step sizes of a batched method as the
+        rows of one stack.  False (the default) for every other method.
     """
 
     order: int
@@ -86,7 +89,8 @@ class FlowMap(functools.partial):
     runs at f64, reads as exactly real, and the real projection keeps its
     imaginary part, silently.
     A ``(B, ...)`` stack of states with a tuple of B steps is passed only
-    to a flow map whose meta declares ``batched``.
+    to a flow map whose meta declares ``batched``; such a flow map takes a
+    single state and step as well.
     The evaluator returns a new state of the same shape.  It may keep a
     bounded cache of read-only step constants and shares nothing else, and
     may write in place only into arrays it allocated itself, never into

@@ -27,7 +27,8 @@ in the order of the allocating formulas, so the results are the same bits.
 
 The Strang kernel also takes a (B, 2, N) stack with a tuple of B steps:
 its diagonal array is then (2, B, N), each FFT runs over the B rows of one
-component, and every row gets the bits of a single call at its step.
+component, each row's multiplier comes from the cache of single steps,
+and every row gets the bits of a single call at its step.
 """
 
 from dataclasses import dataclass, replace
@@ -105,23 +106,15 @@ def _cubic(diag, tau, beta):
 
 
 def _multipliers(params, grid):
-    """Step-cached Fourier multipliers of the linear flow, one per diagonal
-    row; for a tuple of steps each row stacks the rows of its steps."""
+    """Step-cached Fourier multipliers of the linear flow at one step, one
+    per diagonal row."""
     alpha, eps = params.alpha, params.eps
     k2 = grid.wavenumbers() ** 2
 
-    def rows(tau):
-        gain = np.exp(eps * tau)
-        return gain * np.exp(-tau * alpha * k2), gain * np.exp(-tau * np.conj(alpha) * k2)
-
     @step_cache
     def multipliers(tau):
-        # The stacked rows come from ``rows``, not from this cache: a cache
-        # that calls itself is a reference cycle, which keeps every
-        # discarded flow's arrays alive until a full garbage collection.
-        if type(tau) is tuple:
-            return tuple(np.stack(stack) for stack in zip(*map(rows, tau)))
-        return rows(tau)
+        gain = np.exp(eps * tau)
+        return gain * np.exp(-tau * alpha * k2), gain * np.exp(-tau * np.conj(alpha) * k2)
 
     return multipliers
 
@@ -156,7 +149,8 @@ def cgl_strang_flow(params, grid):
 
     def apply(vw, tau):
         if type(tau) is tuple:  # a stack: one step per state
-            half = multipliers(tuple(t / 2.0 for t in tau))
+            # The cache keeps single steps, so its size does not grow with B.
+            half = tuple(map(np.stack, zip(*(multipliers(t / 2.0) for t in tau))))
             tau = np.array(tau)[:, None]
         else:
             half = multipliers(tau / 2.0)

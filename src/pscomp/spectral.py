@@ -52,10 +52,11 @@ class SpectralGrid:
 
 
 def step_cache(multipliers):
-    """Memoise ``multipliers(tau) -> tuple of arrays`` for the last 16 steps
-    or step tuples (family level L uses 2^L of either); calls share the
-    arrays, so they are read-only."""
-    @functools.lru_cache(maxsize=16)
+    """Memoise ``multipliers(tau) -> tuple of arrays`` for the last 64
+    single steps: a family level L calls its base at 2^L steps per step
+    size, so a stacked trajectory of B step sizes up to level 3 fits when
+    B <= 8; calls share the arrays, so they are read-only."""
+    @functools.lru_cache(maxsize=64)
     def cached(tau):
         arrays = multipliers(tau)
         for array in arrays:
@@ -71,6 +72,7 @@ def write_snapshot(grid, values, path):
         raise ValidationError(
             f"field length {values.shape} does not match grid size ({grid.n_points},)"
         )
+    text = "".join(f"{x:.16e} {v.real:.16e} {v.imag:.16e}\n"
+                   for x, v in zip(grid.nodes.tolist(), values.tolist()))
     with open(path, "w", newline="\n") as fh:
-        for x, v in zip(grid.nodes, values):
-            fh.write(f"{x:.16e} {v.real:.16e} {v.imag:.16e}\n")
+        fh.write(text)

@@ -32,6 +32,7 @@ from pscomp.problems import (
     kepler_initial_conditions, kepler_kick_flow, kepler_strang_flow,
     pulse_pair_profile, s4sim,
 )
+from pscomp.problems.cgl import CGL_STRANG_META
 from pscomp.spectral import SpectralGrid
 
 
@@ -793,6 +794,87 @@ def test_order_run_off_a_halving_list_matches_independent_cells(tmp_path):
     expected = {(name, tau): _successive_error(method, x0, tau, t_final)[0]
                 for name, method in methods.items() for tau in taus}
     assert _successive_errors(table) == expected
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("taus, t_final", [([0.05, 0.025, 0.0125], 0.1),
+                                           ([0.1, 0.06, 0.05, 0.03], 0.3)])
+def test_stacked_cgl_order_run_equals_independent_runs(tmp_path, levels, taus, t_final):
+    # Every method is batched, so its distinct steps run as one stack; each
+    # error and each snapshot must keep the bits of separate propagate runs.
+    table, _ = run_preset("cgl-order", out_dir=str(tmp_path), overrides={
+        "tau_list": taus, "t_final": t_final, "grid_points": 32, "levels": levels})
+    config = apply_overrides(PRESETS["cgl-order"], {"grid_points": 32, "levels": levels})
+    base, _, x0 = bench_run._problem_setup(config)
+    methods = {"strang": base, **{f"level{n}": level for n, level in enumerate(
+        recursive_family(base, levels).levels, start=1)}}
+    assert all(method.meta.batched for method in methods.values())
+    expected, fields = {}, {}
+    for name, method in methods.items():
+        for tau in taus:
+            expected[name, tau], fine = _successive_error(method, x0, tau, t_final)
+        fields[name] = fine[0] + 1j * fine[1]
+    assert _successive_errors(table) == expected
+    for name, field in fields.items():
+        written = np.loadtxt(tmp_path / f"cgl-order_{name}_field.txt")
+        assert (written[:, 1] + 1j * written[:, 2]).tobytes() == field.tobytes()
+
+
+def _poisoned_cgl(poison, bad_tau, levels, meta, widths):
+    """``cgl_strang_flow`` whose rows at the base steps of the ``bad_tau``
+    runs of every method go through ``poison`` once they leave x0 (so that
+    at the Strang base the run fails in its second step); ``widths`` gets
+    the number of rows of each call."""
+    def build(params, grid):
+        kernel = cgl_strang_flow(params, grid)
+        x0 = np.array([pulse_pair_profile(grid), np.zeros(grid.n_points)], dtype=complex)
+        scales = [1.0] + [abs(p[0]) for p in recursive_family(kernel, levels).coefficient_products]
+
+        def poisoned(t, x):
+            return (not np.array_equal(x, x0)
+                    and any(math.isclose(abs(t), s * bad_tau, rel_tol=1e-9) for s in scales))
+
+        def evaluate(x, tau):
+            out = kernel(x, tau)
+            if type(tau) is not tuple:
+                widths.append(1)
+                return poison(out) if poisoned(tau, x) else out
+            widths.append(len(tau))
+            rows = [poison(row) if poisoned(t, state) else row
+                    for row, state, t in zip(out, x, tau)]
+            return np.array(rows)
+
+        return FlowMap(evaluate, meta)
+    return build
+
+
+def _singular(row):
+    raise SingularityError("poisoned row")
+
+
+@pytest.mark.parametrize("poison, bad_tau, error", [
+    (_singular, 0.025, "poisoned row"),
+    (lambda row: np.full_like(row, math.nan), 0.0125, "result has nan or inf")])
+def test_a_failing_stack_falls_back_to_the_runs_of_an_unbatched_kernel(
+        tmp_path, monkeypatch, poison, bad_tau, error):
+    # One step's rows raise (or turn nan) inside the stack: the files, each
+    # failure's step included, equal those of the same kernel declared unbatched.
+    overrides = {"tau_list": [0.05, 0.025, 0.0125, 0.00625], "t_final": 0.05,
+                 "grid_points": 32, "levels": 2}
+    written, widths = [], {}
+    for meta in (CGL_STRANG_META, STRANG_META):
+        widths[meta.batched] = []
+        monkeypatch.setattr(bench_run, "cgl_strang_flow",
+                            _poisoned_cgl(poison, bad_tau, 2, meta, widths[meta.batched]))
+        out = tmp_path / str(meta.batched)
+        table, paths = run_preset("cgl-order", overrides=overrides, out_dir=str(out))
+        written.append({Path(p).name: Path(p).read_bytes() for p in paths})
+    assert written[0] == written[1]
+    assert max(widths[True]) > 1 and max(widths[False]) == 1
+    failures = table.metadata["failures"]
+    assert {f["method"] for f in failures} == {"strang", "level1", "level2"}
+    assert {f["error"] for f in failures} == {error}
+    assert [f["step"] for f in failures if f["method"] == "strang"] == [1, 1]
 
 
 _JSON = st.recursive(

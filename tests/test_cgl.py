@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pscomp.problems.cgl as cgl
+from pscomp.composition import recursive_family
 from pscomp.errors import SingularityError
 from pscomp.problems import (
     CGLParams, cgl_linear_map, cgl_nonlinear_map, cgl_strang_flow,
@@ -301,6 +302,37 @@ def test_a_discarded_strang_flow_frees_its_stacked_multipliers(params, grid):
     gc.disable()
     try:
         assert cache() is None
+    finally:
+        gc.enable()
+
+
+def test_the_strang_cache_keeps_single_steps_whatever_the_stack_width(params, grid):
+    flow = cgl_strang_flow(params, grid)
+    state = _state(pulse_pair_profile(grid), np.zeros(64))
+    closure = dict(zip(flow.func.__code__.co_freevars,
+                       (cell.cell_contents for cell in flow.func.__closure__)))
+    multipliers = closure["multipliers"]
+    steps = (0.05, complex(0.04, 0.02), 0.05, complex(0.03, -0.015))
+    flow(np.array([state] * 4), steps)
+    assert multipliers.cache_info().currsize == 3  # one entry per distinct step
+    flow(np.array([state] * 2), steps[:2])
+    assert multipliers.cache_info().currsize == 3
+    assert all(len(multipliers(t / 2.0)[0]) == 64 for t in steps)
+
+
+def test_a_discarded_stacked_family_frees_its_base(params, grid):
+    # A level that called itself would be a reference cycle holding its
+    # base and every cached multiplier until a full collection.
+    flow = cgl_strang_flow(params, grid)
+    levels = recursive_family(flow, 3).levels
+    state = _state(pulse_pair_profile(grid), np.zeros(64))
+    levels[-1](state, 0.05)
+    levels[-1](np.array([state, state]), (0.05, complex(0.04, 0.02)))
+    base = weakref.ref(flow)
+    del flow, levels
+    gc.disable()
+    try:
+        assert base() is None
     finally:
         gc.enable()
 

@@ -227,6 +227,39 @@ def test_stacked_cgl_levels_equal_the_unbatched_family_bit_for_bit(grid_points, 
         assert level(x, step).tobytes() == oracle(x, step).tobytes(), n
 
 
+@pytest.mark.parametrize("grid_points", [32, 512])
+@settings(max_examples=15, deadline=None)
+@given(radii=st.lists(st.floats(0.005, 0.1), min_size=1, max_size=4),
+       args=st.lists(st.floats(-0.4, 0.4).filter(bool), min_size=4, max_size=4),
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_cgl_levels_run_a_stack_as_its_single_calls(grid_points, radii, args,
+                                                            real, seed):
+    # A (B, 2, N) stack at B steps equals B single calls at every level: at
+    # mixed complex steps on complex states (the pair and twin of all rows as
+    # one 2B stack), and at real steps on real states (the pairs' real parts).
+    base, _, x0 = _problem_setup(ExperimentConfig(problem="cgl", base_method="strang",
+                                                  grid_points=grid_points))
+    rng = np.random.default_rng(seed)
+    noise = [rng.normal(size=x0.shape) + (0 if real else 1j) * rng.normal(size=x0.shape)
+             for _ in radii]
+    states = [np.asarray(x0 + 0.05 * dx, complex) for dx in noise]
+    steps = tuple(r if real else cmath.rect(r, a) for r, a in zip(radii, args))
+    for n, level in enumerate(recursive_family(base, 3).levels, 1):
+        assert level.meta.batched
+        stack = np.array(states)
+        out = level(stack, steps)
+        assert out.shape == stack.shape
+        for row, state, step in zip(out, states, steps):
+            assert row.tobytes() == level(state, step).tobytes(), n
+
+
+def test_levels_on_an_unbatched_base_are_unbatched():
+    base = kepler_strang_flow()
+    assert not any(level.meta.batched for level in recursive_family(base, 3).levels)
+    assert not any(level.meta.batched for level in recursive_family(
+        s4sim(ho_drift_flow(), ho_kick_flow()), 2).levels)
+
+
 @pytest.mark.parametrize("base_method, level", [
     pytest.param(base_method, level, id=base_method + (f"-level{level}" if level else ""))
     for base_method in ("strang", "s4sim") for level in (0, 1, 2)])

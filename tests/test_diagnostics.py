@@ -2,6 +2,7 @@
 of complex steps, and defect measurements."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
     ROUNDOFF_FLOOR, energy_error_series, envelope_growth, integrate, leading_term, power_law_fit,
-    propagate, slope_with_floor, step_count, symplecticity_defect,
+    propagate, propagate_stacked, slope_with_floor, step_count, symplecticity_defect,
     taylor_coefficients,
 )
 from pscomp.errors import DomainError, NonFiniteError, SingularityError, ValidationError
-from pscomp.flowmap import EXACT_META, FlowMap
+from pscomp.flowmap import EXACT_META, STRANG_META, FlowMap
 from pscomp.problems import (
     ho_drift_flow, ho_energy, ho_exact, ho_exact_flow, ho_kick_flow, ho_strang_flow,
     kepler_energy, kepler_initial_conditions, kepler_strang_flow, s4sim,
@@ -200,6 +201,48 @@ def test_integrate_attaches_step_to_non_finite_state(run):
         with pytest.raises(NonFiniteError) as excinfo:
             run(grow, np.array([1.0]), 0.1, 5)
     assert excinfo.value.step == 1
+
+
+def _stack_counting(calls, step):
+    """A batched map ``x -> step(x, tau)`` per row that records each call's steps."""
+    def evaluate(x, tau):
+        calls.append(tau)
+        if type(tau) is tuple:
+            return np.array([step(row, t) for row, t in zip(x, tau)])
+        return step(x, tau)
+    return FlowMap(evaluate, replace(STRANG_META, batched=True))
+
+
+def test_stacked_runs_yield_each_final_state_as_its_row_finishes():
+    calls = []
+    method = _stack_counting(calls, ho_strang_flow())
+    x0 = np.array([1.0, 0.5])
+    runs = [(0.1, 3), (0.05, 6), (0.3, 1), (0.15, 2)]
+    stack = propagate_stacked(method, x0, runs)
+    assert calls == []  # lazy: nothing runs before the first state is asked for
+    assert next(stack)[0] == 0.3
+    # One call per iteration, the running rows a prefix by decreasing count.
+    assert calls == [(0.05, 0.1, 0.15, 0.3)]
+    done = [next(stack)[0], next(stack)[0]]
+    assert done == [0.15, 0.1] and calls[1:] == [(0.05, 0.1, 0.15), (0.05, 0.1)]
+    rest = list(stack)
+    assert [tau for tau, _ in rest] == [0.05] and len(calls) == 6
+    # Every row has the bits of its own run.
+    for tau, state in propagate_stacked(method, x0, runs):
+        assert state.tobytes() == propagate(ho_strang_flow(), x0, tau, dict(runs)[tau]).tobytes()
+
+
+def test_a_stacked_row_that_finishes_non_finite_ends_the_stack():
+    # Row 0.2 overflows in its first step, while the others stay finite.
+    grow = _stack_counting([], FlowMap(lambda x, tau: x * (1e300 if tau == 0.2 else 1.0),
+                                       EXACT_META))
+    stack = propagate_stacked(grow, np.array([1e10]), [(0.1, 3), (0.2, 2), (0.3, 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert next(stack)[0] == 0.3
+        with pytest.raises(NonFiniteError) as excinfo:
+            next(stack)
+    assert excinfo.value.step is None
+    assert list(stack) == []
 
 
 def test_integrate_rejects_zero_steps():

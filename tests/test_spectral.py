@@ -1,5 +1,7 @@
 """Grid, snapshots, and the diagonal propagators of the PDE problems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,17 @@ def test_write_snapshot_format(unit_grid, tmp_path):
     assert x == pytest.approx(unit_grid.nodes[5])
     assert re == pytest.approx(5.0)
     assert im == pytest.approx(10.0)
+
+
+def test_write_snapshot_prints_each_float_as_its_numpy_scalar(unit_grid, tmp_path):
+    # The file holds the rows a per-point loop over the numpy scalars would
+    # print, signed zeros, nan and inf included.
+    values = np.arange(64) * (1.0 - 2.0j) / 3.0
+    values[:6] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, math.inf),
+                  complex(-math.inf, math.nan), complex(5e-324, -1e308), -0.0]
+    path = tmp_path / "field.txt"
+    write_snapshot(unit_grid, values, path)
+    expected = "".join(f"{x:.16e} {v.real:.16e} {v.imag:.16e}\n"
+                       for x, v in zip(unit_grid.nodes, values))
+    assert path.read_bytes() == expected.encode()
+    assert "-0.0000000000000000e+00" in expected and "nan" in expected
