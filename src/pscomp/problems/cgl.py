@@ -27,8 +27,8 @@ in the order of the allocating formulas, so the results are the same bits.
 
 The Strang kernel also takes a (B, 2, N) stack with a tuple of B steps:
 its diagonal array is then (2, B, N), each FFT runs over the B rows of one
-component, each row's multiplier comes from the cache of single steps,
-and every row gets the bits of a single call at its step.
+component, its multipliers are cached per tuple of steps (the last 8, a
+level-3 step's 2^3), and every row gets the bits of a single call at its step.
 """
 
 from dataclasses import dataclass, replace
@@ -76,15 +76,16 @@ def _from_diagonal(diag):
 
 
 def _linear(diag, multipliers):
-    """Linear substep in place on the diagonal rows, one FFT pair per
-    component (over all rows of a stack, each with its own multiplier row).
+    """Linear substep in place on the diagonal rows: one FFT pair per component
+    (over all rows of a stack) around one multiply by multipliers of their shape.
 
     The multiplier stays the first operand: for complex arrays ``m * a``
     and ``a * m`` can differ in the last bit.
     """
-    for row, multiplier in zip(diag, multipliers):
+    for row in diag:
         np.fft.fft(row, out=row)
-        np.multiply(multiplier, row, out=row)
+    np.multiply(multipliers, diag, out=diag)
+    for row in diag:
         np.fft.ifft(row, out=row)
     return diag
 
@@ -106,15 +107,15 @@ def _cubic(diag, tau, beta):
 
 
 def _multipliers(params, grid):
-    """Step-cached Fourier multipliers of the linear flow at one step, one
-    per diagonal row."""
+    """Step-cached Fourier multipliers of the linear flow at one step: a
+    (2, N) array, one row per diagonal component."""
     alpha, eps = params.alpha, params.eps
     k2 = grid.wavenumbers() ** 2
 
     @step_cache
     def multipliers(tau):
         gain = np.exp(eps * tau)
-        return gain * np.exp(-tau * alpha * k2), gain * np.exp(-tau * np.conj(alpha) * k2)
+        return gain * np.array((np.exp(-tau * alpha * k2), np.exp(-tau * np.conj(alpha) * k2)))
 
     return multipliers
 
@@ -146,11 +147,12 @@ def cgl_strang_flow(params, grid):
     or on a (B, 2, N) stack with a tuple of B steps."""
     beta = params.beta
     multipliers = _multipliers(params, grid)
+    # Built from the single-step cache, never from itself: no reference cycle.
+    stacked = step_cache(lambda steps: np.stack([multipliers(t / 2.0) for t in steps], axis=1), 8)
 
     def apply(vw, tau):
         if type(tau) is tuple:  # a stack: one step per state
-            # The cache keeps single steps, so its size does not grow with B.
-            half = tuple(map(np.stack, zip(*(multipliers(t / 2.0) for t in tau))))
+            half = stacked(tau)
             tau = np.array(tau)[:, None]
         else:
             half = multipliers(tau / 2.0)

@@ -40,10 +40,10 @@ def fisher_reaction_map():
 def fisher_diffusion_map(grid):
     k2 = grid.wavenumbers() ** 2
 
-    multipliers = step_cache(lambda tau: (np.exp(-tau * k2),))
+    multipliers = step_cache(lambda tau: np.exp(-tau * k2))
 
     def apply(values, tau):
-        return np.fft.ifft(multipliers(tau)[0] * np.fft.fft(values))
+        return np.fft.ifft(multipliers(tau) * np.fft.fft(values))
 
     return FlowMap(apply, EXACT_META)
 

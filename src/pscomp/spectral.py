@@ -51,17 +51,15 @@ class SpectralGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
 
-def step_cache(multipliers):
-    """Memoise ``multipliers(tau) -> tuple of arrays`` for the last 64
-    single steps: a family level L calls its base at 2^L steps per step
-    size, so a stacked trajectory of B step sizes up to level 3 fits when
-    B <= 8; calls share the arrays, so they are read-only."""
-    @functools.lru_cache(maxsize=64)
-    def cached(tau):
-        arrays = multipliers(tau)
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
+def step_cache(fn, maxsize=64):
+    """Memoise ``fn(key) -> array`` for the last ``maxsize`` keys; calls share
+    the array, so it is read-only.  Level L calls its base at 2^L steps per
+    step size, so 64 single steps hold a stack of B <= 8 sizes up to level 3."""
+    @functools.lru_cache(maxsize=maxsize)
+    def cached(key):
+        array = fn(key)
+        array.flags.writeable = False
+        return array
     return cached
 
 

@@ -1,6 +1,7 @@
 """Ginzburg-Landau split flows: closed forms, branch cuts, diagonalization."""
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -318,6 +319,70 @@ def test_the_strang_cache_keeps_single_steps_whatever_the_stack_width(params, gr
     flow(np.array([state] * 2), steps[:2])
     assert multipliers.cache_info().currsize == 3
     assert all(len(multipliers(t / 2.0)[0]) == 64 for t in steps)
+
+
+def _closure(flow):
+    return dict(zip(flow.func.__code__.co_freevars,
+                    (cell.cell_contents for cell in flow.func.__closure__)))
+
+
+def test_the_strang_kernel_caches_a_stacks_multipliers_per_tuple_of_steps(params, grid):
+    flow = cgl_strang_flow(params, grid)
+    state = _state(pulse_pair_profile(grid), np.zeros(64))
+    closure = _closure(flow)
+    multipliers, stacked = closure["multipliers"], closure["stacked"]
+    steps = (0.05, complex(0.04, 0.02), complex(0.03, -0.015))
+    flow(np.array([state] * 3), steps)
+    half = stacked(steps)
+    assert stacked(steps) is half
+    assert half.shape == (2, 3, 64) and not half.flags.writeable
+    with pytest.raises(ValueError):
+        half[0, 0, 0] = 0.0
+    for row, tau in enumerate(steps):
+        assert half[:, row].tobytes() == multipliers(tau / 2.0).tobytes()
+    for k in range(8):  # 9 distinct tuples in all
+        flow(np.array([state] * 2), (0.05, 0.001 * (k + 1)))
+    assert stacked.cache_info().currsize == 8
+
+
+def test_a_discarded_strang_flow_frees_its_cache_of_tuples(params, grid):
+    flow = cgl_strang_flow(params, grid)
+    state = _state(pulse_pair_profile(grid), np.zeros(64))
+    flow(np.array([state, state]), (0.05, complex(0.04, 0.02)))
+    closure = _closure(flow)
+    cache = weakref.ref(closure["stacked"])
+    del flow, closure
+    gc.disable()
+    try:
+        assert cache() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_a_strang_evaluation_makes_4_fft_and_4_ifft_calls(params, grid, monkeypatch, stack):
+    # One transform pair per diagonal component and half-step; folding the
+    # two components into one call would change what the benchmark counts.
+    flow = cgl_strang_flow(params, grid)
+    state = _state(pulse_pair_profile(grid), np.zeros(64))
+    state, tau = (np.array([state] * 3), (0.05, 0.04, 0.03)) if stack else (state, 0.05)
+    calls = {"fft": 0, "ifft": 0}
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return call
+
+    fft = types.ModuleType("numpy.fft")
+    fft.__dict__.update(np.fft.__dict__, fft=counted("fft"), ifft=counted("ifft"))
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(np.__dict__, fft=fft)
+    monkeypatch.setattr(cgl, "np", proxy)
+    flow(state, tau)
+    assert calls == {"fft": 4, "ifft": 4}
 
 
 def test_a_discarded_stacked_family_frees_its_base(params, grid):
