@@ -571,13 +571,15 @@ def run_preset(name, overrides=None, out_dir=".", config=None):
     """Execute a preset and write its CSV/JSON (and snapshot) files.
 
     Returns ``(table, paths)``.  ``overrides`` is a partial config mapping
-    merged over the preset defaults; alternatively a fully parsed config
-    can be passed directly.
+    merged over the preset defaults; a fully parsed ``config`` replaces
+    both, so passing it with ``overrides`` raises ``ValidationError``.
     """
     if config is None:
         config = preset_config(name)
         if overrides:
             config = apply_overrides(config, overrides)
+    elif overrides:
+        raise ValidationError("run_preset takes overrides or config, not both")
     check_runnable(name, config)
     os.makedirs(out_dir, exist_ok=True)
     out_base = os.path.join(out_dir, name)

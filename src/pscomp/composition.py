@@ -27,6 +27,8 @@ from .errors import DomainError, ValidationError
 from .flowmap import FlowMap, MethodMeta
 
 COEFF_SUM_TOL = 1e-12
+_HALF = np.array(0.5 + 0j)
+_HALF.flags.writeable = False
 
 
 def compose_schedule(base, coefficients, meta):
@@ -64,15 +66,15 @@ def _projected_level(prev, gamma):
     s, gamma s`` the level calls ``prev(prev(x, s1), s2)`` and, as the twin,
     ``prev(prev(x, s2), s1)``, the bits of the pair and of its mirror
     composed.  Any other ``prev`` runs the twin as
-    ``conj(pair(conj(x), conj(s)))``.
+    ``conj(pair(conj(x), conj(s)))``.  Averages multiply by ``_HALF``: the
+    bits of ``0.5 *`` without numpy converting a Python 0.5 on every call.
 
-    On a batched self-conjugate ``prev`` the level is batched and its
-    evaluator takes a ``(B, ...)`` stack with a tuple of B steps (a single
-    call is a stack of one).  When every step and state is real it calls
-    ``prev`` on the stack at each row's pair steps; otherwise it runs the
-    pair and twin of all rows as one ``(2B, ...)`` stack, so widths multiply
-    down the levels.  A real row of a stack that is not all real takes the
-    twin branch; every other row has the bits of a single call."""
+    On a batched self-conjugate ``prev`` the level takes a ``(B, ...)``
+    stack with a tuple of B steps (a single call is a stack of one).  When
+    every step and state is real it calls ``prev`` on the stack at each
+    row's pair steps; otherwise it runs the pair and twin of all rows as one
+    ``(2B, ...)`` stack, so widths multiply down the levels.  A real row of
+    a mixed stack takes the twin branch; other rows match single calls."""
     meta = _level_meta(prev.meta)
     gamma_bar = gamma.conjugate()
     pair = compose_schedule(prev, (gamma, gamma_bar), meta)
@@ -83,8 +85,8 @@ def _projected_level(prev, gamma):
             return pair(x, tau).real.astype(complex)
         first, second = gamma_bar * tau, gamma * tau
         if self_conjugate:
-            return 0.5 * (prev(prev(x, first), second) + prev(prev(x, second), first))
-        return 0.5 * (pair(x, tau) + np.conj(pair(np.conj(x), tau.conjugate())))
+            return _HALF * (prev(prev(x, first), second) + prev(prev(x, second), first))
+        return _HALF * (pair(x, tau) + np.conj(pair(np.conj(x), tau.conjugate())))
 
     def project_stack(x, tau):
         # Not a recursive call: a closure that refers to itself is a cycle,
@@ -98,7 +100,7 @@ def _projected_level(prev, gamma):
             y = prev(prev(x, first), second).real.astype(complex)
         else:
             y = prev(prev(np.concatenate((x, x)), first + second), second + first)
-            y = 0.5 * (y[:len(tau)] + y[len(tau):])
+            y = _HALF * (y[:len(tau)] + y[len(tau):])
         return y[0] if single else y
 
     return FlowMap(project_stack if meta.batched else project, meta)

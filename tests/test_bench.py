@@ -192,6 +192,13 @@ def test_run_preset_unknown_name():
         run_preset("nope", config=preset_config("coeff-audit"))
 
 
+def test_run_preset_rejects_overrides_with_config(tmp_path):
+    with pytest.raises(ValidationError, match="overrides or config"):
+        run_preset("coeff-audit", overrides={"levels": 2},
+                   config=preset_config("coeff-audit"), out_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     lines = capsys.readouterr().out.splitlines()

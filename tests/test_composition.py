@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from pscomp.bench.run import ExperimentConfig, _problem_setup
 from pscomp.coefficients import gamma_smallest_phase
-from pscomp.composition import coefficient_arguments, compose_schedule, recursive_family
+from pscomp.composition import (
+    _HALF, coefficient_arguments, compose_schedule, recursive_family,
+)
 from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
 from pscomp.flowmap import EXACT_META, STRANG_META, FlowMap, MethodMeta
@@ -187,11 +189,13 @@ def _explicit_average(prev, meta, x, s):
 
 
 @pytest.mark.parametrize("problem, base_method, levels", [
-    ("kepler", "strang", 3), ("harmonic", "strang", 3), ("harmonic", "s4sim", 2)])
+    ("kepler", "strang", 3), ("harmonic", "strang", 3), ("harmonic", "s4sim", 2),
+    ("kepler", "strang", 4), ("cgl", "strang", 2)])
 def test_levels_at_complex_steps_equal_their_composed_pair_and_twin(problem, base_method,
                                                                     levels):
     # A level on a self-conjugate method calls it at the swapped steps
     # instead of composing a twin; s4sim's level 1 takes the conj branch.
+    # The batched CGL levels take a single call as a stack of one.
     base, _, x0 = _setup(problem, base_method)
     family = recursive_family(base, levels).levels
     rng = np.random.default_rng(31)
@@ -202,6 +206,29 @@ def test_levels_at_complex_steps_equal_their_composed_pair_and_twin(problem, bas
             for n, (prev, level) in enumerate(zip([base] + family, family), 1):
                 want = _explicit_average(prev, level.meta, state, sigma)
                 assert level(state, sigma).tobytes() == want.tobytes(), n
+
+
+#: Real and imaginary parts whose products by 0.5 and 0.0 round, vanish or
+#: turn into nan: signed zeros, infinities, nans and subnormals.
+SPECIAL_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -5e-324, 3e-308, -1.5e-323]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(SPECIAL_PARTS, SPECIAL_PARTS), min_size=1, max_size=8))
+def test_cached_half_multiplies_with_the_bits_of_a_python_half(parts):
+    # The levels average with a cached complex 0.5; numpy runs a Python 0.5
+    # through the same complex multiply, so every bit, nan and sign included,
+    # is the same.
+    s = np.array([complex(re, im) for re, im in parts])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert (_HALF * s).tobytes() == (0.5 * s).tobytes()
+    assert _HALF.dtype == np.complex128 and _HALF.shape == ()
+    with pytest.raises(ValueError, match="read-only"):
+        _HALF[()] = 1.0
 
 
 @pytest.mark.parametrize("grid_points", [32, 512])
