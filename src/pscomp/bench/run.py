@@ -55,12 +55,12 @@ TABLE1_RADIUS, TABLE1_NODES = 1.0, 32
 
 
 def _harmonic(params, grid_points):
-    x0 = np.array([params["q0"], params["p0"]], dtype=complex)
+    x0 = (complex(params["q0"]), complex(params["p0"]))
     return None, x0, ho_strang_flow, ho_drift_flow, ho_kick_flow
 
 
 def _kepler(params, grid_points):
-    x0 = kepler_initial_conditions(params["e"]).as_vector()
+    x0 = tuple(kepler_initial_conditions(params["e"]).as_vector().tolist())
     return None, x0, kepler_strang_flow, kepler_drift_flow, kepler_kick_flow
 
 

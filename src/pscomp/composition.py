@@ -13,7 +13,9 @@ projected method costs the same as the unprojected one; at complex steps
 the construction raises the order by two per level until the
 pseudo-symmetry order caps it.  On a base that evaluates stacks of states
 (``MethodMeta.batched``) every level takes a stack too and forwards it
-down, twice as wide wherever it evaluates both branches.
+down, twice as wide wherever it evaluates both branches.  A level takes an
+ODE state as a tuple of Python ``complex`` and returns a new tuple; a PDE
+state is a complex array.
 """
 
 import cmath
@@ -29,6 +31,27 @@ from .flowmap import FlowMap, MethodMeta
 COEFF_SUM_TOL = 1e-12
 _HALF = np.array(0.5 + 0j)
 _HALF.flags.writeable = False
+_HALF_C = 0.5 + 0j
+
+
+# A state is a tuple of Python complex (an ODE) or a complex array (a PDE);
+# each form is read off the state itself, so a tuple is never concatenated.
+def _is_real(x):
+    return not any(v.imag for v in x) if type(x) is tuple else not np.count_nonzero(x.imag)
+
+
+def _real_part(y):
+    return tuple([complex(v.real) for v in y]) if type(y) is tuple else y.real.astype(complex)
+
+
+def _average(u, v):
+    if type(u) is tuple:
+        return tuple([_HALF_C * (a + b) for a, b in zip(u, v)])
+    return _HALF * (u + v)
+
+
+def _conj(x):
+    return tuple([v.conjugate() for v in x]) if type(x) is tuple else np.conj(x)
 
 
 def compose_schedule(base, coefficients, meta):
@@ -66,8 +89,9 @@ def _projected_level(prev, gamma):
     s, gamma s`` the level calls ``prev(prev(x, s1), s2)`` and, as the twin,
     ``prev(prev(x, s2), s1)``, the bits of the pair and of its mirror
     composed.  Any other ``prev`` runs the twin as
-    ``conj(pair(conj(x), conj(s)))``.  Averages multiply by ``_HALF``: the
-    bits of ``0.5 *`` without numpy converting a Python 0.5 on every call.
+    ``conj(pair(conj(x), conj(s)))``.  Averages of arrays multiply by
+    ``_HALF``: the bits of ``0.5 *`` without numpy converting a Python 0.5
+    on every call; a tuple's entries multiply by the Python ``_HALF_C``.
 
     On a batched self-conjugate ``prev`` the level takes a ``(B, ...)``
     stack with a tuple of B steps (a single call is a stack of one).  When
@@ -81,12 +105,12 @@ def _projected_level(prev, gamma):
     self_conjugate = prev.meta.self_conjugate
 
     def project(x, tau):
-        if tau.imag == 0.0 and not np.count_nonzero(x.imag):
-            return pair(x, tau).real.astype(complex)
+        if tau.imag == 0.0 and _is_real(x):
+            return _real_part(pair(x, tau))
         first, second = gamma_bar * tau, gamma * tau
         if self_conjugate:
-            return _HALF * (prev(prev(x, first), second) + prev(prev(x, second), first))
-        return _HALF * (pair(x, tau) + np.conj(pair(np.conj(x), tau.conjugate())))
+            return _average(prev(prev(x, first), second), prev(prev(x, second), first))
+        return _average(pair(x, tau), _conj(pair(_conj(x), tau.conjugate())))
 
     def project_stack(x, tau):
         # Not a recursive call: a closure that refers to itself is a cycle,

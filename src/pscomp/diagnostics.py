@@ -22,15 +22,16 @@ ROUNDOFF_FLOOR = 1e-14
 
 
 def _start(x0, n_steps):
-    """``x0`` as a complex array, once ``n_steps`` is checked to be at least 1."""
+    """``x0`` as a tuple of Python complex when it is a tuple (an ODE state),
+    else as a complex array, once ``n_steps`` is checked to be at least 1."""
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    return np.asarray(x0, dtype=complex)
+    return tuple(map(complex, x0)) if type(x0) is tuple else np.asarray(x0, dtype=complex)
 
 
 def _steps(method, x, tau, n_steps):
-    """Yield the state after each of ``n_steps`` steps from the complex array
-    ``x``; a singularity is re-raised with its step index attached."""
+    """Yield the state after each of ``n_steps`` steps from the state ``x``;
+    a singularity is re-raised with its step index attached."""
     for i in range(n_steps):
         try:
             x = method(x, tau)
@@ -44,16 +45,12 @@ def integrate(method, x0, tau, n_steps):
     """Real parts of the ``n_steps + 1`` states of ``method`` at fixed real
     step ``tau``, the start included, as one array (state k sits at time
     ``tau * k``; methods fed here are expected to project to real states),
-    read once after the last step off one complex buffer of the raw states.
+    read once after the last step off one complex array of the raw states.
     A singularity raised by any stage is re-raised with the step index; a
     nan or inf state, found in one pass after the last step, raises
     :class:`NonFiniteError` with the step that produced it."""
     x = _start(x0, n_steps)
-    states = np.empty((n_steps + 1,) + x.shape, dtype=complex)
-    states[0] = x
-    for i, x in enumerate(_steps(method, x, tau, n_steps), start=1):
-        states[i] = x
-    states = states.real
+    states = np.array([x, *_steps(method, x, tau, n_steps)], dtype=complex).real
     finite = np.isfinite(states).reshape(n_steps + 1, -1).all(axis=1)
     if not finite.all():
         raise NonFiniteError(step=int(np.argmin(finite)) - 1)
@@ -168,14 +165,15 @@ def slope_with_floor(taus, errors, floor=ROUNDOFF_FLOOR):
 def symplecticity_defect(method, x0, tau):
     """``J^T S J - S`` at one step ``tau``, with S the canonical form and J
     the Jacobian at ``x0``: column j is c_1 of the Taylor series of
-    ``s -> method(x0 + s e_j, tau)`` on a circle of radius 1e-2 (16 nodes)."""
+    ``s -> method(x0 + s e_j, tau)`` on a circle of radius 1e-2 (16 nodes),
+    each state passed as a tuple."""
     x = np.asarray(x0, dtype=complex)
     if x.ndim != 1 or len(x) % 2 != 0:
         raise DomainError("symplecticity needs an even-dimensional vector state")
     dim = len(x)
     form = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dim // 2))
     jac = np.column_stack([taylor_coefficients(
-        lambda ss: [method(x + s * e, tau) for s in ss.tolist()], 1e-2, 16)[1]
+        lambda ss: [method(tuple((x + s * e).tolist()), tau) for s in ss.tolist()], 1e-2, 16)[1]
         for e in np.eye(dim)])
     return jac.T @ form @ jac - form
 

@@ -82,19 +82,24 @@ class FlowMap(functools.partial):
     partial's own slot), so it can be reassigned on the class, as a call
     counter does, and a subclass may override it.
     A call hands the evaluator the caller's state and step unconverted.
-    The entry points convert once: ``integrate``/``propagate``,
-    ``symplecticity_defect`` and :meth:`matrix` pass a complex ndarray, and
-    the step is a Python ``complex`` or ``float`` (both have ``.imag`` and
-    ``.conjugate()``).  An object-dtype (mpmath) state is not supported: it
-    runs at f64, reads as exactly real, and the real projection keeps its
-    imaginary part, silently.
+    A state is an ODE's tuple of Python ``complex`` (the oscillator's
+    ``(q, p)``, Kepler's ``(q1, q2, p1, p2)``) or a PDE's complex ndarray,
+    and the step is a Python ``complex`` or ``float`` (both have ``.imag``
+    and ``.conjugate()``).  The entry points convert once:
+    ``integrate``/``propagate`` turn a tuple into a tuple of ``complex`` and
+    anything else into a complex ndarray, and ``symplecticity_defect`` and
+    :meth:`matrix` pass tuples.  An ODE kernel handed an ndarray unpacks it
+    into numpy scalars and returns a tuple, equal to the tuple call's to
+    roundoff.  A tuple of mpmath scalars does not keep its digits:
+    ``analytic_inv_r3``'s array fallback and the real projection's
+    ``complex(v.real)`` drop it to f64.
     A ``(B, ...)`` stack of states with a tuple of B steps is passed only
     to a flow map whose meta declares ``batched``; such a flow map takes a
     single state and step as well.
-    The evaluator returns a new state of the same shape.  It may keep a
-    bounded cache of read-only step constants and shares nothing else, and
-    may write in place only into arrays it allocated itself, never into
-    its input or a cached constant, so one FlowMap can be applied from
+    The evaluator returns a new state of the same form and shape.  It may
+    keep a bounded cache of read-only step constants and shares nothing
+    else, and may write in place only into arrays it allocated itself, never
+    into its input or a cached constant, so one FlowMap can be applied from
     several threads at once.  ``func`` is the evaluator.  A flow map cannot
     be copied or pickled: the partial's ``__reduce__`` rebuilds it without
     ``meta``.
@@ -113,6 +118,5 @@ class FlowMap(functools.partial):
         Columns are the images of the canonical basis vectors, which is the
         exact matrix whenever the map is linear in the state.
         """
-        eye = np.eye(2, dtype=complex)
-        return np.column_stack([self(eye[:, j], tau) for j in range(2)])
+        return np.column_stack([self((1 + 0j, 0j), tau), self((0j, 1 + 0j), tau)])
 

@@ -1,13 +1,14 @@
 """Harmonic oscillator with unit frequency: H = p^2/2 + q^2/2.
 
-States are ``[q, p]``.  The drift (q += tau p) and kick (p -= tau q) are
-the exact flows of the kinetic and potential parts, stepped as Python
-``complex`` scalars like Kepler's; each returns a complex copy of its input
-with only the entry it moves written.  The Strang base runs drift(tau/2),
-kick(tau), drift(tau/2) in one pass over ``q`` and ``p`` with the stages'
-own expressions, so it equals ``strang(ho_drift_flow(), ho_kick_flow())``
-bit for bit.  ``ho_exact``, the rotation matrix of the full flow at a
-(complex) step, is the oracle of the diagnostics.
+States are tuples ``(q, p)`` of Python ``complex``, like Kepler's.  The
+drift (q += tau p) and kick (p -= tau q) are the exact flows of the kinetic
+and potential parts; each returns a new tuple with the entry it moves
+recomputed and the other passed through.  The Strang base runs
+drift(tau/2), kick(tau), drift(tau/2) in one pass over ``q`` and ``p`` with
+the stages' own expressions, so it equals
+``strang(ho_drift_flow(), ho_kick_flow())`` bit for bit.  ``ho_exact``, the
+rotation matrix of the full flow at a (complex) step, is the oracle of the
+diagnostics; ``ho_exact_flow`` applies it to a state.
 """
 
 import numpy as np
@@ -22,21 +23,17 @@ def ho_exact(tau):
 
 
 def _drift(x, tau):
-    q, p = x.tolist()
-    y = x.astype(complex)
-    y[0] = q + tau * p
-    return y
+    q, p = x
+    return (q + tau * p, p)
 
 
 def _kick(x, tau):
-    q, p = x.tolist()
-    y = x.astype(complex)
-    y[1] = p - tau * q
-    return y
+    q, p = x
+    return (q, p - tau * q)
 
 
 def ho_exact_flow():
-    return FlowMap(lambda x, tau: ho_exact(tau) @ x, EXACT_META)
+    return FlowMap(lambda x, tau: tuple(map(complex, ho_exact(tau) @ x)), EXACT_META)
 
 
 def ho_drift_flow():
@@ -52,10 +49,10 @@ def ho_strang_flow():
 
     def apply(x, tau):
         half = tau / 2.0
-        q, p = x.tolist()
+        q, p = x
         q = q + half * p
         p = p - tau * q
-        return np.array([q + half * p, p], dtype=complex)
+        return (q + half * p, p)
 
     return FlowMap(apply, STRANG_META)
 

@@ -7,12 +7,13 @@ holomorphic off the negative real axis of q1^2 + q2^2.  A trajectory
 crossing that cut raises a :class:`SingularityError`; no alternative
 branch is chosen.
 
-State vectors are laid out as ``[q1, q2, p1, p2]``; the drift and kick
-step them as Python ``complex`` scalars and return a complex copy of the
-input with only the entries they move written (the positions, the momenta).
-The Strang base runs drift(tau/2), kick(tau) and drift(tau/2) on the
-four unpacked scalars with the stages' own expressions in their order
-into one array, the bits of ``strang(kepler_drift_flow(), kepler_kick_flow())``.
+A state is a tuple ``(q1, q2, p1, p2)`` of Python ``complex``
+(``KeplerState.as_vector()`` gives the same entries as an array); the drift
+and kick return a new tuple with the entries they move recomputed (the
+positions, the momenta) and the others passed through.  The Strang base
+runs drift(tau/2), kick(tau) and drift(tau/2) on the four unpacked scalars
+with the stages' own expressions in their order into one tuple, the bits of
+``strang(kepler_drift_flow(), kepler_kick_flow())``.
 """
 
 import math
@@ -23,8 +24,6 @@ import numpy as np
 from ..complexlog import analytic_inv_r3
 from ..errors import DomainError, SingularityError
 from ..flowmap import EXACT_META, STRANG_META, FlowMap
-
-_COMPLEX = np.dtype(complex)
 
 
 @dataclass
@@ -72,20 +71,14 @@ def kepler_energy(x):
 
 
 def _drift(x, tau):
-    q1, q2, p1, p2 = x.tolist()
-    y = x.astype(complex)
-    y[0] = q1 + tau * p1
-    y[1] = q2 + tau * p2
-    return y
+    q1, q2, p1, p2 = x
+    return (q1 + tau * p1, q2 + tau * p2, p1, p2)
 
 
 def _kick(x, tau):
-    q1, q2, p1, p2 = x.tolist()
+    q1, q2, p1, p2 = x
     factor = tau * analytic_inv_r3(q1 * q1 + q2 * q2)
-    y = x.astype(complex)
-    y[2] = p1 - factor * q1
-    y[3] = p2 - factor * q2
-    return y
+    return (q1, q2, p1 - factor * q1, p2 - factor * q2)
 
 
 def kepler_drift_flow():
@@ -97,15 +90,14 @@ def kepler_kick_flow():
 
 
 def kepler_strang_flow():
-    """Second-order drift(tau/2), kick(tau), drift(tau/2), one pass, built as a
-    ``_COMPLEX`` array: a cached dtype, as ``dtype=complex`` converts per call."""
+    """Second-order drift(tau/2), kick(tau), drift(tau/2), one pass."""
 
     def apply(x, tau):
         half = tau / 2.0
-        q1, q2, p1, p2 = x.tolist()
+        q1, q2, p1, p2 = x
         q1, q2 = q1 + half * p1, q2 + half * p2
         factor = tau * analytic_inv_r3(q1 * q1 + q2 * q2)
         p1, p2 = p1 - factor * q1, p2 - factor * q2
-        return np.array((q1 + half * p1, q2 + half * p2, p1, p2), _COMPLEX)
+        return (q1 + half * p1, q2 + half * p2, p1, p2)
 
     return FlowMap(apply, STRANG_META)

@@ -275,9 +275,9 @@ def test_criterion_09_pseudo_symmetry_defect_order():
     # coefficient at both radii: the symplecticity coefficient is an entry
     # of an antisymmetric matrix, and leading_term takes the sign of the
     # first entry of the +- pair, so roundoff does not flip it.
-    x0 = kepler_initial_conditions(0.6).as_vector()
+    x0 = tuple(kepler_initial_conditions(0.6).as_vector().tolist())
     for level, method in enumerate(recursive_family(kepler_strang_flow(), 3).levels, 1):
-        cells = {"symmetry": lambda t: method(method(x0, -t), t) - x0,
+        cells = {"symmetry": lambda t: np.subtract(method(method(x0, -t), t), x0),
                  "symplecticity": lambda t: symplecticity_defect(method, x0, t)}
         for label, cell in cells.items():
             terms = {rho: _leading_series_term(cell, rho, 64) for rho in (0.1, 0.15)}

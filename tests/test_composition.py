@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from pscomp.bench.run import ExperimentConfig, _problem_setup
 from pscomp.coefficients import gamma_smallest_phase
 from pscomp.composition import (
-    _HALF, coefficient_arguments, compose_schedule, recursive_family,
+    _HALF, _average, _conj as _conj_state, _is_real, _real_part, coefficient_arguments,
+    compose_schedule, recursive_family,
 )
 from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
@@ -28,12 +29,25 @@ from pscomp.spectral import SpectralGrid
 PAIR_META = MethodMeta(order=3, pseudo_symmetry_order=3, pseudo_symplecticity_order=3)
 
 
+def _conj(x):
+    """Conjugate of a state in its own form: a tuple of Python complex (an
+    ODE state) or a complex array (a PDE state)."""
+    return tuple(v.conjugate() for v in x) if type(x) is tuple else np.conj(x)
+
+
+def _perturbed(x0, rng):
+    """``x0 + 0.05 (N + iN)`` with normal draws N, in the form of ``x0``."""
+    shape = np.shape(x0)
+    x = np.asarray(x0) + 0.05 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return tuple(x.tolist()) if type(x0) is tuple else x
+
+
 def test_schedule_singleton_equals_base():
     base = ho_strang_flow()
     composed = compose_schedule(base, [1.0], base.meta)
     rng = np.random.default_rng(7)
     for _ in range(100):
-        x = rng.normal(size=2) + 1j * rng.normal(size=2)
+        x = tuple((rng.normal(size=2) + 1j * rng.normal(size=2)).tolist())
         tau = complex(rng.normal(), rng.normal()) * 0.3
         np.testing.assert_array_equal(composed(x, tau), base(x, tau))
 
@@ -85,9 +99,9 @@ def test_real_projection_idempotent_on_real_states():
     once = recursive_family(ho_strang_flow(), 1).levels[0]
     rng = np.random.default_rng(3)
     for _ in range(20):
-        x = rng.normal(size=2)
+        x = tuple(map(complex, rng.normal(size=2)))
         tau = rng.uniform(0.01, 0.5)
-        twice = 0.5 * (once(x, tau) + np.conj(once(np.conj(x), tau)))
+        twice = 0.5 * (np.asarray(once(x, tau)) + np.conj(once(_conj(x), tau)))
         np.testing.assert_array_equal(once(x, tau), twice)
 
 
@@ -105,36 +119,40 @@ def test_real_projection_averages_mirror_for_complex_state_at_real_step(imag):
     # Any state that is not exactly real runs both mirror branches, even at
     # a real step: the projection is one holomorphic formula in the state.
     pair = _kepler_pair()
-    x = kepler_initial_conditions(0.0).as_vector() + 1j * imag * np.array([0, 1, 1, 0])
+    x = tuple((kepler_initial_conditions(0.0).as_vector()
+               + 1j * imag * np.array([0, 1, 1, 0])).tolist())
     tau = complex(0.05)
-    expected = 0.5 * (pair(x, tau) + np.conj(pair(np.conj(x), tau)))
+    expected = 0.5 * (np.asarray(pair(x, tau)) + np.conj(pair(_conj(x), tau)))
     np.testing.assert_array_equal(_kepler_level1()(x, tau), expected)
 
 
 def test_real_projection_takes_real_part_for_real_state_at_real_step():
     pair = _kepler_pair()
-    x = kepler_initial_conditions(0.6).as_vector()
+    x = tuple(kepler_initial_conditions(0.6).as_vector().tolist())
     tau = complex(0.05)
-    np.testing.assert_array_equal(_kepler_level1()(x, tau), pair(x, tau).real)
+    np.testing.assert_array_equal(_kepler_level1()(x, tau), np.asarray(pair(x, tau)).real)
 
 
 def test_real_projection_output_has_zero_imaginary_part():
     projected = recursive_family(ho_strang_flow(), 1).levels[0]
     rng = np.random.default_rng(11)
     for _ in range(25):
-        out = projected(rng.normal(size=2), rng.uniform(0.01, 0.8))
+        out = np.asarray(projected(tuple(map(complex, rng.normal(size=2))),
+                                   rng.uniform(0.01, 0.8)))
         assert np.all(out.imag == 0.0)
 
 
 def _old_formula_levels(base, levels):
-    """Levels built as ``0.5 * (pair(x, s) + conj(pair(conj x, conj s)))``."""
+    """Levels built as ``0.5 * (pair(x, s) + conj(pair(conj x, conj s)))``,
+    in numpy and in the form of ``x``."""
     out, prev = [], base
     for meta in (lvl.meta for lvl in recursive_family(base, levels).levels):
         g = gamma_smallest_phase(prev.meta.order)
         pair = compose_schedule(prev, (g, g.conjugate()), meta)
 
         def level(x, s, pair=pair):
-            return 0.5 * (pair(x, s) + np.conj(pair(np.conj(x), s.conjugate())))
+            y = 0.5 * (np.asarray(pair(x, s)) + np.conj(pair(_conj(x), s.conjugate())))
+            return tuple(y.tolist()) if type(x) is tuple else y
 
         prev = FlowMap(level, meta)
         out.append(prev)
@@ -164,11 +182,11 @@ def test_levels_equal_the_old_mirror_formula(problem, base_method, levels, rtol,
     # Complex steps and complex states run both branches at every level.
     base, _, x0 = _setup(problem, base_method)
     rng = np.random.default_rng(seed)
-    x = x0 + 0.05 * (rng.normal(size=x0.shape) + 1j * rng.normal(size=x0.shape))
+    x = _perturbed(x0, rng)
     sigma = cmath.rect(radius, angle)
     new = recursive_family(base, levels).levels
     for n, (level, oracle) in enumerate(zip(new, _old_formula_levels(base, levels)), 1):
-        got, want = level(x, sigma), oracle(x, sigma)
+        got, want = np.asarray(level(x, sigma)), np.asarray(oracle(x, sigma))
         if rtol == 0.0:
             assert got.tobytes() == want.tobytes(), n
         else:
@@ -182,10 +200,10 @@ def _explicit_average(prev, meta, x, s):
     self-conjugate and else on its mirror ``conj(prev(conj x, conj s))``."""
     g = gamma_smallest_phase(prev.meta.order)
     mirror = prev if prev.meta.self_conjugate else FlowMap(
-        lambda y, t: np.conj(prev(np.conj(y), t.conjugate())), prev.meta)
+        lambda y, t: _conj(prev(_conj(y), t.conjugate())), prev.meta)
     pair = compose_schedule(prev, (g, g.conjugate()), meta)
     twin = compose_schedule(mirror, (g.conjugate(), g), meta)
-    return 0.5 * (pair(x, s) + twin(x, s))
+    return 0.5 * (np.asarray(pair(x, s)) + twin(x, s))
 
 
 @pytest.mark.parametrize("problem, base_method, levels", [
@@ -201,11 +219,11 @@ def test_levels_at_complex_steps_equal_their_composed_pair_and_twin(problem, bas
     rng = np.random.default_rng(31)
     for _ in range(10):
         sigma = cmath.rect(rng.uniform(0.01, 0.1), rng.uniform(-0.4, 0.4))
-        x = x0 + 0.05 * (rng.normal(size=x0.shape) + 1j * rng.normal(size=x0.shape))
-        for state in (np.asarray(x0, complex), x):
+        x = _perturbed(x0, rng)
+        for state in (x0, x):
             for n, (prev, level) in enumerate(zip([base] + family, family), 1):
                 want = _explicit_average(prev, level.meta, state, sigma)
-                assert level(state, sigma).tobytes() == want.tobytes(), n
+                assert np.asarray(level(state, sigma)).tobytes() == want.tobytes(), n
 
 
 #: Real and imaginary parts whose products by 0.5 and 0.0 round, vanish or
@@ -229,6 +247,75 @@ def test_cached_half_multiplies_with_the_bits_of_a_python_half(parts):
     assert _HALF.dtype == np.complex128 and _HALF.shape == ()
     with pytest.raises(ValueError, match="read-only"):
         _HALF[()] = 1.0
+
+
+def _assert_same_bits(got, want, zero_sign_free=None):
+    """A tuple of Python complex equal to a complex array part by part, bit for
+    bit, except that (b) NaN payloads are free (any NaN matches any NaN) and
+    (a) the sign of a zero is free where ``zero_sign_free`` holds that part's
+    component of A + B and it is +-5e-324, whose half underflows to a zero
+    whose sign depends on whether numpy's loop fuses the multiply-add."""
+    assert type(got) is tuple and all(type(v) is complex for v in got)
+    assert len(got) == len(want)
+    free = zero_sign_free.tolist() if zero_sign_free is not None else [0j] * len(got)
+    for g, w, f in zip(got, want.tolist(), free):
+        for a, b, c in ((g.real, w.real, f.real), (g.imag, w.imag, f.imag)):
+            if math.isnan(a) or math.isnan(b):
+                assert math.isnan(a) and math.isnan(b)
+            elif a == 0.0 and b == 0.0 and abs(c) == 5e-324:
+                continue
+            else:
+                assert math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
+
+
+@settings(max_examples=400, deadline=None)
+@given(parts=st.lists(st.tuples(SPECIAL_PARTS, SPECIAL_PARTS, SPECIAL_PARTS, SPECIAL_PARTS),
+                      min_size=1, max_size=4))
+def test_tuple_state_operations_equal_their_array_forms(parts):
+    # An ODE level runs its real-state test, real part, mirror average and
+    # conj twin on tuples of Python complex; each equals the complex-array
+    # form a PDE level runs, on signed zeros, infinities, nans and subnormals.
+    u = tuple(complex(a, b) for a, b, _, _ in parts)
+    v = tuple(complex(c, d) for _, _, c, d in parts)
+    arr_u, arr_v = np.array(u), np.array(v)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _is_real(u) is (not np.count_nonzero(arr_u.imag)) is _is_real(arr_u)
+        _assert_same_bits(_real_part(u), arr_u.real.astype(complex))
+        _assert_same_bits(_conj_state(u), np.conj(arr_u))
+        _assert_same_bits(_average(u, v), _HALF * (arr_u + arr_v), arr_u + arr_v)
+    assert _is_real((0j, complex(1.0, -0.0))) and not _is_real((complex(0.0, math.nan),))
+
+
+@pytest.mark.parametrize("problem", ["harmonic", "kepler"])
+@pytest.mark.parametrize("base_method", ["strang", "s4sim"])
+@pytest.mark.parametrize("tau", [0.05, cmath.rect(0.05, 0.3)], ids=["real", "complex"])
+def test_ode_levels_given_an_array_return_the_tuple_result(problem, base_method, tau):
+    # The mirror average and the real part read the form of the states they
+    # combine, which the ODE kernels return as tuples, so an array handed to
+    # a level never concatenates two tuples into a state of twice the length.
+    base, _, x0 = _setup(problem, base_method)
+    rng = np.random.default_rng(37)
+    for x in (x0, _perturbed(x0, rng)):
+        for n, level in enumerate(recursive_family(base, 3).levels, 1):
+            want = np.asarray(level(x, tau))
+            got = level(np.array(x), tau)
+            assert type(got) is tuple and len(got) == len(x), n
+            assert np.asarray(got).shape == want.shape == (len(x),), n
+            assert np.max(np.abs(np.asarray(got) - want)) <= 1e-15 * np.max(np.abs(want)), n
+
+
+@pytest.mark.parametrize("problem", ["harmonic", "kepler"])
+@pytest.mark.parametrize("base_method", ["strang", "s4sim"])
+def test_ode_kernels_and_levels_return_tuples_of_python_complex(problem, base_method):
+    base, _, x0 = _setup(problem, base_method)
+    rng = np.random.default_rng(41)
+    methods = [base, *recursive_family(base, 2).levels]
+    for x in (x0, _perturbed(x0, rng)):
+        for tau in (0.05, cmath.rect(0.05, 0.3)):
+            for method in methods:
+                y = method(x, tau)
+                assert type(y) is tuple and len(y) == len(x)
+                assert all(type(v) is complex for v in y)
 
 
 @pytest.mark.parametrize("grid_points", [32, 512])
@@ -306,12 +393,12 @@ def test_declared_self_conjugate_bases_equal_their_twin(problem, rtol, base_meth
     method = recursive_family(base, level).levels[-1] if level else base
     rng = np.random.default_rng(5)
     for _ in range(10):
-        x = x0 + 0.05 * (rng.normal(size=x0.shape) + 1j * rng.normal(size=x0.shape))
+        x = _perturbed(x0, rng)
         if level:
             tau = cmath.rect(rng.uniform(0.01, 0.1), rng.uniform(-0.4, 0.4))
         else:
             tau = complex(rng.uniform(0.01, 0.1), rng.uniform(-0.05, 0.05))
-        got, twin = method(x, tau), np.conj(method(np.conj(x), tau.conjugate()))
+        got, twin = np.asarray(method(x, tau)), np.conj(method(_conj(x), tau.conjugate()))
         if rtol == 0.0:
             holds = got.tobytes() == twin.tobytes()
         else:
@@ -356,9 +443,9 @@ def test_double_jump_uses_smallest_phase_coefficient():
     g = gamma_smallest_phase(2)
     assert g == pytest.approx(complex(0.5, math.sqrt(3.0) / 6.0))
     pair = compose_schedule(base, [g, g.conjugate()], PAIR_META)
-    x = np.array([0.3, -0.7], dtype=complex)
-    np.testing.assert_allclose(family.levels[0](x, 0.1), pair(x, 0.1).real,
-                               rtol=0.0, atol=1e-15)
+    x = (0.3 + 0j, -0.7 + 0j)
+    np.testing.assert_allclose(np.asarray(family.levels[0](x, 0.1)),
+                               np.asarray(pair(x, 0.1)).real, rtol=0.0, atol=1e-15)
     assert family.levels[0].meta.order == 4
     # Level 2 composes level 1 (order 4) with the order-4 coefficient.
     g4 = gamma_smallest_phase(4)
@@ -473,15 +560,16 @@ def _cgl_level2_inputs(rng):
 def _kepler_level2_inputs(rng):
     x0 = kepler_initial_conditions(0.6).as_vector().real
     return recursive_family(kepler_strang_flow(), 2).levels[1], [
-        (x0 + 0.05 * rng.normal(size=4), rng.uniform(0.01, 0.1)) for _ in range(64)]
+        (tuple(map(complex, x0 + 0.05 * rng.normal(size=4))), rng.uniform(0.01, 0.1))
+        for _ in range(64)]
 
 
 def _s4sim_complex_step_inputs(rng):
     # Complex steps run the conj o base o conj twin of the s4sim base.
     base = s4sim(ho_drift_flow(), ho_kick_flow())
     return recursive_family(base, 2).levels[1], [
-        (rng.normal(size=2), cmath.rect(rng.uniform(0.01, 0.5), rng.uniform(-0.4, 0.4)))
-        for _ in range(64)]
+        (tuple(map(complex, rng.normal(size=2))),
+         cmath.rect(rng.uniform(0.01, 0.5), rng.uniform(-0.4, 0.4))) for _ in range(64)]
 
 
 def test_flow_maps_are_thread_safe():
@@ -490,7 +578,8 @@ def test_flow_maps_are_thread_safe():
 
     method = recursive_family(ho_strang_flow(), 2).levels[1]
     rng = np.random.default_rng(29)
-    inputs = [(rng.normal(size=2), rng.uniform(0.01, 0.5)) for _ in range(64)]
+    inputs = [(tuple(map(complex, rng.normal(size=2))), rng.uniform(0.01, 0.5))
+              for _ in range(64)]
     for method, inputs in ((method, inputs), _cgl_level2_inputs(rng),
                            _kepler_level2_inputs(rng), _s4sim_complex_step_inputs(rng)):
         serial = [method(x, tau) for x, tau in inputs]

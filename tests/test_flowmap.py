@@ -53,10 +53,16 @@ def test_call_hands_the_evaluator_its_inputs():
 
 
 def test_entry_points_convert_the_state_once():
+    # A tuple (an ODE state) becomes a tuple of Python complex; anything
+    # else (a PDE state) a complex array.
     seen = []
     integrate(_recording_flow(seen), [1.0, 2.0], 0.1, 2)
     assert [x.dtype for x, _ in seen] == [np.dtype(complex)] * 2
     assert seen[0][0] is seen[1][0]
+    seen.clear()
+    integrate(_recording_flow(seen), (1.0, np.float64(2.0)), 0.1, 2)
+    assert [[type(v) for v in x] for x, _ in seen] == [[complex, complex]] * 2
+    assert seen[0][0] is seen[1][0] and seen[0][0] == (1.0, 2.0)
 
 
 def test_a_flow_map_keeps_its_evaluator_and_meta():
@@ -73,7 +79,7 @@ def test_a_reassigned_call_counts_the_22_calls_of_an_s4sim_step(monkeypatch):
     # A real step on a real state runs the pair only: the level, the pair,
     # two s4sim evaluations and their 2 x 9 stages.
     level = recursive_family(s4sim(ho_drift_flow(), ho_kick_flow()), 1).levels[0]
-    x = np.array([1.0, 0.5], dtype=complex)
+    x = (1.0 + 0j, 0.5 + 0j)
     expected = level(x, 0.3)
     calls = _counting_call(monkeypatch)
     np.testing.assert_array_equal(level(x, 0.3), expected)

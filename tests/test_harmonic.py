@@ -64,18 +64,17 @@ def test_strang_one_step_error_is_third_order():
 
 def test_strang_flow_matches_matrix():
     flow = ho_strang_flow()
-    x = np.array([1.0, -2.0], dtype=complex)
+    x = (1.0 + 0j, -2.0 + 0j)
     tau = 0.37
-    np.testing.assert_allclose(flow(x, tau), strang(tau) @ x, atol=0)
+    np.testing.assert_allclose(np.asarray(flow(x, tau)), strang(tau) @ x, atol=0)
 
 
 @pytest.mark.parametrize("tau", [0.1, -0.37, 0.0, GAMMA * 0.1, GAMMA.conjugate() * 0.1])
-@pytest.mark.parametrize("x", [np.array([2.5, 0.0], dtype=complex),
-                               np.array([0.3 - 1.2j, -0.7 + 0.4j]),
-                               np.array([2.5, -0.5])],
+@pytest.mark.parametrize("x", [(2.5 + 0j, 0j), (0.3 - 1.2j, -0.7 + 0.4j), (2.5, -0.5)],
                          ids=["real_state", "complex_state", "float_state"])
 def test_one_pass_strang_equals_the_staged_strang_bit_for_bit(x, tau):
+    # A tuple of Python floats runs the same scalar arithmetic in both.
     fused = ho_strang_flow()(x, tau)
     staged = staged_strang(ho_drift_flow(), ho_kick_flow())(x, tau)
-    assert fused.dtype == staged.dtype
-    assert fused.tobytes() == staged.tobytes()
+    assert [type(v) for v in fused] == [type(v) for v in staged]
+    assert np.array(fused).tobytes() == np.array(staged).tobytes()
