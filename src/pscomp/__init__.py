@@ -23,13 +23,13 @@ from .composition import (
 )
 from .complexlog import analytic_inv_r3, principal_log
 from .errors import DomainError, NonFiniteError, SingularityError, ValidationError
-from .flowmap import EXACT_META, INFINITE_ORDER, STRANG_META, FlowMap, MethodMeta
+from .flowmap import INFINITE_ORDER, STRANG_META, FlowMap, MethodMeta
 from .spectral import SpectralGrid, write_snapshot
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "EXACT_META", "FlowMap", "NonFiniteError",
+    "DomainError", "FlowMap", "NonFiniteError",
     "INFINITE_ORDER", "MethodMeta", "RecursiveFamily", "STRANG_META",
     "SingularityError", "SpectralGrid", "ValidationError",
     "analytic_inv_r3", "coefficient_arguments", "compose_schedule",

@@ -68,4 +68,6 @@ def analytic_inv_r3(z):
             # 0 or not finite: |z|^1.5 or its inverse overflowed
             if w and cmath.isfinite(w):
                 return w
+    elif type(z) is not complex and isinstance(z, complex):  # a numpy complex128
+        return analytic_inv_r3(complex(z))
     return np.exp(-1.5 * principal_log(z))

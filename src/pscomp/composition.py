@@ -29,9 +29,7 @@ from .errors import DomainError, ValidationError
 from .flowmap import FlowMap, MethodMeta
 
 COEFF_SUM_TOL = 1e-12
-_HALF = np.array(0.5 + 0j)
-_HALF.flags.writeable = False
-_HALF_C = 0.5 + 0j
+_HALF = 0.5 + 0j
 
 
 # A state is a tuple of Python complex (an ODE) or a complex array (a PDE);
@@ -46,7 +44,7 @@ def _real_part(y):
 
 def _average(u, v):
     if type(u) is tuple:
-        return tuple([_HALF_C * (a + b) for a, b in zip(u, v)])
+        return tuple([_HALF * (a + b) for a, b in zip(u, v)])
     return _HALF * (u + v)
 
 
@@ -79,19 +77,22 @@ def compose_schedule(base, coefficients, meta):
     return FlowMap(apply, meta)
 
 
+def _twin(method):
+    """``conj(method(conj x, conj s))``: ``method`` itself when it is
+    self-conjugate, else one flow map that runs it inside ``conj``."""
+    if method.meta.self_conjugate:
+        return method
+    return FlowMap(lambda x, tau: _conj(method(_conj(x), tau.conjugate())), method.meta)
+
+
 def _projected_level(prev, gamma):
     """Level built on ``prev``: its conjugate pair at ``(gamma, conj(gamma))``
     averaged with the twin, the same composition with conjugated
-    coefficients.  A real step on a real state returns the real part of one
-    ``pair`` call; any other input evaluates both branches, so the level is
-    holomorphic in the state at every step.  A self-conjugate ``prev`` (a
-    real splitting or a level) is its own twin: with ``s1, s2 = conj(gamma)
-    s, gamma s`` the level calls ``prev(prev(x, s1), s2)`` and, as the twin,
-    ``prev(prev(x, s2), s1)``, the bits of the pair and of its mirror
-    composed.  Any other ``prev`` runs the twin as
-    ``conj(pair(conj(x), conj(s)))``.  Averages of arrays multiply by
-    ``_HALF``: the bits of ``0.5 *`` without numpy converting a Python 0.5
-    on every call; a tuple's entries multiply by the Python ``_HALF_C``.
+    coefficients.  With ``s1, s2 = conj(gamma) s, gamma s`` and ``twin =
+    _twin(prev)``, built once, the level is ``_average(prev(prev(x, s1), s2),
+    twin(twin(x, s2), s1))``, holomorphic in the state at every step.  A
+    real step on a real state takes the real part of one ``pair`` call
+    instead, which that average equals for a real vector field.
 
     On a batched self-conjugate ``prev`` the level takes a ``(B, ...)``
     stack with a tuple of B steps (a single call is a stack of one).  When
@@ -102,15 +103,13 @@ def _projected_level(prev, gamma):
     meta = _level_meta(prev.meta)
     gamma_bar = gamma.conjugate()
     pair = compose_schedule(prev, (gamma, gamma_bar), meta)
-    self_conjugate = prev.meta.self_conjugate
+    twin = _twin(prev)
 
     def project(x, tau):
         if tau.imag == 0.0 and _is_real(x):
             return _real_part(pair(x, tau))
         first, second = gamma_bar * tau, gamma * tau
-        if self_conjugate:
-            return _average(prev(prev(x, first), second), prev(prev(x, second), first))
-        return _average(pair(x, tau), _conj(pair(_conj(x), tau.conjugate())))
+        return _average(prev(prev(x, first), second), twin(twin(x, second), first))
 
     def project_stack(x, tau):
         # Not a recursive call: a closure that refers to itself is a cycle,
@@ -120,11 +119,11 @@ def _projected_level(prev, gamma):
             x, tau = x[None], (tau,)
         first = tuple(gamma_bar * t for t in tau)
         second = tuple(gamma * t for t in tau)
-        if not any(t.imag for t in tau) and not np.count_nonzero(x.imag):
-            y = prev(prev(x, first), second).real.astype(complex)
+        if not any(t.imag for t in tau) and _is_real(x):
+            y = _real_part(prev(prev(x, first), second))
         else:
             y = prev(prev(np.concatenate((x, x)), first + second), second + first)
-            y = _HALF * (y[:len(tau)] + y[len(tau):])
+            y = _average(y[:len(tau)], y[len(tau):])
         return y[0] if single else y
 
     return FlowMap(project_stack if meta.batched else project, meta)

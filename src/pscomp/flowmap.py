@@ -34,8 +34,8 @@ class MethodMeta:
         splitting of a real vector field, or a projected level.  False
         (the default) for a base with complex coefficients such as
         ``s4sim``.  The next level reads it, on the base and on every
-        level alike: a self-conjugate method is composed as its own twin,
-        and any other runs inside ``conj``.
+        level alike, to build its twin once: the method itself when it is
+        self-conjugate, else the method inside ``conj``.
     batched
         True when the evaluator also takes a stack: a ``(B, ...)`` state
         with a tuple of B steps, one per state, returning the B results
@@ -63,12 +63,9 @@ class MethodMeta:
                 raise ValidationError(f"pseudo-{label} order {value} below order {self.order}")
 
 
-#: Meta for an exact flow: symmetric and symplectic to all orders.  No
-#: combinator reads the meta of a stage flow, so the order is nominally 2.
-EXACT_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
-                        pseudo_symplecticity_order=INFINITE_ORDER, self_conjugate=True)
-
-#: Meta of the symmetric, symplectic second-order (Strang) splittings.
+#: Meta of the symmetric, symplectic second-order (Strang) splittings, and
+#: of the exact and stage flows they compose: no combinator reads a stage
+#: flow's meta, so its order is nominally 2.
 STRANG_META = MethodMeta(order=2, pseudo_symmetry_order=INFINITE_ORDER,
                          pseudo_symplecticity_order=INFINITE_ORDER, self_conjugate=True)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..complexlog import principal_log
-from ..flowmap import EXACT_META, STRANG_META, FlowMap
+from ..flowmap import STRANG_META, FlowMap
 from ..spectral import step_cache
 
 
@@ -126,7 +126,7 @@ def cgl_nonlinear_map(params):
     def apply(vw, tau):
         return _from_diagonal(_cubic(_to_diagonal(vw), tau, beta))
 
-    return FlowMap(apply, EXACT_META)
+    return FlowMap(apply, STRANG_META)
 
 
 def cgl_linear_map(params, grid):
@@ -135,7 +135,7 @@ def cgl_linear_map(params, grid):
     def apply(vw, tau):
         return _from_diagonal(_linear(_to_diagonal(vw), multipliers(tau)))
 
-    return FlowMap(apply, EXACT_META)
+    return FlowMap(apply, STRANG_META)
 
 
 #: Strang meta of the Ginzburg-Landau kernel, which also evaluates stacks.

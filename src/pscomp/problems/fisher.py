@@ -13,7 +13,7 @@ that the denominator stays away from zero.
 import numpy as np
 
 from ..errors import SingularityError
-from ..flowmap import EXACT_META, FlowMap
+from ..flowmap import STRANG_META, FlowMap
 from ..spectral import step_cache
 from .splitting import strang
 
@@ -34,7 +34,7 @@ def _reaction(values, tau):
 
 
 def fisher_reaction_map():
-    return FlowMap(_reaction, EXACT_META)
+    return FlowMap(_reaction, STRANG_META)
 
 
 def fisher_diffusion_map(grid):
@@ -45,7 +45,7 @@ def fisher_diffusion_map(grid):
     def apply(values, tau):
         return np.fft.ifft(multipliers(tau) * np.fft.fft(values))
 
-    return FlowMap(apply, EXACT_META)
+    return FlowMap(apply, STRANG_META)
 
 
 def fisher_strang_flow(grid):

@@ -13,7 +13,7 @@ diagnostics; ``ho_exact_flow`` applies it to a state.
 
 import numpy as np
 
-from ..flowmap import EXACT_META, STRANG_META, FlowMap
+from ..flowmap import STRANG_META, FlowMap
 
 
 def ho_exact(tau):
@@ -33,15 +33,15 @@ def _kick(x, tau):
 
 
 def ho_exact_flow():
-    return FlowMap(lambda x, tau: tuple(map(complex, ho_exact(tau) @ x)), EXACT_META)
+    return FlowMap(lambda x, tau: tuple(map(complex, ho_exact(tau) @ x)), STRANG_META)
 
 
 def ho_drift_flow():
-    return FlowMap(_drift, EXACT_META)
+    return FlowMap(_drift, STRANG_META)
 
 
 def ho_kick_flow():
-    return FlowMap(_kick, EXACT_META)
+    return FlowMap(_kick, STRANG_META)
 
 
 def ho_strang_flow():

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..complexlog import analytic_inv_r3
 from ..errors import DomainError, SingularityError
-from ..flowmap import EXACT_META, STRANG_META, FlowMap
+from ..flowmap import STRANG_META, FlowMap
 
 
 @dataclass
@@ -82,11 +82,11 @@ def _kick(x, tau):
 
 
 def kepler_drift_flow():
-    return FlowMap(_drift, EXACT_META)
+    return FlowMap(_drift, STRANG_META)
 
 
 def kepler_kick_flow():
-    return FlowMap(_kick, EXACT_META)
+    return FlowMap(_kick, STRANG_META)
 
 
 def kepler_strang_flow():

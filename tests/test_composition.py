@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from pscomp.bench.run import ExperimentConfig, _problem_setup
 from pscomp.coefficients import gamma_smallest_phase
 from pscomp.composition import (
-    _HALF, _average, _conj as _conj_state, _is_real, _real_part, coefficient_arguments,
-    compose_schedule, recursive_family,
+    _HALF, _average, _conj as _conj_state, _is_real, _real_part, _twin,
+    coefficient_arguments, compose_schedule, recursive_family,
 )
 from pscomp.diagnostics import power_law_fit, slope_with_floor
 from pscomp.errors import DomainError, ValidationError
-from pscomp.flowmap import EXACT_META, STRANG_META, FlowMap, MethodMeta
+from pscomp.flowmap import STRANG_META, FlowMap, MethodMeta
 from pscomp.problems import (
     CGLParams, cgl_strang_flow, ho_drift_flow, ho_exact, ho_kick_flow,
     S4SIM_MAX_ARG, ho_strang_flow, kepler_initial_conditions, kepler_strang_flow,
@@ -85,7 +85,7 @@ def test_conjugate_pair_schedule_is_third_order():
 
 
 def test_real_projection_identity_is_exact():
-    identity = FlowMap(lambda x, tau: x.copy(), EXACT_META)
+    identity = FlowMap(lambda x, tau: x.copy(), STRANG_META)
     projected = recursive_family(identity, 1).levels[0]
     x = np.array([1.25, -0.5])
     out = projected(x, 0.3)
@@ -226,6 +226,27 @@ def test_levels_at_complex_steps_equal_their_composed_pair_and_twin(problem, bas
                 assert np.asarray(level(state, sigma)).tobytes() == want.tobytes(), n
 
 
+@pytest.mark.parametrize("problem", ["harmonic", "kepler", "cgl"])
+def test_twin_is_a_self_conjugate_method_itself_or_the_method_inside_conj(problem):
+    # A level's twin is built once: the self-conjugate Strang base and every
+    # level are their own twins; s4sim's twin runs it inside conj, with the
+    # bits of conj(s4sim(conj x, conj t)) on a tuple and on a (2, N) array.
+    strang, _, x0 = _setup(problem, "strang")
+    assert _twin(strang) is strang
+    level = recursive_family(strang, 1).levels[0]
+    assert _twin(level) is level
+    base, _, _ = _setup(problem, "s4sim")
+    twin = _twin(base)
+    assert twin is not base and twin.meta is base.meta
+    rng = np.random.default_rng(43)
+    for x in (x0, _perturbed(x0, rng)):
+        for t in (cmath.rect(0.05, 0.3), cmath.rect(0.02, -0.7), 0.05):
+            want = _conj(base(_conj(x), t.conjugate()))
+            got = twin(x, t)
+            assert type(got) is type(x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 #: Real and imaginary parts whose products by 0.5 and 0.0 round, vanish or
 #: turn into nan: signed zeros, infinities, nans and subnormals.
 SPECIAL_PARTS = st.one_of(
@@ -238,15 +259,13 @@ SPECIAL_PARTS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(parts=st.lists(st.tuples(SPECIAL_PARTS, SPECIAL_PARTS), min_size=1, max_size=8))
 def test_cached_half_multiplies_with_the_bits_of_a_python_half(parts):
-    # The levels average with a cached complex 0.5; numpy runs a Python 0.5
-    # through the same complex multiply, so every bit, nan and sign included,
-    # is the same.
+    # Tuples, arrays and stacks all average with one Python complex 0.5;
+    # numpy runs a Python 0.5 through the same complex multiply, so every
+    # bit, nan and sign included, is the same.
     s = np.array([complex(re, im) for re, im in parts])
     with np.errstate(invalid="ignore", over="ignore"):
         assert (_HALF * s).tobytes() == (0.5 * s).tobytes()
-    assert _HALF.dtype == np.complex128 and _HALF.shape == ()
-    with pytest.raises(ValueError, match="read-only"):
-        _HALF[()] = 1.0
+    assert type(_HALF) is complex and _HALF == 0.5
 
 
 def _assert_same_bits(got, want, zero_sign_free=None):

@@ -14,7 +14,7 @@ from pscomp.diagnostics import (
     taylor_coefficients,
 )
 from pscomp.errors import DomainError, NonFiniteError, SingularityError, ValidationError
-from pscomp.flowmap import EXACT_META, STRANG_META, FlowMap
+from pscomp.flowmap import STRANG_META, FlowMap
 from pscomp.problems import (
     ho_drift_flow, ho_energy, ho_exact, ho_exact_flow, ho_kick_flow, ho_strang_flow,
     kepler_energy, kepler_initial_conditions, kepler_strang_flow, s4sim,
@@ -159,7 +159,7 @@ def test_slope_with_floor_two_point_fallback():
 
 
 def test_integrate_identity_constant_trajectory():
-    identity = FlowMap(lambda x, tau: x.copy(), EXACT_META)
+    identity = FlowMap(lambda x, tau: x.copy(), STRANG_META)
     states = integrate(identity, np.array([1.0, 2.0]), 0.1, 5)
     assert states.shape == (6, 2)
     assert np.all(states == np.array([1.0, 2.0]))
@@ -187,7 +187,7 @@ def test_integrate_attaches_step_to_singularity(run):
             raise SingularityError("boom")
         return x
 
-    flow = FlowMap(bomb, EXACT_META)
+    flow = FlowMap(bomb, STRANG_META)
     with pytest.raises(SingularityError) as excinfo:
         run(flow, np.array([1.0]), 0.1, 10)
     assert excinfo.value.step == 2
@@ -196,7 +196,7 @@ def test_integrate_attaches_step_to_singularity(run):
 @pytest.mark.parametrize("run", [integrate, propagate])
 def test_integrate_attaches_step_to_non_finite_state(run):
     # 1 -> 1e200 (step 0) -> inf (step 1) -> inf ...
-    grow = FlowMap(lambda x, tau: x * 1e200, EXACT_META)
+    grow = FlowMap(lambda x, tau: x * 1e200, STRANG_META)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError) as excinfo:
             run(grow, np.array([1.0]), 0.1, 5)
@@ -238,7 +238,7 @@ def test_stacked_runs_yield_each_final_state_as_its_row_finishes():
 def test_a_stacked_row_that_finishes_non_finite_ends_the_stack():
     # Row 0.2 overflows in its first step, while the others stay finite.
     grow = _stack_counting([], FlowMap(lambda x, tau: x * (1e300 if tau == 0.2 else 1.0),
-                                       EXACT_META))
+                                       STRANG_META))
     stack = propagate_stacked(grow, np.array([1e10]), [(0.1, 3), (0.2, 2), (0.3, 1)])
     with np.errstate(over="ignore", invalid="ignore"):
         assert next(stack)[0] == 0.3
@@ -252,7 +252,7 @@ def test_integrate_rejects_zero_steps():
     # propagate shares integrate's one check on n_steps.
     for run in (integrate, propagate):
         with pytest.raises(ValidationError):
-            run(FlowMap(lambda x, tau: x.copy(), EXACT_META), np.array([1.0]), 0.1, 0)
+            run(FlowMap(lambda x, tau: x.copy(), STRANG_META), np.array([1.0]), 0.1, 0)
         with pytest.raises(ValidationError):
             run(ho_strang_flow(), (1.0, 0.0), 0.1, -3)
 
@@ -322,7 +322,7 @@ def test_symplecticity_defect_matches_matrix_determinant(base, tau):
 def test_symplecticity_defect_rejects_odd_dimension():
     # Only a 1-D vector of even length is a canonical state: an odd vector,
     # a (v, w) CGL field, a 0-d state and a column are all rejected.
-    flow = FlowMap(lambda x, tau: x, EXACT_META)
+    flow = FlowMap(lambda x, tau: x, STRANG_META)
     for x0 in (np.array([1.0, 2.0, 3.0]), np.ones((2, 8)), np.array(1.0),
                np.ones((4, 1))):
         with pytest.raises(DomainError):
@@ -331,7 +331,7 @@ def test_symplecticity_defect_rejects_odd_dimension():
 
 def _truncation_terms(matrix):
     """Entrywise leading terms of the truncation matrices of ``x -> matrix(tau) x``."""
-    method = FlowMap(lambda x, tau: matrix(tau) @ x, EXACT_META)
+    method = FlowMap(lambda x, tau: matrix(tau) @ x, STRANG_META)
     c = _matrix_series(lambda t: ho_exact(t) - method.matrix(t))
     return [[leading_term(c[:, i, j], RHO) for j in range(2)] for i in range(2)]
 

@@ -5,7 +5,7 @@ import numpy as np
 
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import integrate
-from pscomp.flowmap import EXACT_META, STRANG_META, FlowMap
+from pscomp.flowmap import STRANG_META, FlowMap
 from pscomp.problems import ho_drift_flow, ho_kick_flow, s4sim
 
 
@@ -14,7 +14,7 @@ def _recording_flow(seen):
         seen.append((x, tau))
         return x
 
-    return FlowMap(evaluator, EXACT_META)
+    return FlowMap(evaluator, STRANG_META)
 
 
 class _Hooked(FlowMap):
@@ -88,7 +88,7 @@ def test_a_reassigned_call_counts_the_22_calls_of_an_s4sim_step(monkeypatch):
     monkeypatch.undo()
     assert "__call__" in FlowMap.__dict__
     level(x, 0.3)
-    FlowMap(lambda y, tau: y, EXACT_META)(x, 0.3)
+    FlowMap(lambda y, tau: y, STRANG_META)(x, 0.3)
     assert len(calls) == 22
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from pscomp import complexlog
 from pscomp.coefficients import gamma_smallest_phase
-from pscomp.diagnostics import integrate, power_law_fit, symplecticity_defect
+from pscomp.diagnostics import integrate, power_law_fit, propagate, symplecticity_defect
 from pscomp.errors import DomainError, SingularityError
 from pscomp.problems import (
     kepler_drift_flow, kepler_energy, kepler_initial_conditions,
@@ -137,3 +138,20 @@ def test_one_pass_strang_raises_the_staged_singularity():
             method(x, 0.1)
         errors.append((str(info.value), info.value.value, info.value.index))
     assert errors[0] == errors[1]
+
+
+def test_a_run_from_an_array_state_skips_the_log_and_equals_the_tuple_run(monkeypatch):
+    # An array state reaches the kick as numpy complex128 scalars, which
+    # analytic_inv_r3 takes as the Python complex they subclass: no step
+    # falls to the log, and the run has the bits of the tuple run.
+    x = kepler_initial_conditions(0.6).as_vector()
+    want = propagate(kepler_strang_flow(), tuple(x.tolist()), 0.01, 200)
+
+    def no_log(z):
+        raise AssertionError(f"principal_log reached with {z!r}")
+
+    monkeypatch.setattr(complexlog, "principal_log", no_log)
+    got = propagate(kepler_strang_flow(), x, 0.01, 200)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    with pytest.raises(AssertionError, match="principal_log reached"):
+        complexlog.analytic_inv_r3(np.complex128(-1.0))
