@@ -156,10 +156,12 @@ class ExperimentConfig:
         if _finite("t_final", self.t_final) < 0:
             raise ValidationError(f"t_final must not be negative, got {_shown(self.t_final)}")
         if self.t_final > 0:
-            for tau in taus:
-                if step_count(self.t_final, tau) > MAX_STEPS:
-                    raise ValidationError(
-                        f"t_final={self.t_final} takes over {MAX_STEPS} steps of tau={tau}")
+            # The successive error (a problem with no energy) also runs tau/2.
+            halves = tuple(t / 2.0 for t in taus) if PROBLEMS[self.problem].energy is None else ()
+            for step in taus + halves:
+                if step_count(self.t_final, step) > MAX_STEPS:
+                    raise ValidationError(f"t_final={self.t_final} takes over {MAX_STEPS} steps "
+                                          f"of tau{'' if step in taus else '/2'}={step}")
         if self.grid_points is not None:
             n = self.grid_points
             if not _is_int(n) or n > 65536 or not _is_power_of_two(n):

@@ -98,7 +98,7 @@ def propagate_stacked(method, x0, runs):
 def step_count(t_final, tau):
     """Steps of ``tau`` that reach ``t_final``, a positive whole multiple of
     ``tau`` up to rounding (relative 1e-12); anything else raises."""
-    steps = t_final / tau
+    steps = t_final / tau if tau else math.inf  # a halved subnormal step can be 0
     n = round(steps) if math.isfinite(steps) else 0
     if n < 1 or abs(steps - n) > 1e-12 * steps:
         raise ValidationError(

@@ -105,6 +105,13 @@ def test_config_step_bound():
     ExperimentConfig(problem="harmonic", tau_list=(1.0,), t_final=float(MAX_STEPS))
     with pytest.raises(ValidationError, match="t_final"):
         ExperimentConfig(problem="harmonic", tau_list=(1.0,), t_final=MAX_STEPS + 1.0)
+    # The successive error runs tau/2 too, so its bound is on that run.
+    ExperimentConfig(problem="fisher", tau_list=(2.0,), t_final=float(MAX_STEPS))
+    with pytest.raises(ValidationError, match=r"steps of tau/2=1e-06"):
+        ExperimentConfig(problem="fisher", tau_list=(2e-6,), t_final=2.0)
+    # Half the smallest subnormal step is 0: no division by zero.
+    with pytest.raises(ValidationError, match="tau=0.0"):
+        ExperimentConfig(problem="fisher", tau_list=(5e-324,), t_final=5e-324)
 
 
 def test_apply_overrides_keeps_validation():
