@@ -20,6 +20,7 @@ state is a complex array.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,13 @@ from .flowmap import FlowMap, MethodMeta
 
 COEFF_SUM_TOL = 1e-12
 _HALF = 0.5 + 0j
+_imag = operator.attrgetter("imag")
 
 
 # A state is a tuple of Python complex (an ODE) or a complex array (a PDE);
 # each form is read off the state itself, so a tuple is never concatenated.
 def _is_real(x):
-    return not any(v.imag for v in x) if type(x) is tuple else not np.count_nonzero(x.imag)
+    return not any(map(_imag, x)) if type(x) is tuple else not np.count_nonzero(x.imag)
 
 
 def _real_part(y):
@@ -91,8 +93,8 @@ def _projected_level(prev, gamma):
     coefficients.  With ``s1, s2 = conj(gamma) s, gamma s`` and ``twin =
     _twin(prev)``, built once, the level is ``_average(prev(prev(x, s1), s2),
     twin(twin(x, s2), s1))``, holomorphic in the state at every step.  A
-    real step on a real state takes the real part of one ``pair`` call
-    instead, which that average equals for a real vector field.
+    real step on a real state instead takes the real part of ``pair``, one
+    flow map of those two ``prev`` calls (equal for a real vector field).
 
     On a batched self-conjugate ``prev`` the level takes a ``(B, ...)``
     stack with a tuple of B steps (a single call is a stack of one).  When
@@ -102,7 +104,7 @@ def _projected_level(prev, gamma):
     a mixed stack takes the twin branch; other rows match single calls."""
     meta = _level_meta(prev.meta)
     gamma_bar = gamma.conjugate()
-    pair = compose_schedule(prev, (gamma, gamma_bar), meta)
+    pair = FlowMap(lambda x, tau: prev(prev(x, gamma_bar * tau), gamma * tau), meta)
     twin = _twin(prev)
 
     def project(x, tau):

@@ -10,7 +10,9 @@ the nine-stage palindrome
 
 (applied left to right) with b1 = 1/10 - i/30, b2 = 4/15 + 2i/15,
 b3 = 4/15 - i/5.  All coefficients have positive real part; the largest
-|argument| among them is arccos(4/5) (attained by b3).
+|argument| among them is arccos(4/5) (attained by b3).  Its evaluator
+computes each of its four distinct stage steps once and makes the nine
+stage calls as one expression.
 """
 
 import math
@@ -32,15 +34,6 @@ S4SIM_B = tuple(complex(float(re), float(im)) for re, im in S4SIM_B_FRACTIONS)
 #: Largest |argument| among the b coefficients, arccos(4/5).
 S4SIM_MAX_ARG = math.acos(4.0 / 5.0)
 
-# Stage coefficients in application order (first applied first).
-_STAGES = (
-    ("b", S4SIM_B[0]), ("a", S4SIM_A[0]),
-    ("b", S4SIM_B[1]), ("a", S4SIM_A[1]),
-    ("b", S4SIM_B[2]), ("a", S4SIM_A[2]),
-    ("b", S4SIM_B[1]), ("a", S4SIM_A[3]),
-    ("b", S4SIM_B[0]),
-)
-
 
 def strang(flow_a, flow_b):
     """Second-order symmetric splitting a(tau/2), b(tau), a(tau/2)."""
@@ -58,15 +51,17 @@ def s4sim(flow_a, flow_b):
     ``flow_a`` and ``flow_b`` must be the exact flows of the two parts; the
     palindromic arrangement then gives a symmetric method of order 4, and a
     composition of exact flows declares infinite q and r.  The largest
-    |argument| of its coefficients is ``S4SIM_MAX_ARG``.
+    |argument| of its coefficients is ``S4SIM_MAX_ARG``.  The four ``a``
+    coefficients are equal and ``b1``, ``b2`` appear twice, so a call computes
+    its four distinct stage steps ``coeff * tau`` once and makes the nine
+    stage calls as one expression.
     """
-    flows = {"a": flow_a, "b": flow_b}
-    stages = tuple((flows[kind], coeff) for kind, coeff in _STAGES)
+    a, b = flow_a, flow_b
+    (b1, b2, b3), quarter = S4SIM_B, S4SIM_A[0]
 
     def apply(x, tau):
-        for flow, coeff in stages:
-            x = flow(x, coeff * tau)
-        return x
+        s1, s2, s3, h = b1 * tau, b2 * tau, b3 * tau, quarter * tau
+        return b(a(b(a(b(a(b(a(b(x, s1), h), s2), h), s3), h), s2), h), s1)
 
     return FlowMap(apply, MethodMeta(order=4, pseudo_symmetry_order=INFINITE_ORDER,
                                      pseudo_symplecticity_order=INFINITE_ORDER))

@@ -133,6 +133,26 @@ def test_real_projection_takes_real_part_for_real_state_at_real_step():
     np.testing.assert_array_equal(_kepler_level1()(x, tau), np.asarray(pair(x, tau)).real)
 
 
+@pytest.mark.parametrize("problem, base_method", [
+    ("harmonic", "strang"), ("harmonic", "s4sim"), ("kepler", "strang")])
+@settings(max_examples=40, deadline=None)
+@given(tau=st.one_of(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3).map(complex)),
+       scale=st.floats(-0.05, 0.05), seed=st.integers(0, 2**32 - 1))
+def test_ode_levels_at_real_steps_on_real_states_equal_their_pairs_real_part(
+        problem, base_method, tau, scale, seed):
+    # The real branch of every ODE level, 1-3: the real part of the
+    # composed conjugate pair on the level below, bit for bit.
+    base, _, x0 = _setup(problem, base_method)
+    x = tuple(map(complex, (np.asarray(x0).real
+                            + scale * np.random.default_rng(seed).normal(size=len(x0)))))
+    family = recursive_family(base, 3).levels
+    for n, (prev, level) in enumerate(zip([base] + family, family), 1):
+        g = gamma_smallest_phase(prev.meta.order)
+        want = _real_part(compose_schedule(prev, (g, g.conjugate()), level.meta)(x, tau))
+        got = level(x, tau)
+        assert type(got) is tuple and np.array(got).tobytes() == np.array(want).tobytes(), n
+
+
 def test_real_projection_output_has_zero_imaginary_part():
     projected = recursive_family(ho_strang_flow(), 1).levels[0]
     rng = np.random.default_rng(11)

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pscomp.bench.run import PROBLEMS
 from pscomp.complexlog import analytic_inv_r3
 from pscomp.diagnostics import power_law_fit
 from pscomp.errors import SingularityError
-from pscomp.flowmap import INFINITE_ORDER, STRANG_META
+from pscomp.flowmap import INFINITE_ORDER, STRANG_META, FlowMap
 from pscomp.problems import (
     S4SIM_A, S4SIM_B, S4SIM_MAX_ARG, ho_drift_flow, ho_exact, ho_kick_flow,
     kepler_drift_flow, kepler_kick_flow, s4sim, strang,
@@ -141,3 +142,57 @@ def test_ode_stages_equal_the_listed_formulas_bit_for_bit(stage, listed, size, d
     assert np.array(y).tobytes() == expected.tobytes()
     assert y is not x
     assert x == before and all(type(v) is complex for v in x)
+
+
+# s4sim in application order, one (part, coefficient) per stage.
+_S4SIM_LISTED = (
+    ("b", S4SIM_B[0]), ("a", S4SIM_A[0]), ("b", S4SIM_B[1]), ("a", S4SIM_A[1]),
+    ("b", S4SIM_B[2]), ("a", S4SIM_A[2]), ("b", S4SIM_B[1]), ("a", S4SIM_A[3]),
+    ("b", S4SIM_B[0]),
+)
+
+
+def _listed_s4sim(flow_a, flow_b, x, tau):
+    """The palindrome as a loop over its nine stages, each at ``coeff * tau``."""
+    flows = {"a": flow_a, "b": flow_b}
+    for part, coeff in _S4SIM_LISTED:
+        x = flows[part](x, coeff * tau)
+    return x
+
+
+def _step_bits(t):
+    return type(t), np.array(t).tobytes()
+
+
+@pytest.mark.parametrize("problem", ["harmonic", "kepler", "fisher"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_s4sim_makes_nine_stage_calls_at_the_listed_steps(problem, data):
+    # The evaluator computes each distinct stage step once; every stage
+    # still gets ``coeff * tau`` bit for bit, in palindrome order, and the
+    # result equals the listed loop's by bytes (oscillator and Kepler
+    # tuples, Fisher arrays at N = 32), at real and complex steps and states.
+    row = PROBLEMS[problem]
+    _, x0, _, build_a, build_b = row.setup(row.params, 32)
+    flow_a, flow_b = build_a(), build_b()
+    n = len(x0)
+    x = np.asarray(x0) + data.draw(st.floats(-0.05, 0.05)) * np.cos(np.arange(n))
+    if data.draw(st.booleans()):
+        x = x + 1j * data.draw(st.floats(-0.05, 0.05)) * np.sin(np.arange(n) + 1.0)
+    x = tuple(map(complex, x.tolist())) if type(x0) is tuple else x
+    tau = data.draw(st.one_of(st.floats(-0.3, 0.3),
+                              st.builds(cmath.rect, st.floats(0.0, 0.3),
+                                        st.floats(-math.pi, math.pi))))
+    calls = []
+
+    def recording(part, flow):
+        def stage(y, t):
+            calls.append((part, _step_bits(t)))
+            return flow(y, t)
+        return FlowMap(stage, STRANG_META)
+
+    got = s4sim(recording("a", flow_a), recording("b", flow_b))(x, tau)
+    want = _listed_s4sim(flow_a, flow_b, x, tau)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert calls == [(part, _step_bits(coeff * tau)) for part, coeff in _S4SIM_LISTED]
