@@ -10,6 +10,7 @@ whose leading power is the claim is not fitted but read off its Taylor
 coefficients (:func:`taylor_coefficients`, :func:`leading_term`).
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -23,10 +24,14 @@ ROUNDOFF_FLOOR = 1e-14
 
 def _start(x0, n_steps):
     """``x0`` as a tuple of Python complex when it is a tuple (an ODE state),
-    else as a complex array, once ``n_steps`` is checked to be at least 1."""
+    else as a complex array, once ``n_steps`` >= 1 and a finite start (no step
+    made a nan or inf there) are checked."""
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    return tuple(map(complex, x0)) if type(x0) is tuple else np.asarray(x0, dtype=complex)
+    x = tuple(map(complex, x0)) if type(x0) is tuple else np.asarray(x0, dtype=complex)
+    if not (all(map(cmath.isfinite, x)) if type(x) is tuple else np.isfinite(x).all()):
+        raise ValidationError("start state has a nan or inf entry")
+    return x
 
 
 def _steps(method, x, tau, n_steps):

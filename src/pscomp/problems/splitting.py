@@ -11,8 +11,8 @@ the nine-stage palindrome
 (applied left to right) with b1 = 1/10 - i/30, b2 = 4/15 + 2i/15,
 b3 = 4/15 - i/5.  All coefficients have positive real part; the largest
 |argument| among them is arccos(4/5) (attained by b3).  Its evaluator
-computes each of its four distinct stage steps once and makes the nine
-stage calls as one expression.
+computes each of its four distinct stage steps once, keeps them for up to
+64 complex steps, and makes the nine stage calls as one expression.
 """
 
 import math
@@ -53,14 +53,22 @@ def s4sim(flow_a, flow_b):
     composition of exact flows declares infinite q and r.  The largest
     |argument| of its coefficients is ``S4SIM_MAX_ARG``.  The four ``a``
     coefficients are equal and ``b1``, ``b2`` appear twice, so a call computes
-    its four distinct stage steps ``coeff * tau`` once and makes the nine
-    stage calls as one expression.
+    its four distinct stage steps ``coeff * tau`` once (kept for up to 64
+    ``complex`` steps) and makes the nine stage calls as one expression.
     """
     a, b = flow_a, flow_b
     (b1, b2, b3), quarter = S4SIM_B, S4SIM_A[0]
+    memo = {}
 
     def apply(x, tau):
-        s1, s2, s3, h = b1 * tau, b2 * tau, b3 * tau, quarter * tau
+        steps = memo.get(tau) if type(tau) is complex else None
+        if steps is None:
+            steps = b1 * tau, b2 * tau, b3 * tau, quarter * tau
+            if type(tau) is complex and tau.real and tau.imag:  # ±0.0 parts compare equal
+                if len(memo) >= 64:  # >=: two threads may insert at once
+                    memo.clear()
+                memo[tau] = steps
+        s1, s2, s3, h = steps
         return b(a(b(a(b(a(b(a(b(x, s1), h), s2), h), s3), h), s2), h), s1)
 
     return FlowMap(apply, MethodMeta(order=4, pseudo_symmetry_order=INFINITE_ORDER,

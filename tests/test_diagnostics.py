@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pscomp.composition import recursive_family
 from pscomp.diagnostics import (
@@ -17,7 +19,8 @@ from pscomp.errors import DomainError, NonFiniteError, SingularityError, Validat
 from pscomp.flowmap import STRANG_META, FlowMap
 from pscomp.problems import (
     ho_drift_flow, ho_energy, ho_exact, ho_exact_flow, ho_kick_flow, ho_strang_flow,
-    kepler_energy, kepler_initial_conditions, kepler_strang_flow, s4sim,
+    kepler_drift_flow, kepler_energy, kepler_initial_conditions, kepler_kick_flow,
+    kepler_strang_flow, s4sim,
 )
 
 
@@ -203,6 +206,57 @@ def test_integrate_attaches_step_to_non_finite_state(run):
     assert excinfo.value.step == 1
 
 
+def _faulting(method, k, fault):
+    """``method`` whose call ``k`` raises a singularity (``fault`` "raise") or
+    returns nan entries, as does every later call (``fault`` "nan")."""
+    calls = []
+
+    def evaluate(x, tau):
+        calls.append(None)
+        if len(calls) <= k:
+            return method(x, tau)
+        if fault == "raise":
+            raise SingularityError("boom")
+        return (complex(math.nan),) * len(x)
+    return FlowMap(evaluate, method.meta)
+
+
+_ODE_STARTS = {
+    "harmonic": ((2.5, 0.0), ho_strang_flow, ho_drift_flow, ho_kick_flow),
+    "kepler": (tuple(kepler_initial_conditions(0.6).as_vector().real.tolist()),
+               kepler_strang_flow, kepler_drift_flow, kepler_kick_flow),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_ODE_STARTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_integrate_records_tuple_states_as_one_array_of_their_bytes(problem, data):
+    # A tuple start's recorded states must read as the array of the states a
+    # plain loop visits, byte for byte, and a step that raises or turns nan
+    # keeps its own index.
+    x0, build_strang, build_a, build_b = _ODE_STARTS[problem]
+    method = data.draw(st.sampled_from([
+        build_strang(), recursive_family(s4sim(build_a(), build_b()), 1).levels[0]]))
+    x = tuple(complex(v + data.draw(st.floats(-0.05, 0.05))) for v in x0)
+    tau = data.draw(st.floats(0.001, 0.1))
+    n_steps = data.draw(st.integers(1, 50))
+    states = [x]
+    for _ in range(n_steps):
+        states.append(method(states[-1], tau))
+    got = integrate(method, x, tau, n_steps)
+    want = np.array(states, dtype=complex).real
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    k = data.draw(st.integers(0, n_steps - 1))
+    with pytest.raises(SingularityError) as excinfo:
+        integrate(_faulting(method, k, "raise"), x, tau, n_steps)
+    assert excinfo.value.step == k
+    with pytest.raises(NonFiniteError) as excinfo:
+        integrate(_faulting(method, k, "nan"), x, tau, n_steps)
+    assert excinfo.value.step == k
+
+
 def _stack_counting(calls, step):
     """A batched map ``x -> step(x, tau)`` per row that records each call's steps."""
     def evaluate(x, tau):
@@ -249,12 +303,21 @@ def test_a_stacked_row_that_finishes_non_finite_ends_the_stack():
 
 
 def test_integrate_rejects_zero_steps():
-    # propagate shares integrate's one check on n_steps.
+    # propagate shares integrate's one check on n_steps, and on a finite
+    # start: a nan or inf there is bad input that no step produced.
+    identity = FlowMap(lambda x, tau: x.copy(), STRANG_META)
     for run in (integrate, propagate):
         with pytest.raises(ValidationError):
-            run(FlowMap(lambda x, tau: x.copy(), STRANG_META), np.array([1.0]), 0.1, 0)
+            run(identity, np.array([1.0]), 0.1, 0)
         with pytest.raises(ValidationError):
             run(ho_strang_flow(), (1.0, 0.0), 0.1, -3)
+        with pytest.raises(ValidationError, match="nan or inf"):
+            run(ho_strang_flow(), (math.nan, 0.0), 0.1, 5)
+        with pytest.raises(ValidationError, match="nan or inf"):
+            run(identity, np.array([1.0, complex(0.0, math.inf)]), 0.1, 5)
+    with pytest.raises(ValidationError, match="nan or inf"):
+        next(propagate_stacked(_stack_counting([], identity), np.array([math.nan]),
+                               [(0.1, 2), (0.2, 1)]))
 
 
 def test_step_count_allows_rounding_only():
