@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pscomp.bench.run import ExperimentConfig, _problem_setup
 from pscomp.coefficients import gamma_smallest_phase
 from pscomp.composition import (
-    _HALF, _average, _conj as _conj_state, _is_real, _real_part, _twin,
+    _HALF, _average, _conj as _conj_state, _is_real, _real_part, _tuple_ops, _twin,
     coefficient_arguments, compose_schedule, recursive_family,
 )
 from pscomp.diagnostics import power_law_fit, slope_with_floor
@@ -309,11 +309,12 @@ def _assert_same_bits(got, want, zero_sign_free=None):
 
 @settings(max_examples=400, deadline=None)
 @given(parts=st.lists(st.tuples(SPECIAL_PARTS, SPECIAL_PARTS, SPECIAL_PARTS, SPECIAL_PARTS),
-                      min_size=1, max_size=4))
+                      min_size=1, max_size=8))
 def test_tuple_state_operations_equal_their_array_forms(parts):
     # An ODE level runs its real-state test, real part, mirror average and
     # conj twin on tuples of Python complex; each equals the complex-array
     # form a PDE level runs, on signed zeros, infinities, nans and subnormals.
+    # The last three are generated per state length and built once.
     u = tuple(complex(a, b) for a, b, _, _ in parts)
     v = tuple(complex(c, d) for _, _, c, d in parts)
     arr_u, arr_v = np.array(u), np.array(v)
@@ -323,6 +324,7 @@ def test_tuple_state_operations_equal_their_array_forms(parts):
         _assert_same_bits(_conj_state(u), np.conj(arr_u))
         _assert_same_bits(_average(u, v), _HALF * (arr_u + arr_v), arr_u + arr_v)
     assert _is_real((0j, complex(1.0, -0.0))) and not _is_real((complex(0.0, math.nan),))
+    assert _tuple_ops(len(u)).average is _tuple_ops(len(u)).average
 
 
 @pytest.mark.parametrize("problem", ["harmonic", "kepler"])
@@ -622,6 +624,8 @@ def test_flow_maps_are_thread_safe():
     for method, inputs in ((method, inputs), _cgl_level2_inputs(rng),
                            _kepler_level2_inputs(rng), _s4sim_complex_step_inputs(rng)):
         serial = [method(x, tau) for x, tau in inputs]
+        # The threads build the tuple helpers of the ODE states concurrently.
+        _tuple_ops.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
